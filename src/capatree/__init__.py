@@ -55,11 +55,9 @@ from .errors import ConvergenceError, DomainError, DyadicTangentPole
 from .exponents import (
     ApBranch,
     Exponents,
-    LogOp,
     LogValue,
     as_fraction,
     conjugate,
-    log_combine,
     rel_error,
 )
 from .oracle import (
@@ -72,6 +70,6 @@ from .oracle import (
     solve_capacity,
     solve_from_json,
 )
-from .tree import CylinderSet, canonicalize, d_cylinder_set, lambda_interval, meet, metric, weight
+from .tree import CylinderSet, d_cylinder_set, lambda_interval, meet, metric, weight
 
 __version__ = "0.1.0"

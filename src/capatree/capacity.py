@@ -33,7 +33,6 @@ _LN2 = math.log(2.0)
 class Method(enum.Enum):
     RECURSION = "recursion"
     CLOSED_FORM = "closed_form"
-    ORACLE = "oracle"
     FIXED_POINT = "fixed_point"
 
 
@@ -166,59 +165,49 @@ def _combine_children(left: LogValue, right: LogValue, e: Exponents) -> LogValue
     return phi_apply(LogValue.one(), scaled, e)
 
 
-def capacity_recursive(cyl: CylinderSet, e: Exponents) -> CapacityReport:
-    """Exact capacity of a finite union of cylinders via the two-child recursion.
+def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValue:
+    """Bottom-up two-child recursion over the spanning tree of ``cyl``.
 
-    Generators root full shifted subtrees, so their normalized value is the
-    full-tree constant; missing siblings contribute zero; interior nodes of
-    the spanning tree combine bottom-up.  The empty set has capacity zero.
+    Every generator takes the normalized value ``generator_value``, missing
+    siblings contribute zero, and interior nodes combine bottom-up.
     """
-    if cyl.is_empty():
-        return CapacityReport(LogValue.zero(), Method.RECURSION, BoundKind.EXACT)
-    c = full_tree_capacity(e).value
     generators = set(cyl.generators)
     gamma: dict[str, LogValue] = {}
     for node in sorted(cyl.spanning_nodes(), key=len, reverse=True):
         if node in generators:
-            gamma[node] = c
+            gamma[node] = generator_value
         else:
             left = gamma.get(node + "0", LogValue.zero())
             right = gamma.get(node + "1", LogValue.zero())
             gamma[node] = _combine_children(left, right, e)
-    return CapacityReport(gamma[ROOT], Method.RECURSION, BoundKind.EXACT)
+    return gamma[ROOT]
 
 
-def finite_tree_capacity(
-    depth: int,
-    target_leaves: Sequence[str],
-    e: Exponents,
-    leaf_values: Mapping[str, LogValue] | None = None,
-) -> LogValue:
+def capacity_recursive(cyl: CylinderSet, e: Exponents) -> CapacityReport:
+    """Exact capacity of a finite union of cylinders via the two-child recursion.
+
+    Generators root full shifted subtrees, so their normalized value is the
+    full-tree constant.  The empty set has capacity zero.
+    """
+    if cyl.is_empty():
+        return CapacityReport(LogValue.zero(), Method.RECURSION, BoundKind.EXACT)
+    value = _sweep(cyl, full_tree_capacity(e).value, e)
+    return CapacityReport(value, Method.RECURSION, BoundKind.EXACT)
+
+
+def finite_tree_capacity(depth: int, target_leaves: Sequence[str], e: Exponents) -> LogValue:
     """Capacity of a depth-N problem whose targets are given leaves.
 
-    Normalized leaf value defaults to 1 (the one-node base case).  Passing
-    ``leaf_values`` overrides individual targets, e.g. the full-tree
-    constant to emulate an infinite subtree hanging below a leaf.
+    Each target is a one-node base case with normalized value 1.  Targets
+    must be binary words of length ``depth``; the empty target set has
+    capacity zero.
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
-    targets = set(target_leaves)
-    if not targets:
-        return LogValue.zero()
-    for leaf in targets:
+    for leaf in target_leaves:
         if len(leaf) != depth:
             raise DomainError(f"target {leaf!r} does not have length {depth}")
-    one = LogValue.one()
-    gamma: dict[str, LogValue] = {}
-    for leaf in targets:
-        gamma[leaf] = leaf_values.get(leaf, one) if leaf_values else one
-        for i in range(len(leaf) - 1, -1, -1):
-            gamma.setdefault(leaf[:i], LogValue.zero())
-    for node in sorted((n for n in gamma if len(n) < depth), key=len, reverse=True):
-        left = gamma.get(node + "0", LogValue.zero())
-        right = gamma.get(node + "1", LogValue.zero())
-        gamma[node] = _combine_children(left, right, e)
-    return gamma[ROOT]
+    return _sweep(CylinderSet.from_words(target_leaves), LogValue.one(), e)
 
 
 # ----------------------------------------------------------------------

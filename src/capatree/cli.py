@@ -20,7 +20,6 @@ from .capacity import cap_component, capacity_recursive
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, as_fraction
 from .tree import CylinderSet
-from .util import worker_count
 
 SCHEMA = "capatree/1"
 
@@ -141,7 +140,6 @@ def _cmd_oracle_check(args):
         seed=args.seed,
         max_depth=args.max_depth,
         tol=args.tol,
-        workers=worker_count(),
     )
     mismatches = [r for r in rows if not r["ok"]]
     result = {
@@ -291,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolved_config(args) -> dict:
     skip = {"fn", "command", "format", "output"}
-    config = {"command": args.command, "threads": worker_count()}
+    config = {"command": args.command}
     for key, value in sorted(vars(args).items()):
         if key in skip or value is None:
             continue

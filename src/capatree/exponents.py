@@ -10,6 +10,7 @@ never a floating-point comparison.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,21 +89,22 @@ class Exponents:
     def is_critical(self) -> bool:
         return self.branch is ApBranch.CRITICAL
 
-    # Float views used by the log-domain kernels.
-    @property
+    # Float views used by the log-domain kernels, computed once per instance
+    # (cached in the instance dict, so they stay out of __eq__ and __hash__).
+    @functools.cached_property
     def p_f(self) -> float:
         return float(self.p)
 
-    @property
+    @functools.cached_property
     def q_f(self) -> float:
         """float(p' - 1) = 1/(p - 1)."""
         return float(self.p_prime - 1)
 
-    @property
+    @functools.cached_property
     def pm1_f(self) -> float:
         return float(self.p - 1)
 
-    @property
+    @functools.cached_property
     def ap_f(self) -> float:
         return float(self.ap)
 
@@ -132,7 +134,10 @@ class LogValue:
 
     @classmethod
     def from_log2(cls, log2: float) -> "LogValue":
-        return cls(float(log2), False)
+        log2 = float(log2)
+        if not math.isfinite(log2):
+            raise DomainError(f"LogValue requires a finite log2, got {log2}")
+        return cls(log2, False)
 
     @classmethod
     def from_float(cls, value: float) -> "LogValue":
@@ -210,27 +215,6 @@ class LogValue:
 
     def __repr__(self) -> str:
         return "LogValue(zero)" if self.is_zero else f"LogValue(2^{self.log2:.12g})"
-
-
-class LogOp(enum.Enum):
-    ADD = "add"
-    MUL = "mul"
-    POW_SCALE = "pow_scale"
-
-
-def log_combine(op: LogOp | str, u: LogValue, v: LogValue | float) -> LogValue:
-    """Dispatch Add / Mul / PowScale on LogValues.
-
-    PowScale takes a plain float exponent in place of the second value.
-    """
-    op = LogOp(op) if not isinstance(op, LogOp) else op
-    if op is LogOp.POW_SCALE:
-        if isinstance(v, LogValue):
-            raise DomainError("pow_scale expects a float exponent")
-        return u.pow_scale(float(v))
-    if not isinstance(v, LogValue):
-        raise DomainError(f"{op.value} expects a LogValue second operand")
-    return u + v if op is LogOp.ADD else u * v
 
 
 def rel_error(u: LogValue, v: LogValue) -> float:

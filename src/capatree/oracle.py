@@ -11,7 +11,7 @@ throughout; depth is capped at 12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -125,8 +125,6 @@ class OracleResult:
     iterations: int
     mu_final: float
     depth: int
-    converged: bool = True
-    energy_unscaled: float = field(default=math.nan)
 
     def witness_dict(self, include_zero: bool = False) -> dict[str, float]:
         out = {}
@@ -288,7 +286,6 @@ def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
         iterations=iterations,
         mu_final=mu,
         depth=problem.depth,
-        energy_unscaled=energy_unscaled,
     )
 
 
@@ -323,18 +320,12 @@ def agreement_battery(
     seed: int = 0,
     max_depth: int = 8,
     tol: float = 1e-5,
-    workers: int | None = None,
 ) -> list[dict]:
     """Solve ``count`` random problems both ways; one row per problem."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .util import worker_count
-
     rng = np.random.default_rng(seed)
     problems = [random_problem(rng, max_depth) for _ in range(count)]
 
-    def run(indexed) -> dict:
-        i, prob = indexed
+    def run(i: int, prob: FiniteProblem) -> dict:
         recursion = finite_tree_capacity(
             prob.depth, prob.target_leaves, prob.exponents
         ).to_float()
@@ -353,11 +344,7 @@ def agreement_battery(
             "ok": bool(rel <= 5 * tol),
         }
 
-    n_workers = workers if workers is not None else worker_count()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(run, enumerate(problems)))
-    return [run(item) for item in enumerate(problems)]
+    return [run(i, prob) for i, prob in enumerate(problems)]
 
 
 def emulated_infinite_problem(cyl, e: Exponents, depth: int | None = None) -> FiniteProblem:

@@ -55,10 +55,6 @@ def weight(x: str, e: Exponents) -> LogValue:
     return LogValue.from_log2(-len(x) * float(1 - e.ap))
 
 
-def canonicalize(words: Iterable[str]) -> "CylinderSet":
-    return CylinderSet.from_words(words)
-
-
 @dataclass(frozen=True)
 class CylinderSet:
     """Canonical antichain of generator words for a finite union of cylinders."""

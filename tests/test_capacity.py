@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from capatree import (
     CylinderSet,
+    DomainError,
     Exponents,
     LogValue,
     cap_component,
@@ -21,7 +23,7 @@ from capatree import (
     sigma_direct,
     truncated_tree_capacity,
 )
-from capatree.capacity import BoundKind, Method
+from capatree.capacity import BoundKind, CapacityReport, Method
 from conftest import rel_diff
 
 E_HALF_2 = Exponents("1/2", 2)
@@ -116,6 +118,11 @@ class TestTruncatedTreeCapacity:
             leaves = ["".join(b) for b in itertools.product("01", repeat=depth)]
             via_leaves = finite_tree_capacity(depth, leaves, E_HALF_2)
             assert rel_diff(via_leaves, truncated_tree_capacity(E_HALF_2, depth)) <= 1e-12
+
+    @pytest.mark.parametrize("leaves", [["2x"], ["0a", "01"]])
+    def test_finite_problem_rejects_non_binary_targets(self, leaves):
+        with pytest.raises(DomainError):
+            finite_tree_capacity(2, leaves, E_HALF_2)
 
     def test_nonincreasing_and_converges(self):
         for e in (E_HALF_2, E_THIRD_3, E_QUARTER_2):
@@ -308,3 +315,11 @@ class TestCapComponent:
 
         report = cap_component(3, 2, E_HALF_2)
         assert CapacityReport.from_json(report.to_json()) == report
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_report_rejects_non_finite_log2(self, text):
+        data = json.loads(
+            f'{{"value_log2": {text}, "is_zero": false, "method": "recursion", "bound_kind": "exact"}}'
+        )
+        with pytest.raises(DomainError):
+            CapacityReport.from_json(data)

@@ -2,17 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from capatree import (
     ApBranch,
     DomainError,
     Exponents,
-    LogOp,
     LogValue,
     as_fraction,
     conjugate,
-    log_combine,
     rel_error,
 )
 
@@ -97,14 +95,6 @@ class TestLogValue:
         assert LogValue.zero().pow_scale(2.0).is_zero
         assert not LogValue.zero().pow_scale(0.0).is_zero
 
-    def test_log_combine_dispatch(self):
-        u, v = LogValue.from_float(3.0), LogValue.from_float(5.0)
-        assert log_combine(LogOp.ADD, u, v).to_float() == pytest.approx(8.0, rel=1e-14)
-        assert log_combine("mul", u, v).to_float() == pytest.approx(15.0, rel=1e-14)
-        assert log_combine("pow_scale", u, 2.0).to_float() == pytest.approx(9.0, rel=1e-14)
-        with pytest.raises(DomainError):
-            log_combine(LogOp.POW_SCALE, u, v)
-
     def test_ordering_matches_linear_scale(self):
         values = [LogValue.zero(), LogValue.from_float(0.25), LogValue.one(), LogValue.from_float(7)]
         floats = [v.to_float() for v in values]
@@ -115,12 +105,14 @@ class TestLogValue:
         a=st.floats(min_value=-50, max_value=50),
         b=st.floats(min_value=-50, max_value=50),
     )
+    @example(a=math.log2(3.0), b=math.log2(5.0))  # pow_scale: 3**2 == 9
     def test_add_mul_match_linear_arithmetic(self, a, b):
         u, v = LogValue.from_log2(a), LogValue.from_log2(b)
         lin_add = 2.0**a + 2.0**b
         lin_mul = 2.0**a * 2.0**b
         assert rel_error(u + v, LogValue.from_float(lin_add)) <= 1e-12
         assert rel_error(u * v, LogValue.from_float(lin_mul)) <= 1e-12
+        assert rel_error(u.pow_scale(2.0), LogValue.from_float(2.0**a * 2.0**a)) <= 1e-12
 
     @given(
         a=st.floats(min_value=-50, max_value=50),
@@ -143,6 +135,11 @@ class TestLogValue:
         assert LogValue.from_float(0.0).is_zero
         with pytest.raises(DomainError):
             LogValue.from_float(-1.0)
+
+    @pytest.mark.parametrize("log2", [math.nan, math.inf, -math.inf])
+    def test_from_log2_rejects_non_finite(self, log2):
+        with pytest.raises(DomainError):
+            LogValue.from_log2(log2)
 
     def test_from_fraction_handles_big_integers(self):
         v = LogValue.from_fraction(Fraction(2**4000, 3))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from capatree import CylinderSet, DomainError, Exponents, LogValue, d_cylinder_set
-from capatree.tree import canonicalize, lambda_interval, meet, metric, weight
+from capatree.tree import lambda_interval, meet, metric, weight
 
 words_st = st.text(alphabet="01", max_size=10)
 
@@ -82,13 +82,13 @@ class TestWeight:
 
 class TestCylinderSet:
     def test_prefix_absorbs_extension(self):
-        assert canonicalize({"0", "01"}).generators == ("0",)
+        assert CylinderSet.from_words({"0", "01"}).generators == ("0",)
 
     def test_antichain_unchanged(self):
-        assert canonicalize({"00", "01", "1"}).generators == ("00", "01", "1")
+        assert CylinderSet.from_words({"00", "01", "1"}).generators == ("00", "01", "1")
 
     def test_root_absorbs_everything(self):
-        assert canonicalize({"", "0110"}).generators == ("",)
+        assert CylinderSet.from_words({"", "0110"}).generators == ("",)
 
     def test_rejects_non_antichain_direct_construction(self):
         with pytest.raises(DomainError):
@@ -96,11 +96,11 @@ class TestCylinderSet:
 
     def test_rejects_bad_alphabet(self):
         with pytest.raises(DomainError):
-            canonicalize({"0a1"})
+            CylinderSet.from_words({"0a1"})
 
     @given(st.sets(words_st, max_size=12))
     def test_canonical_form_is_antichain_with_same_cover(self, words):
-        cyl = canonicalize(words)
+        cyl = CylinderSet.from_words(words)
         gens = cyl.generators
         for g, h in itertools.permutations(gens, 2):
             assert not h.startswith(g)
@@ -112,19 +112,19 @@ class TestCylinderSet:
 
     @given(st.sets(words_st, max_size=12))
     def test_canonicalize_idempotent(self, words):
-        once = canonicalize(words)
-        assert canonicalize(once.generators).generators == once.generators
+        once = CylinderSet.from_words(words)
+        assert CylinderSet.from_words(once.generators).generators == once.generators
 
     def test_json_round_trip(self):
-        cyl = canonicalize({"01", "1", "000"})
+        cyl = CylinderSet.from_words({"01", "1", "000"})
         text = json.dumps(cyl.to_json())
         assert CylinderSet.from_json(text) == cyl
 
     def test_bit_flip(self):
-        assert canonicalize({"01", "1"}).bit_flip().generators == ("0", "10")
+        assert CylinderSet.from_words({"01", "1"}).bit_flip().generators == ("0", "10")
 
     def test_spanning_nodes(self):
-        assert canonicalize({"01"}).spanning_nodes() == {"", "0", "01"}
+        assert CylinderSet.from_words({"01"}).spanning_nodes() == {"", "0", "01"}
 
 
 class TestRunSetGenerators:
