@@ -145,7 +145,7 @@ class LogValue:
             raise DomainError(f"LogValue requires a nonnegative value, got {value}")
         if value == 0:
             return cls.zero()
-        return cls(math.log2(value), False)
+        return cls.from_log2(math.log2(value))
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "LogValue":

@@ -2,10 +2,12 @@
 
 The discrete capacity is the minimum of sum(w(x) * phi(x)**p) over
 nonnegative phi whose root-to-leaf sums reach 1 on every target leaf of a
-truncated tree.  This module attacks that program head-on with a quadratic
-penalty and projected first-order descent, completely independent of the
-recursion engine it is used to corroborate.  Plain linear doubles
-throughout; depth is capped at 12.
+truncated tree.  This module solves that program through its dual, a
+concave maximization over masses on the target leaves, and returns a
+certified bracket: every mass gives a lower bound, and the function it
+induces, rescaled to be admissible, gives an upper bound.  It shares no
+code with the recursion engine it is used to corroborate.  Plain linear
+doubles throughout; depth is capped at 12.
 """
 
 from __future__ import annotations
@@ -68,13 +70,10 @@ class FiniteProblem:
             w[2 ** d - 1 : 2 ** (d + 1) - 1] = 2.0 ** (-d * one_minus_ap)
         if self.weights:
             for word, value in self.weights.items():
-                if value <= 0:
-                    raise DomainError(f"weights must be positive, got {word!r}: {value}")
+                if not (math.isfinite(value) and value > 0):
+                    raise DomainError(f"weights must be positive and finite, got {word!r}: {value}")
                 w[_node_index(validate_word(word))] = float(value)
         return w
-
-    def target_indices(self) -> np.ndarray:
-        return np.array([_node_index(leaf) for leaf in self.target_leaves], dtype=np.int64)
 
     def to_json(self) -> dict:
         out = {
@@ -121,9 +120,10 @@ def energy_eval(phi: Mapping[str, float], problem: FiniteProblem) -> float:
 class OracleResult:
     value: float
     witness: np.ndarray
+    lower: float
+    gap: float
     violation: float
     iterations: int
-    mu_final: float
     depth: int
 
     def witness_dict(self, include_zero: bool = False) -> dict[str, float]:
@@ -139,6 +139,8 @@ class OracleResult:
         return {
             "value": self.value,
             "witness": self.witness_dict(),
+            "lower": self.lower,
+            "gap": self.gap,
             "violation": self.violation,
             "iterations": self.iterations,
         }
@@ -151,15 +153,11 @@ class _TreeArrays:
         self.depth = depth
         self.n_nodes = 2 ** (depth + 1) - 1
         self.levels = [(2 ** d - 1, 2 ** (d + 1) - 1) for d in range(depth + 1)]
-        self.parents = [
-            (np.arange(a, b, dtype=np.int64) - 1) // 2 for a, b in self.levels
-        ]
 
     def path_sums(self, phi: np.ndarray) -> np.ndarray:
         out = phi.copy()
-        for d in range(1, self.depth + 1):
-            a, b = self.levels[d]
-            out[a:b] += out[self.parents[d]]
+        for (pa, pb), (a, b) in zip(self.levels, self.levels[1:]):
+            out[a:b] += np.repeat(out[pa:pb], 2)
         return out
 
     def subtree_sums(self, leaf_values: np.ndarray) -> np.ndarray:
@@ -174,117 +172,115 @@ class _TreeArrays:
 
 
 def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
-    """Penalty method: energy + mu * sum(max(0, 1 - path_sum(leaf))**2).
+    """Capacity of a finite problem, certified by a bracket from its dual.
 
-    The penalty weight mu ramps geometrically until (a) it clears the floor
-    p/tol, below which even the exact penalized minimizer could sit closer
-    to feasibility than its distance to the constrained optimum, and (b)
-    the worst constraint violation of the inner minimizer drops below
-    ``tol``.  The iterate is then rescaled by 1/min(path sums) so the
-    returned witness is exactly admissible.  The reported value is the
-    rescaled witness energy, hence a true upper bound within about p*tol
-    of the minimum.
+    The dual maximizes, over masses mu >= 0 on the target leaves, the
+    concave g(mu) = |mu| - sum_x phi(x) * M(x) / p', where M(x) is the mass
+    below x and phi = (M / (p*w))**(p'-1) minimizes the Lagrangian; the
+    gradient of g at a target is 1 minus the potential of phi there.  Every
+    evaluated mu brackets the capacity: with s = sum(phi * M) and m the least
+    target potential, its best multiple gives the lower bound
+    |mu|**p / (p * s**(p-1)), and phi / m is admissible with energy
+    (s/p) / m**p.  ``value`` and ``witness`` are the best upper bound and its
+    function, ``lower`` the best lower bound, ``gap`` = (value - lower) /
+    lower <= ``tol``, and ``violation`` = max(0, 1 - m) of the unscaled phi.
 
-    Each inner problem is smooth and convex; it is minimized with
-    bound-constrained L-BFGS (gradient-only), warm-started across stages
-    and restarted with fresh curvature memory while its line search keeps
-    terminating abnormally but the objective still improves.  The start
-    point is pushed strictly inside the feasible region so the first
-    iterate does not sit on the penalty kink.
-
-    Raises ConvergenceError when the evaluation budget runs out; never
-    returns a silently unconverged value.
+    From uniform mass times its best multiple, at most 25 iterations of
+    bound-constrained L-BFGS run until the gap closes; at most 30 projected
+    Newton steps on the targets with mass or potential below 1, solved by
+    conjugate gradients and halved until g rises, close the rest.  An
+    evaluation and a Hessian-vector product cost two tree sweeps each;
+    ``iterations`` counts both.  Raises ConvergenceError when the gap is
+    still open after the Newton steps.
     """
     from scipy.optimize import minimize
+    from scipy.sparse.linalg import LinearOperator, cg
 
     if not (1e-8 <= tol <= 1e-3):
         raise DomainError(f"tol must lie in [1e-8, 1e-3], got {tol}")
-    exps = problem.exponents
-    p = exps.p_f
+    p = problem.exponents.p_f
+    q = 1.0 / (p - 1.0)  # p' - 1
     tree = _TreeArrays(problem.depth)
-    w_raw = problem.weight_array()
-    scale = float(w_raw.max())
-    w = w_raw / scale  # normalized so the result scales exactly with the weights
-    targets = problem.target_indices()
-    leaf_slice_start = 2 ** problem.depth - 1
-    target_leaf_mask = np.zeros(2 ** problem.depth)
-    target_leaf_mask[targets - leaf_slice_start] = 1.0
-    leaf_counts = tree.subtree_sums(target_leaf_mask)
-    on_support = leaf_counts > 0
+    w = problem.weight_array()
+    scale = float(w.max())
+    phi_coeff = (p * w / scale) ** -q  # normalized so the result scales exactly with the weights
+    leaf_start = 2 ** problem.depth - 1
+    targets = np.array([_node_index(leaf) - leaf_start for leaf in problem.target_leaves])
+    leaf_mass = np.zeros(2 ** problem.depth)
+    iterations, lower, upper, best = 0, 0.0, math.inf, (None, 0.0)
 
-    phi = np.where(on_support, 1.05 / (problem.depth + 1), 0.0)
+    def evaluate(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """-g(mu), its gradient, M and phi; records the bracket mu certifies."""
+        nonlocal iterations, lower, upper, best
+        iterations += 1
+        leaf_mass[targets] = mu
+        mass = tree.subtree_sums(leaf_mass)
+        phi = phi_coeff * mass ** q
+        potential = tree.path_sums(phi)[leaf_start + targets]
+        s, total, m = float(phi @ mass), float(mu.sum()), float(potential.min())
+        lower = max(lower, total ** p / (p * s ** (p - 1.0)))
+        if s / p / m ** p < upper:
+            upper, best = s / p / m ** p, (phi, m)
+        return s / (q + 1.0) - total, potential - 1.0, mass, phi
 
-    budget = 1_000_000
-    evaluations = 0
-    mu = 100.0
-    mu_floor = p / tol
-    max_mu = 1e12
-    bounds = [(0.0, None)] * tree.n_nodes
+    def closed() -> bool:
+        return upper - lower <= tol * lower
 
-    def residuals(phi_: np.ndarray) -> np.ndarray:
-        path = tree.path_sums(phi_)
-        return np.maximum(0.0, 1.0 - path[targets])
+    def stop_when_closed(intermediate_result) -> None:
+        if closed():
+            raise StopIteration
 
-    while True:
-
-        def fun_and_grad(phi_: np.ndarray) -> tuple[float, np.ndarray]:
-            nonlocal evaluations
-            evaluations += 1
-            res = residuals(phi_)
-            value = float(np.sum(w * phi_ ** p) + mu * np.sum(res ** 2))
-            grad = p * w * phi_ ** (p - 1.0)
-            leaf_res = np.zeros(2 ** problem.depth)
-            leaf_res[targets - leaf_slice_start] = res
-            grad -= 2.0 * mu * tree.subtree_sums(leaf_res)
-            return value, grad
-
-        f_prev = math.inf
-        for _attempt in range(12):
-            result = minimize(
-                fun_and_grad,
-                phi,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={
-                    "maxiter": 3000,
-                    "ftol": 1e-18,
-                    "gtol": 1e-12,
-                    "maxcor": 20,
-                    "maxls": 100,
-                },
-            )
-            phi = np.maximum(0.0, result.x)
-            if result.status == 0 or result.fun >= f_prev - 1e-16 * max(1.0, abs(f_prev)):
-                break
-            f_prev = result.fun
-        violation = float(residuals(phi).max(initial=0.0))
-        if violation < tol and mu >= mu_floor:
+    # uniform mass times its best multiple (|mu|/s)**(p-1), with s at unit mass
+    leaf_mass[targets] = 1.0
+    s = float(phi_coeff @ tree.subtree_sums(leaf_mass) ** (q + 1.0))
+    mu = np.full(len(targets), (len(targets) / s) ** (p - 1.0))
+    evaluate(mu)
+    if not closed():
+        # L-BFGS converges slowly where the dual is badly conditioned (p near
+        # 1), so after a few iterations the Newton steps below are cheaper
+        mu = minimize(
+            lambda x: evaluate(x)[:2],
+            mu,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(0.0, None)] * len(targets),
+            callback=stop_when_closed,
+            options={"maxiter": 25, "ftol": 0.0, "gtol": 0.0},
+        ).x
+    for _newton_step in range(30):
+        if closed():
             break
-        if evaluations >= budget:
-            raise ConvergenceError(
-                f"oracle exhausted {budget} evaluations (violation {violation:.3g}, mu={mu:.3g})"
-            )
-        if mu >= max_mu:
-            raise ConvergenceError(
-                f"oracle penalty saturated at mu={mu:.3g} with violation {violation:.3g}"
-            )
-        mu *= 10.0
-    iterations = evaluations
+        value, grad, mass, phi = evaluate(mu)
+        free = np.flatnonzero((mu > 0) | (grad < 0))
+        curvature = np.divide(q * phi, mass, out=np.zeros_like(phi), where=mass > 0)
 
-    path = tree.path_sums(phi)
-    min_potential = float(path[targets].min())
-    if min_potential <= 0:
-        raise ConvergenceError("oracle iterate has a zero-potential target leaf")
-    witness = phi / min_potential
-    energy_unscaled = float(np.sum(w * phi ** p)) * scale
-    value = energy_unscaled / min_potential ** p
+        def hessian(v: np.ndarray) -> np.ndarray:
+            nonlocal iterations
+            iterations += 1
+            leaf_mass[targets] = 0.0
+            leaf_mass[targets[free]] = v
+            return tree.path_sums(curvature * tree.subtree_sums(leaf_mass))[leaf_start + targets[free]]
+
+        hessian_op = LinearOperator((len(free), len(free)), matvec=hessian, dtype=float)
+        step = cg(hessian_op, -grad[free], rtol=1e-4)[0]
+        # halve until g rises: for p > 2 the curvature at a massless target
+        # is infinite, which the step above does not see
+        for _halving in range(30):
+            trial = mu.copy()
+            trial[free] = np.maximum(mu[free] + step, 0.0)
+            if evaluate(trial)[0] <= value:
+                break
+            step /= 2
+        mu = trial
+    if not closed():
+        raise ConvergenceError(f"oracle gap {(upper - lower) / lower:.3g} exceeds tol {tol:.3g}")
     return OracleResult(
-        value=value,
-        witness=witness,
-        violation=violation,
+        value=upper * scale,
+        lower=lower * scale,
+        gap=(upper - lower) / lower,
+        witness=best[0] / best[1],
+        violation=max(0.0, 1.0 - best[1]),
         iterations=iterations,
-        mu_final=mu,
         depth=problem.depth,
     )
 

@@ -141,6 +141,11 @@ class TestLogValue:
         with pytest.raises(DomainError):
             LogValue.from_log2(log2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_from_float_rejects_non_finite(self, value):
+        with pytest.raises(DomainError):
+            LogValue.from_float(value)
+
     def test_from_fraction_handles_big_integers(self):
         v = LogValue.from_fraction(Fraction(2**4000, 3))
         assert v.log2 == pytest.approx(4000 - math.log2(3), rel=1e-15)

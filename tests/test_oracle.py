@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from capatree import (
@@ -13,6 +17,17 @@ from capatree import (
 )
 
 E = Exponents("1/2", 2)  # weights identically 1
+# the six (a, p) pairs of acceptance criterion 3
+PAIRS = [
+    Exponents(ap / p, p)
+    for p in (Fraction(3, 2), Fraction(2), Fraction(3))
+    for ap in (Fraction(1), Fraction(1, 2))
+]
+
+
+def random_leaves(rng: np.random.Generator, depth: int, density: float) -> tuple[str, ...]:
+    count = max(1, round(density * 2 ** depth))
+    return tuple(format(int(i), f"0{depth}b") for i in rng.choice(2 ** depth, count, replace=False))
 
 
 class TestProblemValidation:
@@ -27,6 +42,18 @@ class TestProblemValidation:
     def test_depth_cap(self):
         with pytest.raises(DomainError):
             FiniteProblem(13, ("0" * 13,), E)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_weights_must_be_finite(self, value):
+        with pytest.raises(DomainError):
+            FiniteProblem(1, ("0",), E, weights={"0": value}).weight_array()
+
+    def test_json_weights_must_be_finite(self):
+        prob = FiniteProblem.from_json(
+            {"depth": 1, "target_leaves": ["0"], "a": "1/2", "p": "2", "weights": {"1": math.inf}}
+        )
+        with pytest.raises(DomainError):
+            prob.weight_array()
 
     def test_json_round_trip(self):
         prob = FiniteProblem(2, ("00", "11"), Exponents("1/4", 2), weights={"00": 0.25})
@@ -100,9 +127,33 @@ class TestSolveCapacity:
 
     def test_json_entry_point(self):
         out = solve_from_json({"depth": 1, "target_leaves": ["0", "1"], "a": "1/2", "p": "2"})
-        assert set(out) == {"value", "witness", "violation", "iterations"}
+        assert set(out) == {"value", "lower", "gap", "witness", "violation", "iterations"}
         assert out["value"] == pytest.approx(2 / 3, rel=1e-6)
         assert out["violation"] < 1e-5
+        assert out["gap"] <= 1e-5
+
+    @pytest.mark.parametrize("e", PAIRS, ids=str)
+    def test_bracket_contains_recursion(self, e):
+        rng = np.random.default_rng(3)
+        for depth in range(1, 11):
+            leaves = random_leaves(rng, depth, (0.9, 0.5, 0.25, 0.1)[depth % 4])
+            recursion = finite_tree_capacity(depth, leaves, e).to_float()
+            res = solve_capacity(FiniteProblem(depth, leaves, e))
+            assert res.lower <= recursion * (1 + 1e-12)
+            assert res.value >= recursion * (1 - 1e-12)
+            assert res.gap <= 1e-5
+
+    @pytest.mark.parametrize("depth", [8, 12])
+    @pytest.mark.parametrize("p", [Fraction(3, 2), Fraction(2), Fraction(3)], ids=str)
+    def test_tightest_tolerance_closes(self, depth, p):
+        rng = np.random.default_rng(depth)
+        for ap in (Fraction(1), Fraction(1, 2)):
+            e = Exponents(ap / p, p)
+            leaves = random_leaves(rng, depth, 0.5)
+            recursion = finite_tree_capacity(depth, leaves, e).to_float()
+            res = solve_capacity(FiniteProblem(depth, leaves, e), tol=1e-8)
+            assert res.gap <= 1e-8
+            assert abs(res.value - recursion) / recursion <= 5e-8
 
 
 class TestAgreementBattery:
