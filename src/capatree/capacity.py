@@ -6,12 +6,20 @@ one-step combination map
     Phi_r(x) = x / (1 + r * x**(p'-1))**(p-1),
 
 which satisfies the semigroup law Phi_r(Phi_s(x)) = Phi_{r+s}(x) and the
-scaling identity Phi_r(2x) = 2*Phi_{2**(p'-1) r}(x).  Combining the two
-children of a node through the capacity recursion is one application of
-Phi_1 after rescaling by the node weight, so the capacity of any finite
-union of cylinders reduces to a bottom-up sweep of Phi evaluations, and
-the capacity of a run set D(n, kappa) collapses to a single Phi at a
-geometric-sum index sigma.
+scaling identity Phi_r(lambda x) = lambda * Phi_{lambda**q r}(x) for any
+lambda > 0, with q = p'-1.  In normalized form a node's value is
+Phi_1(lambda * (left + right)) with lambda = 2**(ap-1), the sum of its two
+children's values.  A chain of k one-child nodes above a value y therefore
+composes to
+
+    lambda**k * Phi_{S_k}(y),   S_k = sum_{j=1..k} lambda**(j q),
+
+where S_k = k on the critical branch a*p = 1 and a geometric sum below it.
+So the capacity of a finite union of cylinders costs one Phi evaluation
+per edge of the compressed trie of its generators (branch nodes and
+generators only), walked bottom-up in one pass over the sorted generators;
+and the capacity of a run set D(n, kappa) collapses further, to a single
+Phi at a geometric-sum index sigma.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Mapping, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, LogValue, rel_error
-from .tree import ROOT, CylinderSet
+from .tree import CylinderSet
 
 _LN2 = math.log(2.0)
 
@@ -156,31 +164,71 @@ def truncated_tree_capacity(e: Exponents, depth: int) -> LogValue:
     return phi_fixed_point_iterate(e, LogValue.one(), steps=depth)
 
 
-def _combine_children(left: LogValue, right: LogValue, e: Exponents) -> LogValue:
-    """One recursion step in normalized form: Phi_1(2**(ap-1) * (left + right))."""
-    s = left + right
-    if s.is_zero:
-        return LogValue.zero()
-    scaled = LogValue.from_log2(s.log2 + (e.ap_f - 1.0))
-    return phi_apply(LogValue.one(), scaled, e)
-
-
 def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValue:
-    """Bottom-up two-child recursion over the spanning tree of ``cyl``.
+    """Bottom-up two-child recursion, walked over the compressed trie of ``cyl``.
 
-    Every generator takes the normalized value ``generator_value``, missing
-    siblings contribute zero, and interior nodes combine bottom-up.
+    Every generator takes the normalized value ``generator_value``, a
+    missing sibling contributes zero, and a node's value is
+    Phi_1(lambda * (left + right)) with lambda = 2**(ap-1).  A chain of k
+    one-child nodes above a value y therefore lifts it to
+    lambda**k * Phi_{S_k}(y) with S_k = sum_{j=1..k} lambda**(jq), q = p'-1
+    (module docstring), so only the edges of the compressed trie cost a
+    Phi evaluation.
+
+    The trie is never materialised.  Its branch nodes sit at the longest
+    common prefixes of neighbouring generators in sorted order, so one pass
+    with a stack builds it as the Cartesian tree of that LCP array: each
+    entry is (join, depth, log2 value) for a finished subtree whose root
+    lies at ``depth`` and which meets the entry below it at a branch of
+    depth ``join``.  A branch closes once the next LCP is shallower than
+    it; its two subtrees are lifted to depth join+1, added, and lifted one
+    more level.  Every value is positive, so the loop runs on log2 floats.
     """
-    generators = set(cyl.generators)
-    gamma: dict[str, LogValue] = {}
-    for node in sorted(cyl.spanning_nodes(), key=len, reverse=True):
-        if node in generators:
-            gamma[node] = generator_value
-        else:
-            left = gamma.get(node + "0", LogValue.zero())
-            right = gamma.get(node + "1", LogValue.zero())
-            gamma[node] = _combine_children(left, right, e)
-    return gamma[ROOT]
+    generators = cyl.generators
+    if not generators:
+        return LogValue.zero()
+    s = e.ap_f - 1.0  # log2 lambda
+    q = e.q_f
+    pm1 = e.pm1_f
+    qs = q * s  # log2 lambda**q
+    chain_lengths = range(1, max(map(len, generators)) + 1)
+    # log2 S_k for every chain length k a lift can need; k = 0 never looks it up
+    if e.is_critical:
+        log2_index = [math.nan] + [math.log2(k) for k in chain_lengths]
+    else:
+        den = math.log2(-math.expm1(qs * _LN2))
+        log2_index = [math.nan] + [
+            qs + (math.log2(-math.expm1(k * qs * _LN2)) - den) for k in chain_lengths
+        ]
+
+    def lift(v: float, k: int) -> float:
+        """log2 of the value k one-child levels above a node of log2 value v."""
+        if k == 0:
+            return v
+        return k * s + v - pm1 * _log2_1p_exp2(log2_index[k] + q * v)
+
+    # Two neighbouring generators first differ at the highest set bit of the
+    # XOR of their first m = min(len) digits, read as binary integers.
+    depths = [len(g) for g in generators]
+    keys = [int(g or "0", 2) for g in generators]
+    lcps = []
+    for a, la, b, lb in zip(keys, depths, keys[1:], depths[1:]):
+        m = min(la, lb)
+        lcps.append(m - ((a >> (la - m)) ^ (b >> (lb - m))).bit_length())
+    leaf = generator_value.log2
+    stack = []
+    for depth, join, next_join in zip(depths, [-1] + lcps, lcps + [-1]):
+        stack.append((join, depth, leaf))
+        while stack[-1][0] > next_join:
+            # close the branch at depth b where the top subtree meets the one below it
+            b, right_depth, right = stack.pop()
+            left_join, left_depth, left = stack[-1]
+            u = lift(left, left_depth - b - 1)
+            v = lift(right, right_depth - b - 1)
+            hi, lo = (u, v) if u >= v else (v, u)
+            stack[-1] = (left_join, b, lift(hi + math.log1p(2.0 ** (lo - hi)) / _LN2, 1))
+    ((_, depth, v),) = stack
+    return LogValue.from_log2(lift(v, depth))
 
 
 def capacity_recursive(cyl: CylinderSet, e: Exponents) -> CapacityReport:

@@ -16,10 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from scipy.integrate import quad
-
 from .errors import DomainError, DyadicTangentPole
 from .exponents import Exponents, RationalLike, as_fraction
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first use.
+
+    scipy takes about a second to import, and most callers never integrate.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _is_dyadic(x: Fraction) -> bool:

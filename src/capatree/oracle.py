@@ -40,7 +40,9 @@ class FiniteProblem:
     """A depth-N capacity problem over the truncated tree.
 
     ``weights`` overrides the default node weight 2**(-|x|(1-ap)) where
-    given (keyed by word).
+    given (keyed by word).  Each key must be a binary word of length at
+    most ``depth`` and each value finite and positive; both are checked
+    on construction.
     """
 
     depth: int
@@ -58,6 +60,12 @@ class FiniteProblem:
             if len(leaf) != self.depth:
                 raise DomainError(f"target {leaf!r} does not have length {self.depth}")
         object.__setattr__(self, "target_leaves", tuple(sorted(set(self.target_leaves))))
+        for word, value in (self.weights or {}).items():
+            validate_word(word)
+            if len(word) > self.depth:
+                raise DomainError(f"weight on {word!r} lies outside the depth-{self.depth} tree")
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"weights must be positive and finite, got {word!r}: {value}")
 
     @property
     def n_nodes(self) -> int:
@@ -70,9 +78,7 @@ class FiniteProblem:
             w[2 ** d - 1 : 2 ** (d + 1) - 1] = 2.0 ** (-d * one_minus_ap)
         if self.weights:
             for word, value in self.weights.items():
-                if not (math.isfinite(value) and value > 0):
-                    raise DomainError(f"weights must be positive and finite, got {word!r}: {value}")
-                w[_node_index(validate_word(word))] = float(value)
+                w[_node_index(word)] = float(value)
         return w
 
     def to_json(self) -> dict:

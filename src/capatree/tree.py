@@ -19,7 +19,7 @@ ROOT = ""
 
 
 def validate_word(word: str) -> str:
-    if any(ch not in "01" for ch in word):
+    if word.strip("01"):
         raise DomainError(f"word must be over the alphabet {{0,1}}: {word!r}")
     return word
 
@@ -57,7 +57,10 @@ def weight(x: str, e: Exponents) -> LogValue:
 
 @dataclass(frozen=True)
 class CylinderSet:
-    """Canonical antichain of generator words for a finite union of cylinders."""
+    """Canonical antichain of generator words for a finite union of cylinders.
+
+    The generators are stored sorted, whatever order they are given in.
+    """
 
     generators: tuple[str, ...]
 
@@ -83,7 +86,8 @@ class CylinderSet:
     def __post_init__(self) -> None:
         for g in self.generators:
             validate_word(g)
-        gens = sorted(self.generators)
+        gens = tuple(sorted(self.generators))
+        object.__setattr__(self, "generators", gens)
         for prev, cur in zip(gens, gens[1:]):
             if cur.startswith(prev):
                 raise DomainError(f"generators are not an antichain: {prev!r} <= {cur!r}")

@@ -1,6 +1,14 @@
 import math
+from fractions import Fraction
 
-from capatree import LogValue
+from capatree import Exponents, LogValue
+
+# the six (a, p) pairs of acceptance criterion 3
+PAIRS = [
+    Exponents(ap / p, p)
+    for p in (Fraction(3, 2), Fraction(2), Fraction(3))
+    for ap in (Fraction(1), Fraction(1, 2))
+]
 
 
 def rel_diff(u, v) -> float:

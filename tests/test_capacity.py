@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capatree import (
     CylinderSet,
@@ -24,7 +25,7 @@ from capatree import (
     truncated_tree_capacity,
 )
 from capatree.capacity import BoundKind, CapacityReport, Method
-from conftest import rel_diff
+from conftest import PAIRS, rel_diff
 
 E_HALF_2 = Exponents("1/2", 2)
 E_THIRD_3 = Exponents("1/3", 3)
@@ -33,6 +34,20 @@ E_QUARTER_2 = Exponents("1/4", 2)
 
 def lv(x: float) -> LogValue:
     return LogValue.from_float(x)
+
+
+def reference_sweep(words, generator_value: LogValue, e: Exponents) -> LogValue:
+    """Node-by-node two-child recursion over every prefix of every generator."""
+    generators = set(words)
+    scale = LogValue.from_log2(e.ap_f - 1.0)
+    gamma = {}
+    for node in sorted({w[:i] for w in words for i in range(len(w) + 1)}, key=len, reverse=True):
+        if node in generators:
+            gamma[node] = generator_value
+        else:
+            children = gamma.get(node + "0", LogValue.zero()) + gamma.get(node + "1", LogValue.zero())
+            gamma[node] = phi_apply(LogValue.one(), scale * children, e)
+    return gamma[""]
 
 
 class TestPhiApply:
@@ -206,6 +221,51 @@ class TestCapacityRecursive:
                 cap_union = capacity_recursive(union, e).value
                 cap_sum = capacity_recursive(e_set, e).value + capacity_recursive(f_set, e).value
                 assert cap_union <= cap_sum or rel_diff(cap_union, cap_sum) <= 1e-12
+
+
+word_lists = st.lists(st.text(alphabet="01", max_size=20), min_size=1, max_size=40)
+leaf_sets = st.integers(0, 20).flatmap(
+    lambda d: st.tuples(
+        st.just(d), st.lists(st.text(alphabet="01", min_size=d, max_size=d), min_size=1, max_size=40)
+    )
+)
+
+
+class TestSweepEngine:
+    """The compressed-trie sweep against the node-by-node recursion it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(word_lists, st.sampled_from(PAIRS))
+    def test_capacity_recursive_matches_reference(self, words, e):
+        cyl = CylinderSet.from_words(words)
+        expected = reference_sweep(cyl.generators, full_tree_capacity(e).value, e)
+        assert rel_diff(capacity_recursive(cyl, e).value, expected) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(leaf_sets, st.sampled_from(PAIRS))
+    def test_finite_tree_capacity_matches_reference(self, depth_and_leaves, e):
+        depth, leaves = depth_and_leaves
+        expected = reference_sweep(set(leaves), LogValue.one(), e)
+        assert rel_diff(finite_tree_capacity(depth, leaves, e), expected) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(word_lists, st.sampled_from(PAIRS))
+    def test_bit_flip_is_exact(self, words, e):
+        cyl = CylinderSet.from_words(words)
+        assert capacity_recursive(cyl.bit_flip(), e) == capacity_recursive(cyl, e)
+
+    def test_deep_comb(self):
+        # "1", "01", "001", ...: a chain of 3000 branch nodes, each with one
+        # generator hanging off it; the bottom node has a single child
+        depth = 3000
+        cyl = CylinderSet.from_words("0" * k + "1" for k in range(depth))
+        c = full_tree_capacity(E_THIRD_3).value
+        scale = LogValue.from_log2(E_THIRD_3.ap_f - 1.0)
+        one = LogValue.one()
+        value = phi_apply(one, scale * c, E_THIRD_3)
+        for _ in range(depth - 1):
+            value = phi_apply(one, scale * (value + c), E_THIRD_3)
+        assert rel_diff(capacity_recursive(cyl, E_THIRD_3).value, value) <= 1e-12
 
 
 class TestOracleCrossChecks:

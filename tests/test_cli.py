@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +181,14 @@ class TestExitCodes:
 
         monkeypatch.setattr(oracle_module, "agreement_battery", fake_battery)
         assert cli.main(["oracle-check", "--seed", "1", "--count", "1"]) == 3
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy(self):
+        # scipy is imported on the first quadrature or oracle solve, not by the CLI import
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, capatree.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -15,14 +15,9 @@ from capatree import (
     solve_capacity,
     solve_from_json,
 )
+from conftest import PAIRS
 
 E = Exponents("1/2", 2)  # weights identically 1
-# the six (a, p) pairs of acceptance criterion 3
-PAIRS = [
-    Exponents(ap / p, p)
-    for p in (Fraction(3, 2), Fraction(2), Fraction(3))
-    for ap in (Fraction(1), Fraction(1, 2))
-]
 
 
 def random_leaves(rng: np.random.Generator, depth: int, density: float) -> tuple[str, ...]:
@@ -49,11 +44,20 @@ class TestProblemValidation:
             FiniteProblem(1, ("0",), E, weights={"0": value}).weight_array()
 
     def test_json_weights_must_be_finite(self):
-        prob = FiniteProblem.from_json(
-            {"depth": 1, "target_leaves": ["0"], "a": "1/2", "p": "2", "weights": {"1": math.inf}}
-        )
         with pytest.raises(DomainError):
-            prob.weight_array()
+            FiniteProblem.from_json(
+                {"depth": 1, "target_leaves": ["0"], "a": "1/2", "p": "2", "weights": {"1": math.inf}}
+            )
+
+    @pytest.mark.parametrize("value", [math.inf, -1.0])
+    def test_weights_checked_on_construction(self, value):
+        with pytest.raises(DomainError):
+            FiniteProblem(1, ("0",), E, weights={"0": value})
+
+    @pytest.mark.parametrize("word", ["00", "0a"])
+    def test_weight_keys_must_be_words_of_the_tree(self, word):
+        with pytest.raises(DomainError):
+            FiniteProblem(1, ("0",), E, weights={word: 2.0})
 
     def test_json_round_trip(self):
         prob = FiniteProblem(2, ("00", "11"), Exponents("1/4", 2), weights={"00": 0.25})

@@ -120,6 +120,13 @@ class TestCylinderSet:
         text = json.dumps(cyl.to_json())
         assert CylinderSet.from_json(text) == cyl
 
+    def test_direct_construction_is_canonical(self):
+        reversed_order = CylinderSet(("1", "01", "000"))
+        canonical = CylinderSet.from_words(["000", "01", "1"])
+        assert reversed_order == canonical
+        assert hash(reversed_order) == hash(canonical)
+        assert reversed_order.to_json() == ["000", "01", "1"]
+
     def test_bit_flip(self):
         assert CylinderSet.from_words({"01", "1"}).bit_flip().generators == ("0", "10")
 
