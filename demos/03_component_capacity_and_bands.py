@@ -20,19 +20,19 @@ from capatree import (
     comparability_report,
     d_cylinder_set,
     sigma_closed_form,
-    sigma_direct,
 )
 
 e = Exponents("1/2", 2)
 
 # ----------------------------------------------------------------------
-# sigma: closed form vs direct summation of the composition indices
+# sigma: the closed form vs the exact critical-branch integer.  At (1/2, 2)
+# the branching levels sum to 2^(n+1) - 2 and the run levels to kappa.
 # ----------------------------------------------------------------------
 print("sigma at (1/2, 2):")
 for n, kappa in ((1, 1), (4, 8), (6, 3)):
     closed = sigma_closed_form(n, kappa, e).to_float()
-    direct = sigma_direct(n, kappa, e).to_float()
-    print(f"  n={n}, kappa={kappa}: closed {closed:.10f}   direct {direct:.10f}")
+    exact = 2 ** (n + 1) - 2 + kappa
+    print(f"  n={n}, kappa={kappa}: closed {closed:.10f}   2^(n+1)-2+kappa = {exact}")
 
 # At (1/2, 2) the component capacity is 2^n / (2^(n+1) + kappa).
 print("\ncomponent capacities vs the explicit recursion:")

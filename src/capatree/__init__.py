@@ -16,10 +16,7 @@ from .capacity import (
     finite_tree_capacity,
     full_tree_capacity,
     phi_apply,
-    phi_composition_exponents,
-    sigma,
     sigma_closed_form,
-    sigma_direct,
     truncated_tree_capacity,
 )
 from .circle import (

@@ -20,6 +20,17 @@ per edge of the compressed trie of its generators (branch nodes and
 generators only), walked bottom-up in one pass over the sorted generators;
 and the capacity of a run set D(n, kappa) collapses further, to a single
 Phi at a geometric-sum index sigma.
+
+Every closed form here is one geometric sum
+
+    G(k, t) = sum_{j=0..k-1} 2**(j t),
+
+evaluated in log2 by ``_log2_geometric``.  With q = p'-1, the depth-N
+truncated tree and the whole boundary have
+
+    truncated(N) = G(N+1, -apq)**-(p-1),   c = G(inf, -apq)**-(p-1),
+
+and S_k = lambda**q * G(k, q log2 lambda); sigma is two such sums.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ConvergenceError, DomainError
@@ -81,14 +91,36 @@ def _log2_1p_exp2(t: float) -> float:
     return math.log1p(2.0 ** t) / _LN2
 
 
-def _log2_exp2m1(y: float) -> float:
-    """log2(2**y - 1) for y > 0, stable for both tiny and large y."""
-    if y <= 0:
-        raise DomainError(f"need a positive exponent, got {y}")
-    if y > 54:
-        # 2**y - 1 and 2**y agree to the last ulp here.
-        return y
-    return math.log2(math.expm1(y * _LN2))
+def _times(k: int, x: float) -> float:
+    """k * x for an integer k of any size; DomainError outside the double range."""
+    if x == 0:
+        return 0.0
+    try:
+        out = k * x
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise DomainError("exponent exceeds the double-precision log2 range")
+    return out
+
+
+def _log2_geometric(k: int | float, t: float) -> float:
+    """log2 G(k, t) = log2 sum_{j=0..k-1} 2**(j t) for t <= 0.
+
+    k is an int >= 1, or inf when t < 0.  A sum with t > 0 is
+    2**((k-1) t) G(k, -t), which callers factor out so that nothing
+    overflows.  The term 2**(k t) is dropped once it underflows, which
+    gives the k = inf limit without converting k to a float; a k too
+    large for a float otherwise raises DomainError.
+    """
+    if t == 0:
+        if k == math.inf:
+            raise DomainError("a geometric sum with ratio 1 has no limit")
+        return math.log2(k)  # exact for an int of any size
+    den = math.log2(-math.expm1(t * _LN2))
+    if k == math.inf or k > 1100 / -t:  # 2**(k t) < 2**-1100 rounds to 0
+        return -den
+    return math.log2(-math.expm1(_times(k, t) * _LN2)) - den
 
 
 def phi_apply(r: LogValue, x: LogValue, e: Exponents) -> LogValue:
@@ -104,49 +136,18 @@ def phi_apply(r: LogValue, x: LogValue, e: Exponents) -> LogValue:
     return LogValue.from_log2(x.log2 - e.pm1_f * _log2_1p_exp2(t))
 
 
-def phi_fixed_point_iterate(
-    e: Exponents,
-    start: LogValue,
-    steps: int | None = None,
-    rel_tol: float = 1e-13,
-    max_steps: int = 100_000,
-) -> LogValue:
-    """Iterate c -> Phi_1(2**ap * c).
-
-    With ``steps`` given, performs exactly that many iterations (the
-    depth-``steps`` truncated-tree value when started from 1).  Otherwise
-    iterates until the relative change drops below ``rel_tol``.
-    """
-    two_ap = LogValue.from_log2(e.ap_f)
-    one = LogValue.one()
-    c = start
-    count = steps if steps is not None else max_steps
-    for _ in range(count):
-        nxt = phi_apply(one, two_ap * c, e)
-        if steps is None and rel_error(nxt, c) < rel_tol:
-            return nxt
-        c = nxt
-    if steps is None:
-        raise ConvergenceError("fixed-point iteration did not settle within budget")
-    return c
-
-
 @functools.cache
 def full_tree_capacity(e: Exponents) -> CapacityReport:
     """Capacity of the whole boundary: the positive fixed point of c = Phi_1(2**ap c).
 
-    Solving the fixed-point equation gives the closed form
-    c = 2**(-ap) * (2**(ap*(p'-1)) - 1)**(p-1); the iteration from 1 is run
-    as an internal consistency check.
+    Solving the fixed-point equation gives c = G(inf, -apq)**-(p-1)
+    (module docstring); one application of the map checks it.
     """
-    y = float(e.ap * (e.p_prime - 1))
-    log2_c = -e.ap_f + e.pm1_f * _log2_exp2m1(y)
-    value = LogValue.from_log2(log2_c)
-    iterated = phi_fixed_point_iterate(e, LogValue.one())
-    if rel_error(value, iterated) > 1e-10:
+    value = LogValue.from_log2(-e.pm1_f * _log2_geometric(math.inf, -e.ap_f * e.q_f))
+    image = phi_apply(LogValue.one(), LogValue.from_log2(value.log2 + e.ap_f), e)
+    if rel_error(image, value) > 1e-10:
         raise ConvergenceError(
-            f"fixed point and closed form disagree for {e}: "
-            f"{value!r} vs {iterated!r}"
+            f"closed form is not a fixed point for {e}: {value!r} maps to {image!r}"
         )
     return CapacityReport(value, Method.FIXED_POINT, BoundKind.EXACT)
 
@@ -156,12 +157,13 @@ def truncated_tree_capacity(e: Exponents, depth: int) -> LogValue:
 
     Each leaf contributes its own weight (a one-node shifted problem), so in
     normalized form the leaf value is 1 and each level up applies
-    c -> Phi_1(2**ap c).  The sequence is nonincreasing in N and converges
-    to the full-tree constant.
+    c -> Phi_1(2**ap c).  N levels of that map compose to
+    G(N+1, -apq)**-(p-1) (module docstring), which is nonincreasing in N
+    and converges to the full-tree constant.
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
-    return phi_fixed_point_iterate(e, LogValue.one(), steps=depth)
+    return LogValue.from_log2(-e.pm1_f * _log2_geometric(depth + 1, -e.ap_f * e.q_f))
 
 
 def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValue:
@@ -191,15 +193,11 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
     q = e.q_f
     pm1 = e.pm1_f
     qs = q * s  # log2 lambda**q
-    chain_lengths = range(1, max(map(len, generators)) + 1)
-    # log2 S_k for every chain length k a lift can need; k = 0 never looks it up
-    if e.is_critical:
-        log2_index = [math.nan] + [math.log2(k) for k in chain_lengths]
-    else:
-        den = math.log2(-math.expm1(qs * _LN2))
-        log2_index = [math.nan] + [
-            qs + (math.log2(-math.expm1(k * qs * _LN2)) - den) for k in chain_lengths
-        ]
+    # log2 S_k = qs + log2 G(k, qs) for every chain length k a lift can need;
+    # k = 0 never looks it up
+    log2_index = [math.nan] + [
+        qs + _log2_geometric(k, qs) for k in range(1, max(map(len, generators)) + 1)
+    ]
 
     def lift(v: float, k: int) -> float:
         """log2 of the value k one-child levels above a node of log2 value v."""
@@ -259,87 +257,29 @@ def finite_tree_capacity(depth: int, target_leaves: Sequence[str], e: Exponents)
 
 
 # ----------------------------------------------------------------------
-# Run sets D(n, kappa): composition indices, sigma, and the closed form.
+# Run sets D(n, kappa): sigma and the closed form.
 # ----------------------------------------------------------------------
 
-def _exact_float(x: Fraction) -> float:
-    try:
-        return float(x)
-    except OverflowError as exc:
-        raise DomainError("exponent exceeds the double-precision log2 range") from exc
-
-
-def phi_composition_exponents(n: int, kappa: int, e: Exponents) -> list[float]:
-    """log2 of each Phi index in the unrolled recursion for D(n, kappa).
-
-    The first n factors come from the branching levels, the remaining kappa
-    from the forced-run levels; their plain sum is sigma.
-    """
-    if n < 0 or kappa < 1:
-        raise DomainError(f"need n >= 0 and kappa >= 1, got n={n}, kappa={kappa}")
-    if n + kappa > 100_000:
-        raise DomainError("composition list too long; use sigma_closed_form")
-    q = e.p_prime - 1
-    b = 1 - e.ap
-    out = [_exact_float(q * ((n + 1 - m) + (m - 1) * b)) for m in range(1, n + 1)]
-    out.extend(_exact_float(q * (m - 1) * b) for m in range(n + 1, n + kappa + 1))
-    return out
-
-
-def sigma_direct(n: int, kappa: int, e: Exponents) -> LogValue:
-    """sigma by direct log-domain summation of the composition indices."""
-    total = LogValue.zero()
-    for exponent in phi_composition_exponents(n, kappa, e):
-        total = total + LogValue.from_log2(exponent)
-    return total
-
-
 def sigma_closed_form(n: int, kappa: int, e: Exponents) -> LogValue:
-    """The two geometric sums in closed form, per branch of a*p.
+    """sigma, the Phi index of D(n, kappa), as two geometric sums.
 
-    Critical branch:  (2**(nq) - 1)/(1 - 2**(1-p')) + kappa.
-    Subcritical:      (2**(nq) - 2**(nqb)) / (1 - 2**(-q*ap))
-                      + (2**(qb(n+kappa)) - 2**(qbn)) / (2**(qb) - 1)
-    with q = p'-1, b = 1-ap.  Numerator differences are evaluated as
-    max-factored log1p terms so nothing overflows.
+    Unrolling the recursion for D(n, kappa) composes n branching-level
+    indices 2**(q(n - j ap)), j < n, and kappa run-level indices
+    2**(qb(n + j)), j < kappa, with q = p'-1 and b = 1-ap.  So
+
+        sigma = 2**(qn) G(n, -q ap) + 2**(qb(n+kappa-1)) G(kappa, -qb),
+
+    the run sum read from its top term down.  On the critical branch
+    (b = 0) this is (2**(nq) - 1)/(1 - 2**-q) + kappa.
     """
     if n < 0 or kappa < 1:
         raise DomainError(f"need n >= 0 and kappa >= 1, got n={n}, kappa={kappa}")
-    q = e.p_prime - 1
-    if e.is_critical:
-        branching = LogValue.zero()
-        if n > 0:
-            num = _log2_exp2m1(_exact_float(Fraction(n) * q))
-            den = math.log2(-math.expm1(_exact_float(1 - e.p_prime) * _LN2))
-            branching = LogValue.from_log2(num - den)
-        run = LogValue.from_log2(math.log2(kappa))
-        return branching + run
-    b = 1 - e.ap
-    branching = LogValue.zero()
-    if n > 0:
-        # 2**(nq) - 2**(nqb) = 2**(nq) * (1 - 2**(-nq*ap))
-        hi = _exact_float(Fraction(n) * q)
-        num = hi + math.log2(-math.expm1(_exact_float(-Fraction(n) * q * e.ap) * _LN2))
-        den = math.log2(-math.expm1(_exact_float(-q * e.ap) * _LN2))
-        branching = LogValue.from_log2(num - den)
-    # 2**(qb(n+kappa)) - 2**(qbn) = 2**(qb(n+kappa)) * (1 - 2**(-qb*kappa))
-    hi = _exact_float(q * b * (n + kappa))
-    num = hi + math.log2(-math.expm1(_exact_float(-q * b * kappa) * _LN2))
-    den = math.log2(math.expm1(_exact_float(q * b) * _LN2))
-    run = LogValue.from_log2(num - den)
-    return branching + run
-
-
-def sigma(n: int, kappa: int, e: Exponents, verify: bool = False) -> LogValue:
-    """Branch-appropriate closed form; optionally checked against direct summation."""
-    value = sigma_closed_form(n, kappa, e)
-    if verify:
-        direct = sigma_direct(n, kappa, e)
-        if rel_error(value, direct) > 1e-10:
-            raise ConvergenceError(
-                f"sigma closed form disagrees with direct summation at n={n}, kappa={kappa}"
-            )
-    return value
+    q = e.q_f
+    qb = q * (1.0 - e.ap_f)
+    run = LogValue.from_log2(_times(n + kappa - 1, qb) + _log2_geometric(kappa, -qb))
+    if n == 0:
+        return run
+    return LogValue.from_log2(_times(n, q) + _log2_geometric(n, -q * e.ap_f)) + run
 
 
 def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:
@@ -353,7 +293,7 @@ def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:
     """
     s = sigma_closed_form(n, kappa, e)
     c = full_tree_capacity(e).value
-    base = LogValue.from_log2(c.log2 + _exact_float(-(n + kappa) * (1 - e.ap)))
+    base = LogValue.from_log2(c.log2 - _times(n + kappa, 1.0 - e.ap_f))
     value = phi_apply(s, base, e)
     return CapacityReport(
         LogValue.from_log2(value.log2 + n), Method.CLOSED_FORM, BoundKind.EXACT

@@ -42,7 +42,8 @@ class FiniteProblem:
     ``weights`` overrides the default node weight 2**(-|x|(1-ap)) where
     given (keyed by word).  Each key must be a binary word of length at
     most ``depth`` and each value finite and positive; both are checked
-    on construction.
+    on construction, which keeps its own copy, so later changes to the
+    caller's mapping do not reach the problem, and it hashes by content.
     """
 
     depth: int
@@ -60,12 +61,18 @@ class FiniteProblem:
             if len(leaf) != self.depth:
                 raise DomainError(f"target {leaf!r} does not have length {self.depth}")
         object.__setattr__(self, "target_leaves", tuple(sorted(set(self.target_leaves))))
+        if self.weights is not None:
+            object.__setattr__(self, "weights", dict(self.weights))
         for word, value in (self.weights or {}).items():
             validate_word(word)
             if len(word) > self.depth:
                 raise DomainError(f"weight on {word!r} lies outside the depth-{self.depth} tree")
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"weights must be positive and finite, got {word!r}: {value}")
+
+    def __hash__(self) -> int:
+        weights = None if self.weights is None else frozenset(self.weights.items())
+        return hash((self.depth, self.target_leaves, self.exponents, weights))
 
     @property
     def n_nodes(self) -> int:

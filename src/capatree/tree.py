@@ -24,6 +24,13 @@ def validate_word(word: str) -> str:
     return word
 
 
+def _validate_words(words: Sequence[str]) -> None:
+    """validate_word on each word, with one scan of their concatenation."""
+    if "".join(words).strip("01"):
+        for w in words:
+            validate_word(w)
+
+
 def meet(x: str, y: str) -> str:
     """Longest common prefix of two words."""
     n = min(len(x), len(y))
@@ -69,24 +76,28 @@ class CylinderSet:
         """Drop any word that has a (weak) prefix in the set; sort the rest.
 
         Lexicographic order lists a word right after all of its kept
-        prefixes, so comparing against the last kept word suffices.
+        prefixes, so comparing against the last kept word suffices.  Every
+        word is validated once, dropped ones included, and the result is
+        built without re-running the checks of direct construction.
         """
-        unique = sorted({validate_word(w) for w in words})
+        unique = sorted(set(words))
+        _validate_words(unique)
         kept: list[str] = []
         for w in unique:
             if kept and w.startswith(kept[-1]):
                 continue
             kept.append(w)
-        return cls(tuple(kept))
+        out = object.__new__(cls)
+        object.__setattr__(out, "generators", tuple(kept))
+        return out
 
     @classmethod
     def empty(cls) -> "CylinderSet":
         return cls(())
 
     def __post_init__(self) -> None:
-        for g in self.generators:
-            validate_word(g)
         gens = tuple(sorted(self.generators))
+        _validate_words(gens)
         object.__setattr__(self, "generators", gens)
         for prev, cur in zip(gens, gens[1:]):
             if cur.startswith(prev):

@@ -36,10 +36,9 @@ from capatree import (
     riesz_potential,
     product_identity,
     sigma_closed_form,
-    sigma_direct,
     truncated_tree_capacity,
 )
-from conftest import rel_diff
+from conftest import rel_diff, sigma_direct
 
 _LN2 = math.log(2.0)
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,14 +19,11 @@ from capatree import (
     finite_tree_capacity,
     full_tree_capacity,
     phi_apply,
-    phi_composition_exponents,
-    sigma,
     sigma_closed_form,
-    sigma_direct,
     truncated_tree_capacity,
 )
-from capatree.capacity import BoundKind, CapacityReport, Method
-from conftest import PAIRS, rel_diff
+from capatree.capacity import BoundKind, CapacityReport, Method, _log2_geometric
+from conftest import PAIRS, phi_composition_exponents, rel_diff, sigma_direct
 
 E_HALF_2 = Exponents("1/2", 2)
 E_THIRD_3 = Exponents("1/3", 3)
@@ -100,6 +98,28 @@ class TestPhiApply:
         assert out.log2 == pytest.approx(0.0, abs=1e-12)
 
 
+class TestGeometricSum:
+    """_log2_geometric(k, t) = log2 sum_{j<k} 2**(j t), t <= 0."""
+
+    @pytest.mark.parametrize("t", [0.0, -1e-3, -0.25, -1.0, -3.0])
+    def test_matches_direct_sum(self, t):
+        for k in range(1, 41):
+            direct = math.log2(math.fsum(2.0 ** (j * t) for j in range(k)))
+            assert _log2_geometric(k, t) == pytest.approx(direct, rel=1e-13, abs=1e-13)
+
+    def test_huge_k_is_the_limit(self):
+        limit = -math.log2(1 - 2**-0.5)
+        assert _log2_geometric(math.inf, -0.5) == pytest.approx(limit, rel=1e-15)
+        assert _log2_geometric(10**400, -0.5) == _log2_geometric(math.inf, -0.5)
+
+    @pytest.mark.parametrize(
+        "k,t", [(10**400, -1e-306), (math.inf, 0.0)], ids=["huge-k", "ratio-1"]
+    )
+    def test_outside_the_double_range_raises_domain_error(self, k, t):
+        with pytest.raises(DomainError):
+            _log2_geometric(k, t)
+
+
 class TestFullTreeCapacity:
     def test_linear_critical(self):
         report = full_tree_capacity(E_HALF_2)
@@ -139,12 +159,54 @@ class TestTruncatedTreeCapacity:
         with pytest.raises(DomainError):
             finite_tree_capacity(2, leaves, E_HALF_2)
 
+    def test_astronomical_depth_is_the_full_tree_value(self):
+        e = Exponents("1/2", 2)
+        assert truncated_tree_capacity(e, 10**400) == full_tree_capacity(e).value
+
     def test_nonincreasing_and_converges(self):
         for e in (E_HALF_2, E_THIRD_3, E_QUARTER_2):
             values = [truncated_tree_capacity(e, n) for n in range(0, 80, 4)]
             assert all(a >= b for a, b in zip(values, values[1:]))
         c = full_tree_capacity(Exponents("1/2", 2)).value
         assert rel_diff(truncated_tree_capacity(Exponents("1/2", 2), 80), c) < 1e-12
+
+
+SMALL_AP = [Exponents(Fraction(1, 1378), 2), Exponents(Fraction(1, 100000), 2)]
+
+
+class TestSmallAp:
+    """a*p near 0, where the map c -> Phi_1(2**ap c) contracts very slowly."""
+
+    @staticmethod
+    def closed_form(e: Exponents) -> float:
+        # p = 2: c = 1 - 2**(-ap)
+        return -math.expm1(-e.ap_f * math.log(2.0))
+
+    @pytest.mark.parametrize("e", SMALL_AP)
+    def test_full_tree_matches_closed_form(self, e):
+        assert rel_diff(full_tree_capacity(e).value, self.closed_form(e)) <= 1e-13
+
+    def test_every_unit_fraction(self):
+        for k in range(2, 3000):
+            e = Exponents(Fraction(1, k), 2)
+            assert rel_diff(full_tree_capacity(e).value, self.closed_form(e)) <= 1e-12
+
+    @pytest.mark.parametrize("e", SMALL_AP)
+    def test_recursion_and_component_are_finite(self, e):
+        c = full_tree_capacity(e).value
+        union = capacity_recursive(CylinderSet.from_words(["0", "11"]), e).value
+        assert math.isfinite(union.log2) and union < c
+        closed = cap_component(3, 5, e).value
+        assert math.isfinite(closed.log2)
+        assert rel_diff(closed, capacity_recursive(d_cylinder_set(3, 5), e).value) <= 1e-10
+
+    @pytest.mark.parametrize("e", SMALL_AP)
+    def test_truncation_nonincreasing_to_full_tree(self, e):
+        depths = [0, 1, 2, 10, 100, 10**3, 10**4, 10**5, 10**6, 10**8]
+        values = [truncated_tree_capacity(e, n) for n in depths]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert values[0] > values[-1]
+        assert rel_diff(values[-1], full_tree_capacity(e).value) <= 1e-12
 
 
 class TestCapacityRecursive:
@@ -301,12 +363,16 @@ class TestOracleCrossChecks:
 
 class TestSigma:
     def test_critical_values(self):
-        assert sigma(1, 1, E_HALF_2, verify=True).to_float() == pytest.approx(3.0, rel=1e-12)
-        assert sigma(4, 8, E_HALF_2, verify=True).to_float() == pytest.approx(38.0, rel=1e-12)
+        for n, kappa, expected in ((1, 1, 3.0), (4, 8, 38.0)):
+            closed = sigma_closed_form(n, kappa, E_HALF_2)
+            assert closed.to_float() == pytest.approx(expected, rel=1e-12)
+            assert rel_diff(closed, sigma_direct(n, kappa, E_HALF_2)) <= 1e-10
 
     def test_subcritical_value(self):
         expected = 4 + 2 ** 1.5 + 2 + 2 ** 1.5  # direct summation of the four indices
-        assert sigma(2, 2, E_QUARTER_2, verify=True).to_float() == pytest.approx(expected, rel=1e-12)
+        closed = sigma_closed_form(2, 2, E_QUARTER_2)
+        assert closed.to_float() == pytest.approx(expected, rel=1e-12)
+        assert rel_diff(closed, sigma_direct(2, 2, E_QUARTER_2)) <= 1e-10
 
     @pytest.mark.parametrize("e", [E_HALF_2, E_THIRD_3, E_QUARTER_2, Exponents("1/3", "3/2")])
     def test_closed_form_matches_direct_sum(self, e):
@@ -319,6 +385,18 @@ class TestSigma:
     def test_huge_arguments_stay_in_log_range(self):
         value = sigma_closed_form(10_000, 2**50, E_THIRD_3)
         assert math.isfinite(value.log2)
+
+    @pytest.mark.parametrize("n,kappa", [(1, 2**2000), (2**2000, 1)])
+    def test_beyond_the_double_range_raises_domain_error(self, n, kappa):
+        with pytest.raises(DomainError):
+            sigma_closed_form(n, kappa, E_QUARTER_2)
+        with pytest.raises(DomainError):
+            cap_component(n, kappa, E_QUARTER_2)
+
+    def test_critical_run_sum_takes_any_kappa(self):
+        # at (1/2, 2) sigma = 2**(n+1) - 2 + kappa exactly
+        assert sigma_closed_form(1, 2**2000, E_HALF_2).log2 == pytest.approx(2000.0, abs=1e-12)
+        assert cap_component(1, 2**2000, E_HALF_2).value.log2 == pytest.approx(-1999.0, abs=1e-12)
 
     def test_composition_order_independence(self):
         rng = random.Random(23)

@@ -59,6 +59,21 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             FiniteProblem(1, ("0",), E, weights={word: 2.0})
 
+    def test_equal_problems_hash_equal(self):
+        first = FiniteProblem(1, ("0",), E, weights={"0": 2.0})
+        second = FiniteProblem(1, ("0",), E, weights={"0": 2.0})
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second, FiniteProblem(1, ("0",), E)}) == 2
+
+    def test_weights_are_copied_on_construction(self):
+        source = {"0": 2.0}
+        prob = FiniteProblem(1, ("0",), E, weights=source)
+        before = prob.weight_array()
+        source["0"] = 5.0
+        source["1"] = 3.0
+        np.testing.assert_array_equal(prob.weight_array(), before)
+
     def test_json_round_trip(self):
         prob = FiniteProblem(2, ("00", "11"), Exponents("1/4", 2), weights={"00": 0.25})
         assert FiniteProblem.from_json(prob.to_json()) == prob

@@ -120,6 +120,18 @@ class TestCylinderSet:
         text = json.dumps(cyl.to_json())
         assert CylinderSet.from_json(text) == cyl
 
+    def test_dropped_words_are_still_validated(self):
+        with pytest.raises(DomainError):
+            CylinderSet.from_words(["0", "0x"])
+
+    @given(st.sets(words_st, max_size=12))
+    def test_from_words_equals_direct_construction(self, words):
+        cyl = CylinderSet.from_words(words)
+        direct = CylinderSet(tuple(reversed(cyl.generators)))
+        assert direct == cyl
+        assert hash(direct) == hash(cyl)
+        assert direct.generators == cyl.generators == tuple(sorted(cyl.generators))
+
     def test_direct_construction_is_canonical(self):
         reversed_order = CylinderSet(("1", "01", "000"))
         canonical = CylinderSet.from_words(["000", "01", "1"])
