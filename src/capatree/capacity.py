@@ -288,13 +288,30 @@ def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:
     The base argument carries the weight w = 2**(-(n+kappa)(1-ap)) of the
     level where the forced run ends (the rooted subtree there contributes
     w*c, and unrolling the recursion keeps that factor inside Phi).  On
-    the critical branch w = 1.  Exactness is checked against the explicit
-    recursion in the test suite.
+    the critical branch w = 1.  Since q(p-1) = 1 the value is
+    (2**(-qn) sigma + 2**(-qn) (w c)**-q)**-(p-1), where with b = 1-ap
+
+        2**(-qn) sigma = G(n, -q ap) + 2**(q(b(kappa-1) - ap n)) G(kappa, -qb),
+        2**(-qn) (w c)**-q = 2**(q(b kappa - ap n)) G(inf, -q ap),
+
+    as c**-q = G(inf, -q ap).  Both exponents are formed as exact integers
+    over the denominator of ap, so no terms of size n cancel in floats.
+    Exactness is checked against the explicit recursion in the test suite.
     """
-    s = sigma_closed_form(n, kappa, e)
-    c = full_tree_capacity(e).value
-    base = LogValue.from_log2(c.log2 - _times(n + kappa, 1.0 - e.ap_f))
-    value = phi_apply(s, base, e)
+    if n < 0 or kappa < 1:
+        raise DomainError(f"need n >= 0 and kappa >= 1, got n={n}, kappa={kappa}")
+    q = e.q_f
+    v = e.ap.denominator
+    vb = v - e.ap.numerator  # v * b
+    run = vb * (kappa - 1) - e.ap.numerator * n  # v * (b(kappa-1) - ap n)
+    terms = [
+        _times(run, q / v) + _log2_geometric(kappa, -q * (1.0 - e.ap_f)),
+        _times(run + vb, q / v) + _log2_geometric(math.inf, -q * e.ap_f),
+    ]
+    if n:
+        terms.append(_log2_geometric(n, -q * e.ap_f))
+    hi = max(terms)
+    total = hi + math.log2(sum(2.0 ** (t - hi) for t in terms))
     return CapacityReport(
-        LogValue.from_log2(value.log2 + n), Method.CLOSED_FORM, BoundKind.EXACT
+        LogValue.from_log2(-e.pm1_f * total), Method.CLOSED_FORM, BoundKind.EXACT
     )

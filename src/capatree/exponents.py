@@ -81,7 +81,7 @@ class Exponents:
             ApBranch.CRITICAL if a * p == 1 else ApBranch.SUBCRITICAL,
         )
 
-    @property
+    @functools.cached_property
     def ap(self) -> Fraction:
         return self.a * self.p
 

@@ -7,7 +7,8 @@ concave maximization over masses on the target leaves, and returns a
 certified bracket: every mass gives a lower bound, and the function it
 induces, rescaled to be admissible, gives an upper bound.  It shares no
 code with the recursion engine it is used to corroborate.  Plain linear
-doubles throughout; depth is capped at 12.
+doubles throughout; depth is capped at 20, where the dense heap arrays hold
+2M doubles each.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import ConvergenceError, DomainError
 from .exponents import Exponents
 from .tree import validate_word
 
-MAX_DEPTH = 12
+MAX_DEPTH = 20
 
 
 def _node_index(word: str) -> int:
@@ -160,11 +161,10 @@ class OracleResult:
 
 
 class _TreeArrays:
-    """Vectorized prefix sums and subtree sums for a dense heap layout."""
+    """Vectorized sweeps over a dense heap layout: path sums, subtree sums, tree solves."""
 
     def __init__(self, depth: int):
         self.depth = depth
-        self.n_nodes = 2 ** (depth + 1) - 1
         self.levels = [(2 ** d - 1, 2 ** (d + 1) - 1) for d in range(depth + 1)]
 
     def path_sums(self, phi: np.ndarray) -> np.ndarray:
@@ -174,14 +174,35 @@ class _TreeArrays:
         return out
 
     def subtree_sums(self, leaf_values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_nodes)
+        levels = [leaf_values]
+        for _ in range(self.depth):
+            levels.append(levels[-1][::2] + levels[-1][1::2])
+        return np.concatenate(levels[::-1])
+
+    def solve(self, d: np.ndarray, free: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
+        """Solve (H + ridge*I) z = rhs on the free leaves; z is zero elsewhere.
+
+        H_ij sums ``d`` (one entry per node) over the common ancestors of
+        leaves i and j, so on the subtree of x it is d_x plus the block
+        diagonal of the children's.  Sherman-Morrison gives, bottom up, S_x =
+        1'H_x^-1 1 and T_x = 1'H_x^-1 rhs from the children's sums S_B, T_B as
+        S_B/(1 + d_x S_B) and T_B/(1 + d_x S_B); top down, each subtree solves
+        its children with rhs shifted by d_x times its own T at that shift.
+        """
         a, b = self.levels[self.depth]
-        out[a:b] = leaf_values
-        for d in range(self.depth - 1, -1, -1):
-            a, b = self.levels[d]
-            ca, cb = self.levels[d + 1]
-            out[a:b] = out[ca:cb:2] + out[ca + 1 : cb : 2]
-        return out
+        inverse = free / (d[a:b] + ridge)
+        s, t = inverse, rhs * inverse
+        sums = []  # (S_B, T_B) per level, leaves excluded
+        for a, b in reversed(self.levels[:-1]):
+            s_b, t_b = s[::2] + s[1::2], t[::2] + t[1::2]
+            sums.append((s_b, t_b))
+            den = 1.0 + d[a:b] * s_b
+            s, t = s_b / den, t_b / den
+        shift = np.zeros(1)
+        for (a, b), (s_b, t_b) in zip(self.levels, reversed(sums)):
+            dx = d[a:b]
+            shift = np.repeat(shift + dx * (t_b - shift * s_b) / (1.0 + dx * s_b), 2)
+        return (rhs - shift) * inverse
 
 
 def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
@@ -198,17 +219,13 @@ def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
     function, ``lower`` the best lower bound, ``gap`` = (value - lower) /
     lower <= ``tol``, and ``violation`` = max(0, 1 - m) of the unscaled phi.
 
-    From uniform mass times its best multiple, at most 25 iterations of
-    bound-constrained L-BFGS run until the gap closes; at most 30 projected
-    Newton steps on the targets with mass or potential below 1, solved by
-    conjugate gradients and halved until g rises, close the rest.  An
-    evaluation and a Hessian-vector product cost two tree sweeps each;
-    ``iterations`` counts both.  Raises ConvergenceError when the gap is
-    still open after the Newton steps.
+    From uniform mass times its best multiple, at most 30 projected Newton
+    steps on the targets with mass or potential below 1 close the gap.  Each
+    step solves the Newton system exactly with one tree solve, then halves
+    until g rises.  An evaluation and a tree solve cost two tree sweeps each;
+    ``iterations`` counts evaluations plus tree solves.  Raises
+    ConvergenceError when the gap is still open after the Newton steps.
     """
-    from scipy.optimize import minimize
-    from scipy.sparse.linalg import LinearOperator, cg
-
     if not (1e-8 <= tol <= 1e-3):
         raise DomainError(f"tol must lie in [1e-8, 1e-3], got {tol}")
     p = problem.exponents.p_f
@@ -239,52 +256,41 @@ def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
     def closed() -> bool:
         return upper - lower <= tol * lower
 
-    def stop_when_closed(intermediate_result) -> None:
-        if closed():
-            raise StopIteration
-
     # uniform mass times its best multiple (|mu|/s)**(p-1), with s at unit mass
     leaf_mass[targets] = 1.0
     s = float(phi_coeff @ tree.subtree_sums(leaf_mass) ** (q + 1.0))
     mu = np.full(len(targets), (len(targets) / s) ** (p - 1.0))
-    evaluate(mu)
-    if not closed():
-        # L-BFGS converges slowly where the dual is badly conditioned (p near
-        # 1), so after a few iterations the Newton steps below are cheaper
-        mu = minimize(
-            lambda x: evaluate(x)[:2],
-            mu,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, None)] * len(targets),
-            callback=stop_when_closed,
-            options={"maxiter": 25, "ftol": 0.0, "gtol": 0.0},
-        ).x
+    value, grad, mass, phi = evaluate(mu)
     for _newton_step in range(30):
         if closed():
             break
-        value, grad, mass, phi = evaluate(mu)
-        free = np.flatnonzero((mu > 0) | (grad < 0))
+        free = (mu > 0) | (grad < 0)
+        empty = free & (mu == 0)
         curvature = np.divide(q * phi, mass, out=np.zeros_like(phi), where=mass > 0)
-
-        def hessian(v: np.ndarray) -> np.ndarray:
-            nonlocal iterations
-            iterations += 1
-            leaf_mass[targets] = 0.0
-            leaf_mass[targets[free]] = v
-            return tree.path_sums(curvature * tree.subtree_sums(leaf_mass))[leaf_start + targets[free]]
-
-        hessian_op = LinearOperator((len(free), len(free)), matvec=hessian, dtype=float)
-        step = cg(hessian_op, -grad[free], rtol=1e-4)[0]
-        # halve until g rises: for p > 2 the curvature at a massless target
-        # is infinite, which the step above does not see
+        # A massless target's curvature is 0 for p < 2 and infinite for p > 2;
+        # give it the secant curvature of its own term c*t**q at the t where
+        # that term alone cancels the gradient, t = (-grad/c)**(1/q).
+        nodes = leaf_start + targets[empty]
+        curvature[nodes] = phi_coeff[nodes] ** (1.0 / q) * (-grad[empty]) ** (1.0 - 1.0 / q)
+        free_leaves, rhs = np.zeros(len(leaf_mass)), np.zeros(len(leaf_mass))
+        free_leaves[targets], rhs[targets] = free, np.where(free, -grad, 0.0)
+        # For p < 2 a nearly massless target has nearly no curvature: H is
+        # singular to working precision and the target's step is huge.  A
+        # ridge of 1e-11 times H's largest diagonal entry damps both.  On
+        # random weighted problems at tol 1e-8, 1e-12 to 1e-10 closed every
+        # one; 1e-13 and 1e-9 left a few open.
+        ridge = 1e-11 * float(tree.path_sums(curvature)[leaf_start + targets[free]].max())
+        iterations += 1
+        step = tree.solve(curvature, free_leaves, rhs, ridge)[targets]
+        # halve until g rises: the quadratic model sees neither the bound
+        # mu >= 0 nor how fast the curvature changes away from p = 2
         for _halving in range(30):
-            trial = mu.copy()
-            trial[free] = np.maximum(mu[free] + step, 0.0)
-            if evaluate(trial)[0] <= value:
+            trial = np.maximum(mu + step, 0.0)
+            trial_value, grad, mass, phi = evaluate(trial)
+            if trial_value <= value:
                 break
             step /= 2
-        mu = trial
+        mu, value = trial, trial_value
     if not closed():
         raise ConvergenceError(f"oracle gap {(upper - lower) / lower:.3g} exceeds tol {tol:.3g}")
     return OracleResult(
@@ -369,13 +375,14 @@ def emulated_infinite_problem(cyl, e: Exponents, depth: int | None = None) -> Fi
     n = max(n, 1)
     if n > MAX_DEPTH:
         raise DomainError(f"generators too deep for the oracle (depth {n})")
-    c = full_tree_capacity(e).value.to_float()
-    one_minus_ap = float(1 - e.ap)
-    leaves = []
-    weights = {}
-    for i in range(2 ** n):
-        word = format(i, f"0{n}b")
-        if cyl.covers(word):
-            leaves.append(word)
-            weights[word] = 2.0 ** (-n * one_minus_ap) * c
-    return FiniteProblem(depth=n, target_leaves=tuple(leaves), exponents=e, weights=weights)
+    # a generator g with |g| <= n covers g followed by every word of length n - |g|
+    leaves = tuple(
+        format((int(g or "0", 2) << (n - len(g))) + i, f"0{n}b")
+        for g in cyl.generators
+        if len(g) <= n
+        for i in range(2 ** (n - len(g)))
+    )
+    weight = 2.0 ** (-n * float(1 - e.ap)) * full_tree_capacity(e).value.to_float()
+    return FiniteProblem(
+        depth=n, target_leaves=leaves, exponents=e, weights=dict.fromkeys(leaves, weight)
+    )

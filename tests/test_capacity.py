@@ -360,6 +360,39 @@ class TestOracleCrossChecks:
             solved = solve_capacity(emulated_infinite_problem(cyl, e), tol=1e-6)
             assert abs(solved.value - recursion) / recursion <= 5e-6
 
+    @pytest.mark.parametrize("e", PAIRS, ids=str)
+    def test_run_sets_at_depth_sixteen(self, e):
+        from capatree import emulated_infinite_problem, solve_capacity
+
+        for n in range(0, 12, 2):
+            closed = cap_component(n, 16 - n, e).value.to_float()
+            solved = solve_capacity(emulated_infinite_problem(d_cylinder_set(n, 16 - n), e), tol=1e-8)
+            assert solved.lower <= closed * (1 + 1e-12)
+            assert solved.value >= closed * (1 - 1e-12)
+
+    def test_covered_leaves_match_word_by_word_scan(self):
+        from capatree import emulated_infinite_problem
+
+        rng = random.Random(5)
+        for _ in range(40):
+            words = {
+                "".join(rng.choice("01") for _ in range(rng.randint(0, 7)))
+                for _ in range(rng.randint(1, 6))
+            }
+            cyl = CylinderSet.from_words(words)
+            longest = max(len(g) for g in cyl.generators)
+            for depth in (None, longest + 2, max(longest - 2, 1)):
+                n = max(depth if depth is not None else longest, 1)
+                leaves = [format(i, f"0{n}b") for i in range(2 ** n) if cyl.covers(format(i, f"0{n}b"))]
+                if not leaves:
+                    with pytest.raises(DomainError):
+                        emulated_infinite_problem(cyl, E_THIRD_3, depth)
+                    continue
+                prob = emulated_infinite_problem(cyl, E_THIRD_3, depth)
+                assert prob.depth == n
+                assert prob.target_leaves == tuple(leaves)
+                assert set(prob.weights) == set(leaves)
+
 
 class TestSigma:
     def test_critical_values(self):
@@ -441,6 +474,18 @@ class TestCapComponent:
         out = cap_component(100, 2**20, E_QUARTER_2)
         assert math.isfinite(out.value.log2)
         assert out.value.log2 < -500_000
+
+    def test_huge_n_stays_at_or_below_the_full_tree(self):
+        # at (1/3, 3) with kappa fixed the components rise to c itself; at
+        # (1/6, 3) with kappa = n they tend to c (2 + 2**(-1/4))**-2
+        c = full_tree_capacity(E_THIRD_3).value.log2
+        out = cap_component(10**20, 5, E_THIRD_3).value.log2
+        assert c - 1e-12 <= out <= c
+        e = Exponents("1/6", 3)
+        c = full_tree_capacity(e).value.log2
+        out = cap_component(10**20, 10**20, e).value.log2
+        assert out <= c
+        assert out == pytest.approx(c - 2 * math.log2(2 + 2 ** -0.25), abs=1e-12)
 
     def test_critical_branch_saturates_for_slow_runs(self):
         # with kappa far below 2**n the branching term dominates sigma and

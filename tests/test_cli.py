@@ -183,12 +183,24 @@ class TestExitCodes:
         assert cli.main(["oracle-check", "--seed", "1", "--count", "1"]) == 3
 
 
+def scipy_modules_after(code: str) -> str:
+    """Run ``code`` in a fresh interpreter and return the scipy modules it loaded."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code += "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestStartup:
     def test_import_does_not_load_scipy(self):
-        # scipy is imported on the first quadrature or oracle solve, not by the CLI import
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, capatree.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        # only circle-side quadrature imports scipy, on its first use
+        assert scipy_modules_after("import capatree.cli") == "[]"
+
+    def test_oracle_solve_does_not_load_scipy(self):
+        code = (
+            "from capatree import Exponents, FiniteProblem, solve_capacity; "
+            "solve_capacity(FiniteProblem(3, ('000', '011', '101'), Exponents('1/3', 3)), tol=1e-8)"
+        )
+        assert scipy_modules_after(code) == "[]"

@@ -15,6 +15,7 @@ from capatree import (
     solve_capacity,
     solve_from_json,
 )
+from capatree.oracle import _TreeArrays
 from conftest import PAIRS
 
 E = Exponents("1/2", 2)  # weights identically 1
@@ -36,7 +37,7 @@ class TestProblemValidation:
 
     def test_depth_cap(self):
         with pytest.raises(DomainError):
-            FiniteProblem(13, ("0" * 13,), E)
+            FiniteProblem(21, ("0" * 21,), E)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_weights_must_be_finite(self, value):
@@ -109,6 +110,41 @@ class TestEvaluators:
             energy_eval({"0": -0.5}, FiniteProblem(1, ("0",), E))
 
 
+class TestTreeSolve:
+    @staticmethod
+    def dense_solve(tree, d, free, rhs, ridge):
+        """(H + ridge*I) z = rhs on the free leaves, H_ij = sum of d over common ancestors."""
+        leaf_start = 2 ** tree.depth - 1
+        ancestors = []
+        for i in range(2 ** tree.depth):
+            x, path = leaf_start + i, set()
+            while True:
+                path.add(x)
+                if x == 0:
+                    break
+                x = (x - 1) // 2
+            ancestors.append(path)
+        idx = np.flatnonzero(free)
+        h = np.array([[sum(d[x] for x in ancestors[i] & ancestors[j]) for j in idx] for i in idx])
+        z = np.zeros(2 ** tree.depth)
+        z[idx] = np.linalg.solve(h + ridge * np.eye(len(idx)), rhs[idx])
+        return z
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5, 7])
+    def test_matches_dense_solve(self, depth):
+        rng = np.random.default_rng(depth)
+        tree = _TreeArrays(depth)
+        n_nodes = 2 ** (depth + 1) - 1
+        d = rng.random(n_nodes) * (rng.random(n_nodes) < 0.8)  # some massless nodes
+        free = (rng.random(2 ** depth) < 0.7).astype(float)
+        free[0] = 1.0
+        rhs = rng.standard_normal(2 ** depth) * free
+        z = tree.solve(d, free, rhs, 1e-3)
+        expected = self.dense_solve(tree, d, free, rhs, 1e-3)
+        assert np.abs(z - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
+        assert not z[free == 0].any()
+
+
 class TestSolveCapacity:
     def test_depth_one_both_leaves(self):
         res = solve_capacity(FiniteProblem(1, ("0", "1"), E))
@@ -162,7 +198,7 @@ class TestSolveCapacity:
             assert res.value >= recursion * (1 - 1e-12)
             assert res.gap <= 1e-5
 
-    @pytest.mark.parametrize("depth", [8, 12])
+    @pytest.mark.parametrize("depth", [8, 12, 16])
     @pytest.mark.parametrize("p", [Fraction(3, 2), Fraction(2), Fraction(3)], ids=str)
     def test_tightest_tolerance_closes(self, depth, p):
         rng = np.random.default_rng(depth)
@@ -173,6 +209,22 @@ class TestSolveCapacity:
             res = solve_capacity(FiniteProblem(depth, leaves, e), tol=1e-8)
             assert res.gap <= 1e-8
             assert abs(res.value - recursion) / recursion <= 5e-8
+
+    @pytest.mark.parametrize("p", [Fraction(5, 4), Fraction(5)], ids=str)
+    def test_randomly_weighted_problems_close(self, p):
+        # weights over four decades leave targets with almost no mass (tiny
+        # curvature for p < 2) and massless ones (infinite curvature for p > 2)
+        rng = np.random.default_rng(11)
+        words = [format(i, f"0{d}b") if d else "" for d in range(11) for i in range(2 ** d)]
+        for ap in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+            for density in (0.9, 0.5, 0.25):
+                weights = dict(zip(words, 10.0 ** rng.uniform(-2, 2, len(words))))
+                prob = FiniteProblem(10, random_leaves(rng, 10, density), Exponents(ap / p, p), weights=weights)
+                res = solve_capacity(prob, tol=1e-8)
+                assert res.gap <= 1e-8
+                phi = res.witness_dict(include_zero=True)
+                assert min(potential_eval(phi, leaf) for leaf in prob.target_leaves) >= 1.0 - 1e-12
+                assert energy_eval(phi, prob) == pytest.approx(res.value, rel=1e-12)
 
 
 class TestAgreementBattery:
