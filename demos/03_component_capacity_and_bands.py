@@ -65,8 +65,10 @@ sub = comparability_report(Exponents("1/4", 2), (1, 100), Linear(Fraction(1)))
 print(f"  kappa = n at (1/4, 2): ratio in [{sub['ratio_min']:.6g}, {sub['ratio_max']:.6g}]")
 
 # ----------------------------------------------------------------------
-# Capacity bounds for the limsup set: best single component from below,
-# convergent tail sums from above (when they converge).
+# Capacity bounds: the best single component up to n_max bounds the union
+# of the first n_max run sets from below (not the limsup set); the tail sum
+# from n_max, exact terms plus a closed-form remainder, bounds the limsup set
+# from above when the family classifies Zero.
 # ----------------------------------------------------------------------
 print("\nbounds for the geometric family m=1:")
 lower, upper = capacity_bounds(Geometric(1), e, 30)

@@ -236,7 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(s)
     s.set_defaults(fn=_cmd_classify)
 
-    s = sub.add_parser("bounds", help="lower/upper capacity bounds for a limsup set")
+    s = sub.add_parser(
+        "bounds",
+        help="lower bound for the union of the first n-max run sets; "
+        "proven upper bound for the limsup set (null unless it classifies Zero)",
+    )
     _add_exponent_args(s)
     _add_family_args(s)
     s.add_argument("--n-max", dest="n_max", type=int, required=True)

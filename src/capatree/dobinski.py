@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .capacity import BoundKind, CapacityReport, Method, cap_component
+from .capacity import BoundKind, CapacityReport, Method, cap_component, full_tree_capacity
 from .errors import DomainError
 from .exponents import Exponents, LogValue, RationalLike, as_fraction
 
@@ -120,19 +120,24 @@ class Custom:
 SequenceSpec = Union[Geometric, Power, Linear, Growth, Custom]
 
 
+def _coefficients(spec: SequenceSpec) -> tuple[Fraction, Fraction, Fraction]:
+    """(C, beta, gamma) of a family's rule; a Custom family gives its tail rule's."""
+    if isinstance(spec, Geometric):
+        return Fraction(1, spec.m), Fraction(0), Fraction(1)
+    if isinstance(spec, Power):
+        return spec.C, spec.beta, Fraction(0)
+    if isinstance(spec, Linear):
+        return spec.C, Fraction(1), Fraction(0)
+    if isinstance(spec, Growth):
+        return spec.C, spec.beta, spec.gamma
+    if isinstance(spec, Custom):
+        return _coefficients(spec.tail_rule)
+    raise DomainError(f"unknown sequence family: {spec!r}")
+
+
 def to_growth(spec: SequenceSpec) -> Growth:
     """Normalize any family to the general (C, beta, gamma) form."""
-    if isinstance(spec, Geometric):
-        return Growth(Fraction(1, spec.m), Fraction(0), Fraction(1))
-    if isinstance(spec, Power):
-        return Growth(spec.C, spec.beta, Fraction(0))
-    if isinstance(spec, Linear):
-        return Growth(spec.C, Fraction(1), Fraction(0))
-    if isinstance(spec, Growth):
-        return spec
-    if isinstance(spec, Custom):
-        return to_growth(spec.tail_rule)
-    raise DomainError(f"unknown sequence family: {spec!r}")
+    return spec if isinstance(spec, Growth) else Growth(*_coefficients(spec))
 
 
 def _iroot_floor(x: int, k: int) -> int:
@@ -149,27 +154,61 @@ def _iroot_floor(x: int, k: int) -> int:
         r = nr
 
 
+class _Kappa:
+    """kappa_n of one family, normalized once so each lookup is integer arithmetic.
+
+    Table entries come first (an outer Custom's before its tail rule's);
+    every other n follows the rule ceil(C * n**beta * 2**(gamma*n)).
+    """
+
+    __slots__ = ("table", "C", "beta", "gamma", "_num", "_den", "_power", "_gn", "_gd")
+
+    def __init__(self, spec: SequenceSpec):
+        table: dict[int, int] = {}
+        while isinstance(spec, Custom):
+            table = dict(spec.table) | table
+            spec = spec.tail_rule
+        self.table = table
+        self.C, self.beta, self.gamma = _coefficients(spec)
+        # plain ints for the integer path: Fraction attribute reads cost more than the arithmetic
+        self._num, self._den = self.C.numerator, self.C.denominator
+        self._power = self.beta.numerator if self.beta.denominator == 1 else None
+        self._gn, self._gd = self.gamma.numerator, self.gamma.denominator
+
+    def __call__(self, n: int) -> int:
+        if n < 1:
+            raise DomainError(f"sequences are indexed from n = 1, got n={n}")
+        k = self.table.get(n)
+        return self.rule(n) if k is None else k
+
+    def rule(self, n: int) -> int:
+        """ceil(C * n**beta * 2**(gamma*n)), at least 1, as an exact integer."""
+        shift, rest = divmod(self._gn * n, self._gd)
+        power = self._power
+        if power is not None and not rest:
+            num, den = self._num, self._den
+            if power >= 0:
+                num *= n ** power
+            else:
+                den *= n ** -power
+            if shift >= 0:
+                num <<= shift
+            else:
+                den <<= -shift
+            return max(1, -(-num // den))
+        # irrational value: ceil via an exact integer root of x**L
+        exp2 = self.gamma * n
+        L = lcm(self.beta.denominator, exp2.denominator)
+        xl = self.C ** L * Fraction(n) ** int(self.beta * L) * Fraction(2) ** int(exp2 * L)
+        a, b = xl.numerator, xl.denominator
+        k = _iroot_floor(a // b, L)
+        m = k if k >= 1 and k ** L * b >= a else k + 1
+        return max(1, m)
+
+
 def kappa_value(spec: SequenceSpec, n: int) -> int:
     """Exact kappa_n as an integer (arbitrary precision; never truncated)."""
-    if n < 1:
-        raise DomainError(f"sequences are indexed from n = 1, got n={n}")
-    if isinstance(spec, Custom):
-        for tn, tk in spec.table:
-            if tn == n:
-                return tk
-        return kappa_value(spec.tail_rule, n)
-    g = to_growth(spec)
-    exp2 = g.gamma * n
-    if g.beta.denominator == 1 and exp2.denominator == 1:
-        x = g.C * Fraction(n) ** int(g.beta) * Fraction(2) ** int(exp2)
-        return max(1, -((-x.numerator) // x.denominator))
-    # irrational value: ceil via an exact integer root of x**L
-    L = lcm(g.beta.denominator, exp2.denominator)
-    xl = g.C ** L * Fraction(n) ** int(g.beta * L) * Fraction(2) ** int(exp2 * L)
-    a, b = xl.numerator, xl.denominator
-    k = _iroot_floor(a // b, L)
-    m = k if k >= 1 and k ** L * b >= a else k + 1
-    return max(1, m)
+    return _Kappa(spec)(n)
 
 
 # ----------------------------------------------------------------------
@@ -203,8 +242,9 @@ class Verdict:
 def _trace(spec: SequenceSpec, e: Exponents, count: int = 16) -> list[dict]:
     """Finite-window values of the decisive statistic, for the evidence field."""
     rows = []
+    kappa_of = _Kappa(spec)
     for n in range(1, count + 1):
-        kappa = kappa_value(spec, n)
+        kappa = kappa_of(n)
         log2_kappa = math.log2(kappa)
         if e.is_critical:
             stat = n - float(e.p - 1) * log2_kappa  # log2 of 2**n " kappa**-(p-1)
@@ -313,55 +353,139 @@ def dobinski_full(e: Exponents) -> Verdict:
 # Capacity bounds and comparability
 # ----------------------------------------------------------------------
 
-_TAIL_BUDGET = 20_000
-_REL_CUT_LOG2 = 80.0
+_WINDOW = 256  # exact tail terms at most before the closed-form remainder takes over
 
 
-def _tail_sum(spec: SequenceSpec, e: Exponents, start: int) -> LogValue | None:
-    """sum_{n >= start} cap(D(n, kappa_n)) in the log domain.
+def _log2_up(*parts: float) -> float:
+    """sum(parts) raised by 2**-40 (1 + sum |parts|), far above the few ulps
+    that evaluating the parts in floats can lose: an upper bound on the true sum."""
+    return sum(parts) + 2.0 ** -40 * (1 + sum(map(abs, parts)))
 
-    Terms are accumulated until one falls 80 binary orders below the
-    partial sum, then a geometric extrapolation of the observed term ratio
-    bounds the remainder.  Returns None when no convergence emerges within
-    the budget.
+
+def _remainder(kappa: _Kappa, e: Exponents):
+    """N -> log2 of a proven bound on sum_{n >= N} of the rule's per-term majorant.
+
+    For a Zero family only.  With kappa_n >= g(n) = C n**beta 2**(gamma n),
+    cap(D(n, kappa_n)) is at most 2**n kappa_n**-(p-1) on the critical branch
+    and c 2**(ap n - (1-ap) kappa_n) below it (Phi_r(x) <= min(x, r**-(p-1))).
+    The function returns None at an N where its closed form does not hold yet.
     """
+    C, beta, gamma = kappa.C, kappa.beta, kappa.gamma
+    if e.is_critical:
+        # majorant m_n = C**-(p-1) n**-sigma 2**(s n)
+        lead = -e.pm1_f * LogValue.from_fraction(C).log2
+        sigma, s = float(beta * (e.p - 1)), 1 - (e.p - 1) * gamma
+        if s == 0:  # sigma > 1: sum_{n >= N} n**-sigma <= N**-sigma + N**(1-sigma)/(sigma-1)
+            def remainder(N: int) -> float:
+                return _log2_up(lead, -sigma * math.log2(N), math.log2(1 + N / (sigma - 1)))
+            return remainder
+        s = float(s)
+        growth = max(0.0, -sigma)
+
+        def remainder(N: int) -> float | None:
+            # m_{n+1}/m_n = 2**s (1 + 1/n)**-sigma <= rho_N for every n >= N;
+            # both addends are below |s| wherever rho_N < 1
+            log2_rho = s + growth * math.log1p(1 / N) / _LN2 + 2.0 ** -40 * (1 - s)
+            if log2_rho >= 0:
+                return None
+            return _log2_up(
+                lead, -sigma * math.log2(N), s * N, -math.log2(-math.expm1(log2_rho * _LN2))
+            )
+        return remainder
+
+    ap, b = e.ap, 1 - e.ap
+    log2_c = full_tree_capacity(e).value.log2
+    if gamma == 0 and beta == 1:
+        # f(n) = ap n - b C n is linear: a geometric series of ratio 2**(ap - bC) < 1
+        slope = ap - b * C
+
+        def remainder(N: int) -> float:
+            return _log2_up(log2_c, float(slope * N), -math.log2(-math.expm1(float(slope) * _LN2)))
+        return remainder
+    # g'' = g ((beta/x + gamma ln 2)**2 - beta/x**2), so g is convex wherever
+    # gamma x ln 2 >= sqrt(beta) - beta: everywhere for beta <= 0 or beta >= 1
+    # (gamma >= 0), and for 0 < beta < 1 (then gamma > 0) from x = 1/(2 gamma) on,
+    # as sqrt(beta) - beta <= 1/4 < (ln 2)/2.  On that range the increments of
+    # f(n) = ap n - b g(n) never increase, so from any N where the increment is
+    # negative, sum_{n >= N} 2**f(n) <= 2**f(N) / (1 - 2**(f(N+1) - f(N))).
+    convex_from = math.ceil(1 / (2 * gamma)) if 0 < beta < 1 else 1
+
+    def remainder(N: int) -> float | None:
+        if N < convex_from:
+            return None
+        # kappa_n - 1 < g(n) <= kappa_n bounds f(N) and its increment from above, exactly
+        k0, k1 = kappa.rule(N), kappa.rule(N + 1)
+        step = ap - b * (k1 - k0 - 1)
+        if step >= 0:
+            return None
+        try:
+            f = float(ap * N - b * (k0 - 1))
+        except OverflowError:  # f(N) is beyond the double range
+            return None
+        return _log2_up(log2_c, f, -math.log2(-math.expm1(float(step) * _LN2)))
+    return remainder
+
+
+def _tail_upper(kappa: _Kappa, e: Exponents, start: int) -> LogValue | None:
+    """Proven upper bound on sum_{n >= start} cap(D(n, kappa_n)) for a Zero family.
+
+    Sums the exact terms n = start .. N-1 and adds the closed-form remainder
+    R(N).  The window closes once R(N) <= 2**-40 times the partial sum, or
+    after ``_WINDOW`` terms; None when R has no closed form by then.  Table
+    entries at or past N are added exactly (R already bounds the rule there,
+    and a table entry only adds a term).
+    """
+    remainder = _remainder(kappa, e)
     total = LogValue.zero()
-    prev: LogValue | None = None
-    for n in range(start, start + _TAIL_BUDGET):
-        term = cap_component(n, kappa_value(spec, n), e).value
-        total = total + term
-        if term.log2 < total.log2 - _REL_CUT_LOG2:
-            if prev is not None and term.log2 < prev.log2:
-                ratio_log2 = term.log2 - prev.log2
-                # remainder <= term * rho / (1 - rho) for observed rho < 1
-                rem_log2 = (
-                    term.log2 + ratio_log2 - math.log2(-math.expm1(ratio_log2 * _LN2))
-                )
-                total = total + LogValue.from_log2(rem_log2)
-            return total
-        prev = term
-    return None
+    for N in range(start, start + _WINDOW):
+        rem = remainder(N)
+        if rem is not None and N > start and rem <= total.log2 - 40.0:
+            break
+        total = total + cap_component(N, kappa(N), e).value
+    else:
+        N = start + _WINDOW
+        rem = remainder(N)
+        if rem is None:
+            return None
+    for n, k in kappa.table.items():
+        if n >= N:
+            total = total + cap_component(n, k, e).value
+    total = total + LogValue.from_log2(rem)
+    # cap_component's log2 is good to about 1e-13 plus a few ulps of its
+    # magnitude, and each of the window's additions loses half an ulp:
+    # raising log2 by 2**-29 multiplies by more than 1 + 2**-30, and
+    # 2**-40 |log2| covers the ulps of a log2 too large for that margin to show
+    return LogValue.from_log2(total.log2 + 2.0 ** -29 + 2.0 ** -40 * abs(total.log2))
 
 
 def capacity_bounds(
     spec: SequenceSpec, e: Exponents, n_max: int
 ) -> tuple[CapacityReport, CapacityReport | None]:
-    """Certified lower bound and (when the tail converges) upper bound.
+    """Lower bound for the first n_max components and proven upper bound for the limsup set.
 
-    Lower: the best single component capacity over n <= n_max, a lower
-    bound for the limsup estimate.  Upper: the tail sum starting at n_max
-    (the smallest of the admissible tail sums); ``None`` when no tail
-    converges within range.
+    Lower: the largest single component capacity cap(D(n, kappa_n)) over
+    n <= n_max.  By monotonicity of capacity it is a lower bound for
+    cap(union_{n <= n_max} D(n, kappa_n)), not for the limsup set.
+
+    Upper: the limsup set lies in union_{n >= n_max} D(n, kappa_n), so by
+    subadditivity its capacity is at most the tail sum from n_max, which is
+    bounded by exact terms plus a closed-form remainder.  ``None`` when
+    ``classify`` finds the family not Zero (the series diverges, so no tail
+    sum bounds anything), and for the rare Zero family whose majorant does
+    not start to decay within the exact window.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
+    kappa = _Kappa(spec)
     best = LogValue.zero()
     for n in range(1, n_max + 1):
-        value = cap_component(n, kappa_value(spec, n), e).value
+        value = cap_component(n, kappa(n), e).value
         if value > best:
             best = value
     lower = CapacityReport(best, Method.CLOSED_FORM, BoundKind.LOWER)
-    tail = _tail_sum(spec, e, n_max)
+    if classify(spec, e).outcome is not Outcome.ZERO:
+        return lower, None
+    tail = _tail_upper(kappa, e, n_max)
     upper = None if tail is None else CapacityReport(tail, Method.CLOSED_FORM, BoundKind.UPPER)
     return lower, upper
 
@@ -381,8 +505,9 @@ def comparability_report(
         raise DomainError(f"n range must satisfy 1 <= lo <= hi <= 10000, got {n_range}")
     rows = []
     ratio_min, ratio_max = math.inf, -math.inf
+    kappa_of = _Kappa(spec)
     for n in range(lo, hi + 1):
-        kappa = kappa_value(spec, n)
+        kappa = kappa_of(n)
         cap = cap_component(n, kappa, e).value
         log2_kappa = math.log2(kappa)
         if e.is_critical:

@@ -14,22 +14,30 @@ doubles throughout; depth is capped at 20, where the dense heap arrays hold
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from itertools import islice, repeat
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .capacity import finite_tree_capacity, full_tree_capacity
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents
-from .tree import validate_word
+from .tree import _validate_words, validate_word
 
 MAX_DEPTH = 20
 
 
 def _node_index(word: str) -> int:
     return 2 ** len(word) - 1 + (int(word, 2) if word else 0)
+
+
+def _node_indices(words: Sequence[str]) -> np.ndarray:
+    """Heap indices of many words, one int() call each: int("1" + w, 2) - 1 = 2**|w| - 1 + int(w, 2)."""
+    prefixed = map(operator.add, repeat("1"), words)
+    return np.fromiter(map(int, prefixed, repeat(2)), np.int64, len(words)) - 1
 
 
 def _word_of(index: int, depth: int) -> str:
@@ -57,19 +65,28 @@ class FiniteProblem:
             raise DomainError(f"depth must be in [0, {MAX_DEPTH}], got {self.depth}")
         if not self.target_leaves:
             raise DomainError("target leaf set must be nonempty")
-        for leaf in self.target_leaves:
-            validate_word(leaf)
-            if len(leaf) != self.depth:
-                raise DomainError(f"target {leaf!r} does not have length {self.depth}")
-        object.__setattr__(self, "target_leaves", tuple(sorted(set(self.target_leaves))))
-        if self.weights is not None:
-            object.__setattr__(self, "weights", dict(self.weights))
-        for word, value in (self.weights or {}).items():
-            validate_word(word)
-            if len(word) > self.depth:
-                raise DomainError(f"weight on {word!r} lies outside the depth-{self.depth} tree")
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"weights must be positive and finite, got {word!r}: {value}")
+        leaves = sorted(self.target_leaves)
+        if any(map(operator.eq, leaves, islice(leaves, 1, None))):  # duplicates are neighbours
+            leaves = list(dict.fromkeys(leaves))
+        leaves = tuple(leaves)
+        _validate_words(leaves)
+        if set(map(len, leaves)) != {self.depth}:
+            leaf = next(w for w in leaves if len(w) != self.depth)
+            raise DomainError(f"target {leaf!r} does not have length {self.depth}")
+        object.__setattr__(self, "target_leaves", leaves)
+        if self.weights is None:
+            return
+        weights = dict(self.weights)
+        object.__setattr__(self, "weights", weights)
+        _validate_words(list(weights))
+        if max(map(len, weights), default=0) > self.depth:
+            word = next(w for w in weights if len(w) > self.depth)
+            raise DomainError(f"weight on {word!r} lies outside the depth-{self.depth} tree")
+        values = np.fromiter(weights.values(), float, len(weights))
+        bad = ~(np.isfinite(values) & (values > 0))
+        if bad.any():
+            word = list(weights)[int(bad.argmax())]
+            raise DomainError(f"weights must be positive and finite, got {word!r}: {weights[word]}")
 
     def __hash__(self) -> int:
         weights = None if self.weights is None else frozenset(self.weights.items())
@@ -85,8 +102,7 @@ class FiniteProblem:
         for d in range(self.depth + 1):
             w[2 ** d - 1 : 2 ** (d + 1) - 1] = 2.0 ** (-d * one_minus_ap)
         if self.weights:
-            for word, value in self.weights.items():
-                w[_node_index(word)] = float(value)
+            w[_node_indices(list(self.weights))] = list(self.weights.values())
         return w
 
     def to_json(self) -> dict:
@@ -235,7 +251,7 @@ def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
     scale = float(w.max())
     phi_coeff = (p * w / scale) ** -q  # normalized so the result scales exactly with the weights
     leaf_start = 2 ** problem.depth - 1
-    targets = np.array([_node_index(leaf) - leaf_start for leaf in problem.target_leaves])
+    targets = _node_indices(problem.target_leaves) - leaf_start
     leaf_mass = np.zeros(2 ** problem.depth)
     iterations, lower, upper, best = 0, 0.0, math.inf, (None, 0.0)
 

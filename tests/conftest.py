@@ -1,7 +1,8 @@
 import math
 from fractions import Fraction
 
-from capatree import Exponents, LogValue
+from capatree import Custom, DomainError, Exponents, LogValue, kappa_value
+from capatree.dobinski import _iroot_floor, to_growth
 
 # the six (a, p) pairs of acceptance criterion 3
 PAIRS = [
@@ -38,3 +39,69 @@ def sigma_direct(n: int, kappa: int, e: Exponents) -> LogValue:
     for exponent in phi_composition_exponents(n, kappa, e):
         total = total + LogValue.from_log2(exponent)
     return total
+
+
+def kappa_reference(spec, n: int) -> int:
+    """kappa_n as the package computed it before the integer fast path.
+
+    Rebuilds the normalized family on every call and works in Fraction
+    arithmetic, with an exact integer root where the value is irrational.
+    """
+    if n < 1:
+        raise DomainError(f"sequences are indexed from n = 1, got n={n}")
+    if isinstance(spec, Custom):
+        for tn, tk in spec.table:
+            if tn == n:
+                return tk
+        return kappa_reference(spec.tail_rule, n)
+    g = to_growth(spec)
+    exp2 = g.gamma * n
+    if g.beta.denominator == 1 and exp2.denominator == 1:
+        x = g.C * Fraction(n) ** int(g.beta) * Fraction(2) ** int(exp2)
+        return max(1, -((-x.numerator) // x.denominator))
+    L = math.lcm(g.beta.denominator, exp2.denominator)
+    xl = g.C ** L * Fraction(n) ** int(g.beta * L) * Fraction(2) ** int(exp2 * L)
+    a, b = xl.numerator, xl.denominator
+    k = _iroot_floor(a // b, L)
+    m = k if k >= 1 and k ** L * b >= a else k + 1
+    return max(1, m)
+
+
+def tail_sum_reference(spec, e: Exponents, start: int, count: int = 2001):
+    """sum_{n = start .. start+count-1} cap(D(n, kappa_n)) in mpmath at 50 digits.
+
+    Each term is (A + B + D)**-(p-1) with A = G(n, -q ap),
+    B = 2**(q(b(kappa-1) - ap n)) G(kappa, -qb) and
+    D = 2**(q(b kappa - ap n)) G(inf, -q ap), q = 1/(p-1), b = 1-ap, every
+    power of two taken from its exact rational exponent.  The sum stops
+    early once a term falls below 2**-10000.
+    """
+    import mpmath  # imported here so that only the tests that use it need it
+
+    q = 1 / (e.p - 1)
+    # q ap = A/D and q b = B/D, so every exponent is an integer over D
+    D = math.lcm((q * e.ap).denominator, (q * (1 - e.ap)).denominator)
+    A, B = int(q * e.ap * D), int(q * (1 - e.ap) * D)
+    pm1 = e.p - 1
+    with mpmath.workdps(50):
+        roots = [mpmath.power(2, mpmath.mpf(j) / D) for j in range(D)]
+
+        def pow2(k: int):  # 2**(k/D)
+            return mpmath.ldexp(roots[k % D], k // D)
+
+        def geometric(k: int, t: int):  # G(k, -t/D)
+            return k if t == 0 else (1 - pow2(-k * t)) / (1 - pow2(-t))
+
+        exponent = -(pm1.numerator if pm1.denominator == 1 else mpmath.mpf(pm1.numerator) / pm1.denominator)
+        tiny = mpmath.ldexp(1, -10000)
+        full = 1 / (1 - pow2(-A))
+        total = mpmath.mpf(0)
+        for n in range(start, start + count):
+            kappa = kappa_value(spec, n)
+            run = B * (kappa - 1) - A * n
+            inner = geometric(n, A) + pow2(run) * geometric(kappa, B) + pow2(run + B) * full
+            term = mpmath.power(inner, exponent)
+            total += term
+            if term < tiny:
+                break
+        return +total

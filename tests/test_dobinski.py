@@ -1,9 +1,16 @@
+import functools
+import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+
+import capatree.dobinski as dobinski
 
 from capatree import (
     Custom,
+    full_tree_capacity,
     DomainError,
     Exponents,
     Geometric,
@@ -21,7 +28,7 @@ from capatree import (
     spec_from_json,
     spec_to_json,
 )
-from conftest import rel_diff
+from conftest import kappa_reference, rel_diff, tail_sum_reference
 
 E_HALF_2 = Exponents("1/2", 2)
 E_THIRD_3 = Exponents("1/3", 3)
@@ -61,6 +68,28 @@ class TestKappaValue:
     def test_always_at_least_one(self):
         spec = Power(Fraction(1, 1000), Fraction(1))
         assert kappa_value(spec, 1) == 1
+
+    def test_matches_reference_on_random_families(self):
+        rng = random.Random(20211026)
+
+        def rational(lo, hi, dens):
+            den = rng.choice(dens)
+            return Fraction(rng.randint(lo * den, hi * den), den)
+
+        for _ in range(150):
+            C = Fraction(rng.randint(1, 40), rng.randint(1, 12))
+            spec = Growth(C, rational(-3, 3, (1, 1, 2, 3)), rational(-2, 2, (1, 1, 2, 3, 4)))
+            if rng.random() < 0.2:
+                table = tuple((n, rng.randint(1, 9)) for n in rng.sample(range(1, 61), 3))
+                spec = Custom(table, spec)
+            for n in range(1, 62):
+                assert kappa_value(spec, n) == kappa_reference(spec, n), (spec, n)
+
+    def test_nested_custom_tables(self):
+        inner = Custom(((2, 7), (3, 8)), Linear(Fraction(1)))
+        spec = Custom(((3, 5),), inner)
+        assert [kappa_value(spec, n) for n in range(1, 5)] == [1, 7, 5, 4]
+        assert [kappa_value(spec, n) for n in range(1, 5)] == [kappa_reference(spec, n) for n in range(1, 5)]
 
 
 class TestFamilyValidation:
@@ -206,6 +235,131 @@ class TestCapacityBounds:
     def test_rejects_bad_window(self):
         with pytest.raises(DomainError):
             capacity_bounds(Geometric(1), E_HALF_2, 0)
+
+
+# Zero families: (spec, exponents, n_max, whether the exact window closes
+# before its term cap, so that the upper bound is tight)
+ZERO_CASES = [
+    # critical branch, geometric majorant
+    (Geometric(1), E_THIRD_3, 10, True),
+    (Geometric(2), Exponents("2/5", "5/2"), 12, True),
+    (Geometric(3), Exponents("1/4", 4), 5, True),
+    (Growth(Fraction(2), Fraction(-1), Fraction(2)), E_THIRD_3, 6, True),
+    # critical branch, p-series majorant
+    (Growth(Fraction(1), Fraction(2), Fraction(1)), E_HALF_2, 30, False),
+    (Growth(Fraction(1), Fraction(1), Fraction(1, 2)), E_THIRD_3, 30, False),
+    (Growth(Fraction(1), Fraction(3, 2), Fraction(1)), E_HALF_2, 30, False),
+    # subcritical, linear run lengths
+    (Linear(Fraction(1)), Exponents("1/5", 2), 10, True),
+    (Linear(Fraction(3)), Exponents("1/4", 2), 7, True),
+    # subcritical, superlinear and super-exponential run lengths
+    (Geometric(3), Exponents("1/4", 2), 4, True),
+    (Power(Fraction(1), Fraction(2)), Exponents("1/4", 2), 10, True),
+    (Growth(Fraction(1), Fraction(1, 2), Fraction(1, 4)), Exponents("1/8", 2), 3, True),
+    (Geometric(3), Exponents("1/4", 2), 30, False),  # log2 ~ -1.8e8: below float resolution
+    (Growth(Fraction(3), Fraction(1), Fraction(1)), Exponents("1/4", 2), 40, False),
+    # tables past n_max, one of them past the exact window
+    (Custom(((31, 1), (35, 2), (40, 1)), Geometric(1)), E_THIRD_3, 30, True),
+    (Custom(((500, 1),), Geometric(1)), E_THIRD_3, 10, True),
+]
+
+@functools.cache
+def _reference(spec, e, n_max):
+    return tail_sum_reference(spec, e, n_max)
+
+
+class TestCertifiedUpperBound:
+    @pytest.mark.parametrize("spec, e, n_max, tight", ZERO_CASES)
+    def test_upper_bounds_the_tail_sum(self, spec, e, n_max, tight):
+        assert classify(spec, e).outcome is Outcome.ZERO
+        lower, upper = capacity_bounds(spec, e, n_max)
+        assert upper is not None and upper.bound_kind.value == "upper"
+        with mpmath.workdps(50):
+            assert mpmath.log(_reference(spec, e, n_max), 2) <= mpmath.mpf(upper.value.log2)
+
+    @pytest.mark.parametrize("spec, e, n_max", [c[:3] for c in ZERO_CASES if c[3]])
+    def test_upper_is_tight_when_the_window_closes(self, spec, e, n_max):
+        _, upper = capacity_bounds(spec, e, n_max)
+        with mpmath.workdps(50):
+            excess = mpmath.mpf(upper.value.log2) - mpmath.log(_reference(spec, e, n_max), 2)
+        assert 0 <= excess <= mpmath.log(1 + mpmath.mpf("1e-6"), 2)
+
+    @pytest.mark.parametrize(
+        "spec, e",
+        [
+            (Geometric(1), E_HALF_2),
+            (Power(Fraction(2), Fraction(1)), E_HALF_2),
+            (Linear(Fraction(1)), E_THIRD_3),
+            (Linear(Fraction(1)), Exponents("1/4", 2)),
+            (Custom(((1, 2),), Growth(Fraction(1), Fraction(1), Fraction(1))), E_HALF_2),
+            (Power(Fraction(1), Fraction(0)), E_THIRD_3),
+        ],
+    )
+    def test_divergent_families_stop_at_the_verdict(self, spec, e, monkeypatch):
+        calls = []
+
+        def counting(n, kappa, e):
+            calls.append(n)
+            return cap_component(n, kappa, e)
+
+        monkeypatch.setattr(dobinski, "cap_component", counting)
+        n_max = 30
+        assert classify(spec, e).outcome is not Outcome.ZERO
+        lower, upper = capacity_bounds(spec, e, n_max)
+        assert upper is None
+        assert len(calls) <= n_max
+
+    @pytest.mark.parametrize(
+        "spec, e, starts",
+        [
+            (Growth(Fraction(1), Fraction(-3), Fraction(1)), Exponents("1/4", 4), (7, 10)),  # sigma < 0
+            (Geometric(1), E_THIRD_3, (5,)),
+            (Growth(Fraction(1), Fraction(3, 2), Fraction(1, 2)), E_THIRD_3, (2, 10)),  # p-series
+            (Growth(Fraction(1), Fraction(2), Fraction(1)), E_HALF_2, (3,)),
+            (Linear(Fraction(1)), Exponents("1/5", 2), (3,)),
+            (Power(Fraction(1), Fraction(2)), Exponents("1/4", 2), (1, 2)),
+            (Power(Fraction(1), Fraction(3, 2)), Exponents("3/8", 2), (9, 12)),
+            (Growth(Fraction(1), Fraction(1, 2), Fraction(1, 4)), Exponents("1/8", 2), (4, 8)),
+        ],
+    )
+    def test_remainder_bounds_its_majorant_tail(self, spec, e, starts):
+        # sum_{n >= N} of the majorant, in floats over 20 000 terms: a lower
+        # bound for the full majorant tail, which the closed form must exceed
+        C, beta, gamma = map(float, dobinski._coefficients(spec))
+        pm1, ap = float(e.p - 1), float(e.ap)
+        log2_c = full_tree_capacity(e).value.log2
+
+        def log2_majorant(n):
+            if e.is_critical:
+                return n - pm1 * (math.log2(C) + beta * math.log2(n) + gamma * n)
+            return log2_c + ap * n - (1 - ap) * C * n ** beta * 2 ** (gamma * n)
+
+        remainder = dobinski._remainder(dobinski._Kappa(spec), e)
+        for N in starts:
+            logs = []
+            for n in range(N, N + 20_000):
+                logs.append(log2_majorant(n))
+                if logs[-1] < logs[0] - 2000:
+                    break
+            top = max(logs)
+            total = top + math.log2(math.fsum(2.0 ** (x - top) for x in logs))
+            rem = remainder(N)
+            assert rem is not None and rem >= total - 1e-12, (N, rem, total)
+
+    def test_zero_family_without_a_decaying_majorant_in_the_window_gets_none(self):
+        # f(n) = ap n - b n**(11/10) only starts to fall near n = 22 000
+        spec, e = Power(Fraction(1), Fraction(11, 10)), Exponents("3/8", 2)
+        assert classify(spec, e).outcome is Outcome.ZERO
+        assert capacity_bounds(spec, e, 10)[1] is None
+
+    def test_p_series_families_get_a_finite_upper(self):
+        for spec, e in (
+            (Growth(Fraction(1), Fraction(2), Fraction(1)), E_HALF_2),
+            (Growth(Fraction(1), Fraction(1), Fraction(1, 2)), E_THIRD_3),
+            (Growth(Fraction(1), Fraction(3, 2), Fraction(1)), E_HALF_2),
+        ):
+            _, upper = capacity_bounds(spec, e, 30)
+            assert upper is not None and upper.value.log2 < 0
 
 
 class TestComparabilityReport:

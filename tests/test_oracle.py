@@ -15,7 +15,7 @@ from capatree import (
     solve_capacity,
     solve_from_json,
 )
-from capatree.oracle import _TreeArrays
+from capatree.oracle import _node_index, _TreeArrays
 from conftest import PAIRS
 
 E = Exponents("1/2", 2)  # weights identically 1
@@ -78,6 +78,33 @@ class TestProblemValidation:
     def test_json_round_trip(self):
         prob = FiniteProblem(2, ("00", "11"), Exponents("1/4", 2), weights={"00": 0.25})
         assert FiniteProblem.from_json(prob.to_json()) == prob
+
+    @pytest.mark.parametrize("bad", ["0110a0110011", "01100110011", "0110011001101"])
+    def test_bad_target_deep_in_a_long_list_is_named(self, bad):
+        leaves = [format(i, "012b") for i in range(4096)]
+        leaves[3001] = bad
+        with pytest.raises(DomainError, match=repr(bad)):
+            FiniteProblem(12, tuple(leaves), E)
+
+    def test_bad_weight_key_is_named(self):
+        weights = dict.fromkeys((format(i, "012b") for i in range(4096)), 1.0)
+        weights["01x"] = 1.0
+        with pytest.raises(DomainError, match="'01x'"):
+            FiniteProblem(12, ("0" * 12,), E, weights=weights)
+
+    def test_duplicate_targets_collapse(self):
+        prob = FiniteProblem(2, ("11", "00", "11", "01", "00"), E)
+        assert prob.target_leaves == ("00", "01", "11")
+
+    def test_weight_array_matches_word_by_word(self):
+        rng = np.random.default_rng(7)
+        words = {format(int(i), f"0{d}b") if d else "" for d in range(7) for i in rng.integers(0, 2 ** d, 5)}
+        weights = {w: float(v) for w, v in zip(sorted(words), rng.uniform(0.5, 2.0, len(words)))}
+        prob = FiniteProblem(6, ("000000",), Exponents("1/4", 2), weights=weights)
+        reference = FiniteProblem(6, ("000000",), Exponents("1/4", 2)).weight_array()
+        for word, value in weights.items():
+            reference[_node_index(word)] = value
+        np.testing.assert_array_equal(prob.weight_array(), reference)
 
 
 class TestEvaluators:
