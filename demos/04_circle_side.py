@@ -52,7 +52,7 @@ unit = DyadicDensity.constant(1.0, depth=3)
 values = [riesz_potential(unit, y, a) for y in (0.05, 0.33, 0.5, 0.875)]
 print(f"\npotential of the unit density at a={a}: {[f'{v:.10f}' for v in values]}")
 integral, err = kernel_integral(a)
-print(f"kernel integral: {integral:.12f} (quadrature error estimate {err:.1e})")
+print(f"kernel integral in closed form: {integral:.12f} (rounding bound {err:.1e})")
 
 # A lopsided density is not rotation invariant, but linearity still holds.
 half = DyadicDensity.indicator(0, 4, 3)

@@ -4,7 +4,8 @@ The package computes boundary capacities through an exact two-child
 recursion and closed forms, classifies limsup run sets as positive / zero
 / indeterminate capacity, brackets Hausdorff dimension through the
 capacity profile, and cross-validates everything against an independent
-convex-program oracle and circle-side quadrature.
+convex-program oracle (numpy, imported on first use) and the circle side
+(closed forms, and potentials by scipy quadrature, imported on first use).
 """
 
 from .capacity import (
@@ -57,16 +58,21 @@ from .exponents import (
     conjugate,
     rel_error,
 )
-from .oracle import (
-    FiniteProblem,
-    OracleResult,
-    agreement_battery,
-    emulated_infinite_problem,
-    energy_eval,
-    potential_eval,
-    solve_capacity,
-    solve_from_json,
-)
 from .tree import CylinderSet, d_cylinder_set, lambda_interval, meet, metric, weight
 
 __version__ = "0.1.0"
+
+# The oracle imports numpy, which no other module needs: its names are
+# resolved on each access (PEP 562), so a patched oracle function shows here.
+_ORACLE_NAMES = frozenset({
+    "FiniteProblem", "OracleResult", "agreement_battery", "emulated_infinite_problem",
+    "energy_eval", "potential_eval", "solve_capacity", "solve_from_json",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,7 @@ import math
 import sys
 from typing import Sequence
 
-from . import circle, dobinski, oracle
+from . import circle, dobinski
 from .capacity import cap_component, capacity_recursive
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, as_fraction
@@ -135,6 +135,8 @@ def _cmd_dimension(args):
 
 
 def _cmd_oracle_check(args):
+    from . import oracle  # imports numpy, which no other command needs
+
     rows = oracle.agreement_battery(
         count=args.count,
         seed=args.seed,
@@ -270,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(s)
     s.set_defaults(fn=_cmd_oracle_check)
 
-    s = sub.add_parser("circle-capacity", help="Riesz capacity of the whole circle")
+    s = sub.add_parser("circle-capacity", help="Riesz capacity of the whole circle (quad_error: rounding bound)")
     _add_exponent_args(s)
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=float, default=1e-10, help="unused: the closed form is exact to rounding")
     _add_output_args(s)
     s.set_defaults(fn=_cmd_circle_capacity)
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from scipy.special import gamma
 
@@ -215,6 +216,20 @@ class TestCircleCapacity:
         value, _ = kernel_integral(a)
         closed = gamma(float(a)) / gamma((float(a) + 1) / 2) ** 2
         assert value == pytest.approx(closed, rel=1e-10)
+
+    @pytest.mark.parametrize("y", [Fraction(0), Fraction(1, 3), Fraction(5, 7)])
+    @pytest.mark.parametrize(
+        "a", [Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+              Fraction(9, 10), Fraction(99, 100)]
+    )
+    def test_kernel_integral_closed_form_matches_quadrature(self, a, y):
+        # the unit density's potential is the kernel integral at every point
+        value, err = kernel_integral(a)
+        reference = riesz_potential(DyadicDensity.constant(1.0), y, a, rel_tol=1e-12)
+        assert value == pytest.approx(reference, rel=1e-13)
+        assert 0 < err <= 1e-13 * value
+        exact = mpmath.gamma(mpmath.mpf(float(a))) / mpmath.gamma((mpmath.mpf(float(a)) + 1) / 2) ** 2
+        assert abs(value - exact) <= err
 
     def test_capacity_value_linear_point(self):
         e = Exponents("1/2", 2)

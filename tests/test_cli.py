@@ -183,24 +183,58 @@ class TestExitCodes:
         assert cli.main(["oracle-check", "--seed", "1", "--count", "1"]) == 3
 
 
-def scipy_modules_after(code: str) -> str:
-    """Run ``code`` in a fresh interpreter and return the scipy modules it loaded."""
+def modules_after(code: str, packages: tuple[str, ...] = ("numpy", "scipy")) -> list[str]:
+    """Run ``code`` in a fresh interpreter and return the modules of ``packages`` it loaded."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code += "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += (
+        "\nimport json, sys"
+        f"\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# every subcommand but oracle-check, the one that needs numpy
+NUMPY_FREE_COMMANDS = [
+    ["cap-cylinder", "--a", "1/2", "--p", "2", "--set", '["0","10"]'],
+    ["cap-component", "--a", "1/2", "--p", "2", "--n", "3", "--kappa", "2"],
+    ["classify", "--a", "1/3", "--p", "3", "--family", "dobinski"],
+    ["bounds", "--a", "1/3", "--p", "3", "--family", "geometric", "--m", "1", "--n-max", "12"],
+    ["ratios", "--a", "1/2", "--p", "2", "--family", "geometric", "--m", "1", "--n-to", "16"],
+    ["dimension", "--family", "geometric", "--m", "2", "--ap-grid", "1/2,1", "--p-grid", "2"],
+    ["circle-capacity", "--a", "1/3", "--p", "2"],
+    ["product-identity", "--x", "1/3", "--N", "32", "--format", "csv"],
+    ["run-lengths", "--x", "7/16", "--N", "6"],
+]
 
 
 class TestStartup:
-    def test_import_does_not_load_scipy(self):
-        # only circle-side quadrature imports scipy, on its first use
-        assert scipy_modules_after("import capatree.cli") == "[]"
+    def test_import_loads_no_numpy_or_scipy(self):
+        assert modules_after("import capatree\nimport capatree.cli") == []
+
+    @pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: argv[0])
+    def test_command_loads_no_numpy_or_scipy(self, argv):
+        code = f"import capatree.cli\nassert capatree.cli.main({argv!r}) == 0"
+        assert modules_after(code) == []
+
+    def test_oracle_names_resolve_and_load_numpy(self):
+        loaded = modules_after("from capatree import solve_capacity\nassert callable(solve_capacity)")
+        assert "numpy" in loaded
+
+    def test_oracle_names_follow_the_oracle_module(self, monkeypatch):
+        import capatree
+        from capatree import oracle as oracle_module
+
+        monkeypatch.setattr(oracle_module, "solve_capacity", lambda *args, **kwargs: "patched")
+        assert capatree.solve_capacity() == "patched"
+        with pytest.raises(AttributeError):
+            getattr(capatree, "no_such_name")
 
     def test_oracle_solve_does_not_load_scipy(self):
         code = (
             "from capatree import Exponents, FiniteProblem, solve_capacity; "
             "solve_capacity(FiniteProblem(3, ('000', '011', '101'), Exponents('1/3', 3)), tol=1e-8)"
         )
-        assert scipy_modules_after(code) == "[]"
+        assert modules_after(code, ("scipy",)) == []
