@@ -227,6 +227,7 @@ class TestStartup:
         import capatree
         from capatree import oracle as oracle_module
 
+        assert capatree.solve_capacity is oracle_module.solve_capacity
         monkeypatch.setattr(oracle_module, "solve_capacity", lambda *args, **kwargs: "patched")
         assert capatree.solve_capacity() == "patched"
         with pytest.raises(AttributeError):
