@@ -104,23 +104,34 @@ def _times(k: int, x: float) -> float:
     return out
 
 
-def _log2_geometric(k: int | float, t: float) -> float:
-    """log2 G(k, t) = log2 sum_{j=0..k-1} 2**(j t) for t <= 0.
+def _geometric(t: float):
+    """k -> log2 G(k, t) = log2 sum_{j=0..k-1} 2**(j t), for one t <= 0.
 
-    k is an int >= 1, or inf when t < 0.  A sum with t > 0 is
-    2**((k-1) t) G(k, -t), which callers factor out so that nothing
-    overflows.  The term 2**(k t) is dropped once it underflows, which
-    gives the k = inf limit without converting k to a float; a k too
-    large for a float otherwise raises DomainError.
+    The k-independent part is computed here once.  k is an int >= 1, or inf
+    when t < 0.  A sum with t > 0 is 2**((k-1) t) G(k, -t), which callers
+    factor out so that nothing overflows.  The term 2**(k t) is dropped once
+    it underflows, which gives the k = inf limit without converting k to a
+    float; a k too large for a float otherwise raises DomainError.
     """
     if t == 0:
-        if k == math.inf:
-            raise DomainError("a geometric sum with ratio 1 has no limit")
-        return math.log2(k)  # exact for an int of any size
+        def log2_sum(k: int | float) -> float:
+            if k == math.inf:
+                raise DomainError("a geometric sum with ratio 1 has no limit")
+            return math.log2(k)  # exact for an int of any size
+        return log2_sum
     den = math.log2(-math.expm1(t * _LN2))
-    if k == math.inf or k > 1100 / -t:  # 2**(k t) < 2**-1100 rounds to 0
-        return -den
-    return math.log2(-math.expm1(_times(k, t) * _LN2)) - den
+    cut = 1100 / -t  # past it 2**(k t) < 2**-1100 rounds to 0
+
+    def log2_sum(k: int | float) -> float:
+        if k == math.inf or k > cut:
+            return -den
+        return math.log2(-math.expm1(_times(k, t) * _LN2)) - den
+    return log2_sum
+
+
+def _log2_geometric(k: int | float, t: float) -> float:
+    """log2 G(k, t) for a single (k, t); see ``_geometric``."""
+    return _geometric(t)(k)
 
 
 def phi_apply(r: LogValue, x: LogValue, e: Exponents) -> LogValue:
@@ -195,9 +206,8 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
     qs = q * s  # log2 lambda**q
     # log2 S_k = qs + log2 G(k, qs) for every chain length k a lift can need;
     # k = 0 never looks it up
-    log2_index = [math.nan] + [
-        qs + _log2_geometric(k, qs) for k in range(1, max(map(len, generators)) + 1)
-    ]
+    log2_sum = _geometric(qs)
+    log2_index = [math.nan] + [qs + log2_sum(k) for k in range(1, max(map(len, generators)) + 1)]
 
     def lift(v: float, k: int) -> float:
         """log2 of the value k one-child levels above a node of log2 value v."""
@@ -282,6 +292,37 @@ def sigma_closed_form(n: int, kappa: int, e: Exponents) -> LogValue:
     return LogValue.from_log2(_times(n, q) + _log2_geometric(n, -q * e.ap_f)) + run
 
 
+def _component_kernel(e: Exponents):
+    """(n, kappa) -> log2 cap(D(n, kappa)) for one exponent pair, as in ``cap_component``.
+
+    Every constant that does not depend on (n, kappa) is computed once, here,
+    so a caller that evaluates many components builds one kernel per query.
+    The kernel does not check its arguments; it returns a finite log2 or
+    raises DomainError.
+    """
+    q = e.q_f
+    v = e.ap.denominator
+    ap_num = e.ap.numerator
+    vb = v - ap_num  # v * b
+    q_v = q / v
+    run_sum = _geometric(-q * (1.0 - e.ap_f))  # G(kappa, -qb)
+    branch_sum = _geometric(-q * e.ap_f)  # G(n, -q ap)
+    full = branch_sum(math.inf)
+    pm1 = e.pm1_f
+
+    def log2_cap(n: int, kappa: int) -> float:
+        run = vb * (kappa - 1) - ap_num * n  # v * (b(kappa-1) - ap n)
+        t0 = _times(run, q_v) + run_sum(kappa)
+        t1 = _times(run + vb, q_v) + full
+        t2 = branch_sum(n) if n else -math.inf  # G(0, .) = 0 drops out of the sum
+        hi = max(t0, t1, t2)
+        out = -pm1 * (hi + math.log2(2.0 ** (t0 - hi) + 2.0 ** (t1 - hi) + 2.0 ** (t2 - hi)))
+        if not math.isfinite(out):
+            raise DomainError("component capacity exceeds the double-precision log2 range")
+        return out
+    return log2_cap
+
+
 def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:
     """Capacity of the run set D(n, kappa): 2**n * Phi_sigma(w * c).
 
@@ -296,22 +337,11 @@ def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:
 
     as c**-q = G(inf, -q ap).  Both exponents are formed as exact integers
     over the denominator of ap, so no terms of size n cancel in floats.
-    Exactness is checked against the explicit recursion in the test suite.
+    The formula lives in ``_component_kernel``; callers that evaluate many
+    components of one exponent pair build that kernel once.  Exactness is
+    checked against the explicit recursion in the test suite.
     """
     if n < 0 or kappa < 1:
         raise DomainError(f"need n >= 0 and kappa >= 1, got n={n}, kappa={kappa}")
-    q = e.q_f
-    v = e.ap.denominator
-    vb = v - e.ap.numerator  # v * b
-    run = vb * (kappa - 1) - e.ap.numerator * n  # v * (b(kappa-1) - ap n)
-    terms = [
-        _times(run, q / v) + _log2_geometric(kappa, -q * (1.0 - e.ap_f)),
-        _times(run + vb, q / v) + _log2_geometric(math.inf, -q * e.ap_f),
-    ]
-    if n:
-        terms.append(_log2_geometric(n, -q * e.ap_f))
-    hi = max(terms)
-    total = hi + math.log2(sum(2.0 ** (t - hi) for t in terms))
-    return CapacityReport(
-        LogValue.from_log2(-e.pm1_f * total), Method.CLOSED_FORM, BoundKind.EXACT
-    )
+    value = LogValue.from_log2(_component_kernel(e)(n, kappa))
+    return CapacityReport(value, Method.CLOSED_FORM, BoundKind.EXACT)

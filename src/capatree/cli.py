@@ -49,8 +49,7 @@ def _family(args) -> dobinski.SequenceSpec:
     if name == "custom":
         if args.table is None or args.tail_rule is None:
             raise DomainError("--family custom requires --table and --tail-rule")
-        table = tuple((int(n), int(k)) for n, k in json.loads(args.table))
-        return dobinski.Custom(table, dobinski.spec_from_json(args.tail_rule))
+        return dobinski.Custom(json.loads(args.table), dobinski.spec_from_json(args.tail_rule))
     raise DomainError(f"unknown family {name!r}")
 
 

@@ -22,10 +22,17 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .capacity import BoundKind, CapacityReport, Method, cap_component, full_tree_capacity
+from .capacity import (
+    BoundKind,
+    CapacityReport,
+    Method,
+    _component_kernel,
+    cap_component,
+    full_tree_capacity,
+)
 from .errors import DomainError
 from .exponents import Exponents, LogValue, RationalLike, as_fraction
 
@@ -98,7 +105,9 @@ class Custom:
     """Finitely many tabulated values with a symbolic tail rule.
 
     Classification is a tail property, so the verdict comes from the tail
-    rule alone; the table only affects pointwise kappa lookups.
+    rule alone; the table only affects pointwise kappa lookups.  Table
+    entries are (n, kappa) pairs of integral numbers, stored as ints; a
+    non-integral value, a bool or a repeated n raises DomainError.
     """
 
     table: tuple[tuple[int, int], ...]
@@ -107,14 +116,30 @@ class Custom:
     def __post_init__(self) -> None:
         if self.tail_rule is None:
             raise DomainError("custom family requires an explicit tail rule")
+        try:
+            pairs = [(n, k) for n, k in self.table]
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"table must be a sequence of (n, kappa) pairs, got {self.table!r}") from exc
+        table = tuple((_integral(n, "table n"), _integral(k, "table kappa")) for n, k in pairs)
         seen = set()
-        for n, k in self.table:
+        for n, k in table:
             if n < 1 or k < 1:
                 raise DomainError(f"table entries need n >= 1 and kappa >= 1, got ({n}, {k})")
             if n in seen:
                 raise DomainError(f"duplicate table entry for n={n}")
             seen.add(n)
-        object.__setattr__(self, "table", tuple((int(n), int(k)) for n, k in self.table))
+        object.__setattr__(self, "table", table)
+
+
+def _integral(value: object, name: str) -> int:
+    """``value`` as an int when it is an integral number; DomainError otherwise (bools too)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 SequenceSpec = Union[Geometric, Power, Linear, Growth, Custom]
@@ -161,7 +186,7 @@ class _Kappa:
     every other n follows the rule ceil(C * n**beta * 2**(gamma*n)).
     """
 
-    __slots__ = ("table", "C", "beta", "gamma", "_num", "_den", "_power", "_gn", "_gd")
+    __slots__ = ("table", "C", "beta", "gamma", "_num", "_den", "_bn", "_bd", "_gn", "_gd")
 
     def __init__(self, spec: SequenceSpec):
         table: dict[int, int] = {}
@@ -172,7 +197,7 @@ class _Kappa:
         self.C, self.beta, self.gamma = _coefficients(spec)
         # plain ints for the integer path: Fraction attribute reads cost more than the arithmetic
         self._num, self._den = self.C.numerator, self.C.denominator
-        self._power = self.beta.numerator if self.beta.denominator == 1 else None
+        self._bn, self._bd = self.beta.numerator, self.beta.denominator
         self._gn, self._gd = self.gamma.numerator, self.gamma.denominator
 
     def __call__(self, n: int) -> int:
@@ -184,9 +209,8 @@ class _Kappa:
     def rule(self, n: int) -> int:
         """ceil(C * n**beta * 2**(gamma*n)), at least 1, as an exact integer."""
         shift, rest = divmod(self._gn * n, self._gd)
-        power = self._power
-        if power is not None and not rest:
-            num, den = self._num, self._den
+        if self._bd == 1 and not rest:
+            power, num, den = self._bn, self._num, self._den
             if power >= 0:
                 num *= n ** power
             else:
@@ -196,14 +220,22 @@ class _Kappa:
             else:
                 den <<= -shift
             return max(1, -(-num // den))
-        # irrational value: ceil via an exact integer root of x**L
-        exp2 = self.gamma * n
-        L = lcm(self.beta.denominator, exp2.denominator)
-        xl = self.C ** L * Fraction(n) ** int(self.beta * L) * Fraction(2) ** int(exp2 * L)
-        a, b = xl.numerator, xl.denominator
+        # irrational value: x**L = a / b in integers, for L the lcm of the
+        # denominators of beta and gamma*n; ceil(x) is the integer L-th root
+        # of a // b, or one more
+        L = lcm(self._bd, self._gd // gcd(rest, self._gd))
+        a, b = self._num ** L, self._den ** L
+        n_exp, two_exp = self._bn * (L // self._bd), self._gn * n * L // self._gd
+        if n_exp >= 0:
+            a *= n ** n_exp
+        else:
+            b *= n ** -n_exp
+        if two_exp >= 0:
+            a <<= two_exp
+        else:
+            b <<= -two_exp
         k = _iroot_floor(a // b, L)
-        m = k if k >= 1 and k ** L * b >= a else k + 1
-        return max(1, m)
+        return max(1, k if k >= 1 and k ** L * b >= a else k + 1)
 
 
 def kappa_value(spec: SequenceSpec, n: int) -> int:
@@ -499,6 +531,10 @@ def comparability_report(
     branch, 2**(ap*n - (1-ap)*kappa) on the subcritical one) is clamped at
     1 before dividing: capacities never exceed 1, and the clamped quantity
     is the two-sided comparable proxy, so the ratio stays in a fixed band.
+    Each row takes cap(D(n, kappa_n)) from one ``cap_component`` kernel built
+    for the query, and the subcritical exponent is the exact integer
+    quotient (v ap n - v (1-ap) kappa) / v, v the denominator of ap, rounded
+    once.
     """
     lo, hi = n_range
     if not (1 <= lo <= hi <= 10_000):
@@ -506,20 +542,24 @@ def comparability_report(
     rows = []
     ratio_min, ratio_max = math.inf, -math.inf
     kappa_of = _Kappa(spec)
+    log2_cap = _component_kernel(e)
+    critical, pm1 = e.is_critical, e.pm1_f
+    v, ap_num = e.ap.denominator, e.ap.numerator
+    vb = v - ap_num  # v * (1-ap)
     for n in range(lo, hi + 1):
         kappa = kappa_of(n)
-        cap = cap_component(n, kappa, e).value
+        cap_log2 = log2_cap(n, kappa)
         log2_kappa = math.log2(kappa)
-        if e.is_critical:
-            proxy_log2 = n - float(e.p - 1) * log2_kappa
+        if critical:
+            proxy_log2 = n - pm1 * log2_kappa
         else:
             try:
-                proxy_log2 = float(e.ap * n - (1 - e.ap) * kappa)
+                proxy_log2 = (ap_num * n - vb * kappa) / v  # int / int rounds once
             except OverflowError as exc:
                 raise DomainError(
                     f"comparison exponent exceeds double range at n={n}"
                 ) from exc
-        ratio_log2 = cap.log2 - min(0.0, proxy_log2)
+        ratio_log2 = cap_log2 - min(0.0, proxy_log2)
         ratio = 2.0 ** ratio_log2
         ratio_min = min(ratio_min, ratio)
         ratio_max = max(ratio_max, ratio)
@@ -528,8 +568,8 @@ def comparability_report(
                 "n": n,
                 "kappa": kappa if kappa < 2 ** 53 else None,
                 "kappa_log2": log2_kappa,
-                "cap_linear": 2.0 ** cap.log2 if abs(cap.log2) < 1020 else None,
-                "cap_log2": cap.log2,
+                "cap_linear": 2.0 ** cap_log2 if abs(cap_log2) < 1020 else None,
+                "cap_log2": cap_log2,
                 "proxy_log2": proxy_log2,
                 "ratio": ratio,
             }
@@ -616,22 +656,38 @@ def spec_to_json(spec: SequenceSpec) -> dict:
 
 
 def spec_from_json(data: Mapping | Sequence | str) -> SequenceSpec:
+    """Parse a sequence spec; a missing or malformed field raises DomainError naming it."""
     import json as _json
 
     if isinstance(data, str):
-        data = _json.loads(data)
+        try:
+            data = _json.loads(data)
+        except ValueError as exc:
+            raise DomainError(f"sequence spec is not valid JSON: {exc}") from exc
     if not isinstance(data, Mapping):
         raise DomainError("sequence spec JSON must be an object")
     family = str(data.get("family", "")).lower()
+
+    def field(name: str):
+        if name not in data:
+            raise DomainError(f"{family} sequence spec needs the field {name!r}")
+        return data[name]
+
+    def rational(name: str) -> Fraction:
+        value = field(name)
+        try:
+            return as_fraction(value)
+        except DomainError as exc:
+            raise DomainError(f"field {name!r} of the {family} sequence spec: {exc}") from exc
+
     if family == "geometric":
-        return Geometric(int(data["m"]))
+        return Geometric(_integral(field("m"), "field 'm' of the geometric sequence spec"))
     if family == "power":
-        return Power(as_fraction(data["C"]), as_fraction(data["beta"]))
+        return Power(rational("C"), rational("beta"))
     if family == "linear":
-        return Linear(as_fraction(data["C"]))
+        return Linear(rational("C"))
     if family == "growth":
-        return Growth(as_fraction(data["C"]), as_fraction(data["beta"]), as_fraction(data["gamma"]))
+        return Growth(rational("C"), rational("beta"), rational("gamma"))
     if family == "custom":
-        table = tuple((int(n), int(k)) for n, k in data["table"])
-        return Custom(table, spec_from_json(data["tail_rule"]))
+        return Custom(field("table"), spec_from_json(field("tail_rule")))
     raise DomainError(f"unknown sequence family: {family!r}")

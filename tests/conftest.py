@@ -1,7 +1,7 @@
 import math
 from fractions import Fraction
 
-from capatree import Custom, DomainError, Exponents, LogValue, kappa_value
+from capatree import Custom, DomainError, Exponents, LogValue, cap_component, kappa_value
 from capatree.dobinski import _iroot_floor, to_growth
 
 # the six (a, p) pairs of acceptance criterion 3
@@ -65,6 +65,48 @@ def kappa_reference(spec, n: int) -> int:
     k = _iroot_floor(a // b, L)
     m = k if k >= 1 and k ** L * b >= a else k + 1
     return max(1, m)
+
+
+def comparability_reference(e: Exponents, n_range: tuple[int, int], spec) -> dict:
+    """``comparability_report`` as the package computed it before the run-set kernel.
+
+    One public ``cap_component`` call and one ``kappa_reference`` lookup per
+    row, and the subcritical exponent from Fraction arithmetic.
+    """
+    lo, hi = n_range
+    if not (1 <= lo <= hi <= 10_000):
+        raise DomainError(f"n range must satisfy 1 <= lo <= hi <= 10000, got {n_range}")
+    rows = []
+    ratio_min, ratio_max = math.inf, -math.inf
+    for n in range(lo, hi + 1):
+        kappa = kappa_reference(spec, n)
+        cap = cap_component(n, kappa, e).value
+        log2_kappa = math.log2(kappa)
+        if e.is_critical:
+            proxy_log2 = n - float(e.p - 1) * log2_kappa
+        else:
+            try:
+                proxy_log2 = float(e.ap * n - (1 - e.ap) * kappa)
+            except OverflowError as exc:
+                raise DomainError(
+                    f"comparison exponent exceeds double range at n={n}"
+                ) from exc
+        ratio_log2 = cap.log2 - min(0.0, proxy_log2)
+        ratio = 2.0 ** ratio_log2
+        ratio_min = min(ratio_min, ratio)
+        ratio_max = max(ratio_max, ratio)
+        rows.append(
+            {
+                "n": n,
+                "kappa": kappa if kappa < 2 ** 53 else None,
+                "kappa_log2": log2_kappa,
+                "cap_linear": 2.0 ** cap.log2 if abs(cap.log2) < 1020 else None,
+                "cap_log2": cap.log2,
+                "proxy_log2": proxy_log2,
+                "ratio": ratio,
+            }
+        )
+    return {"rows": rows, "ratio_min": ratio_min, "ratio_max": ratio_max}
 
 
 def tail_sum_reference(spec, e: Exponents, start: int, count: int = 2001):

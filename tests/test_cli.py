@@ -165,6 +165,24 @@ class TestExitCodes:
     def test_invalid_exponent_pair(self, capsys):
         assert cli.main(["classify", "--a", "3/4", "--p", "2", "--family", "geometric", "--m", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "table, tail_rule, field",
+        [
+            ("[[2, 3]]", '{"family": "geometric"}', "'m'"),
+            ("[[2, 3]]", '{"family": "growth", "C": "1", "beta": "0"}', "'gamma'"),
+            ("[[2, 3]]", '{"family": "power", "C": "1", "beta": [0]}', "'beta'"),
+            ("[[2.5, 3]]", '{"family": "geometric", "m": 1}', "table n"),
+            ("[[2, 3], [2.0, 4]]", '{"family": "geometric", "m": 1}', "duplicate"),
+            ("[[2, true]]", '{"family": "geometric", "m": 1}', "table kappa"),
+            ("[2, 3]", '{"family": "geometric", "m": 1}', "pairs"),
+        ],
+    )
+    def test_bad_custom_family_is_an_error(self, capsys, table, tail_rule, field):
+        argv = ["classify", "--a", "1/2", "--p", "2", "--family", "custom", "--table", table, "--tail-rule", tail_rule]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capatree: error:") and field in err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["classify", "--a", "1/2", "--p", "2", "--family", "geometric", "--m", "1", "--bogus"])

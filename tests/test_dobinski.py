@@ -28,7 +28,7 @@ from capatree import (
     spec_from_json,
     spec_to_json,
 )
-from conftest import kappa_reference, rel_diff, tail_sum_reference
+from conftest import comparability_reference, kappa_reference, rel_diff, tail_sum_reference
 
 E_HALF_2 = Exponents("1/2", 2)
 E_THIRD_3 = Exponents("1/3", 3)
@@ -84,6 +84,13 @@ class TestKappaValue:
                 spec = Custom(table, spec)
             for n in range(1, 62):
                 assert kappa_value(spec, n) == kappa_reference(spec, n), (spec, n)
+        # integer roots of large index at large n: L = lcm(7 or 3, 11 or 7 or 1)
+        for beta in (Fraction(1, 7), Fraction(-5, 3)):
+            for gamma in (Fraction(3, 11), Fraction(-2, 7)):
+                for _ in range(3):
+                    spec = Growth(Fraction(rng.randint(1, 40), rng.randint(1, 12)), beta, gamma)
+                    for n in rng.sample(range(1, 2001), 12) + [1999, 2000]:
+                        assert kappa_value(spec, n) == kappa_reference(spec, n), (spec, n)
 
     def test_nested_custom_tables(self):
         inner = Custom(((2, 7), (3, 8)), Linear(Fraction(1)))
@@ -106,6 +113,31 @@ class TestFamilyValidation:
             Custom(((0, 1),), Geometric(1))
         with pytest.raises(DomainError):
             Custom(((1, 0),), Geometric(1))
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            ((2.5, 3), (2, 4)),  # would truncate onto n = 2
+            ((2, 3.5),),
+            ((True, 3),),
+            ((2, False),),
+            (("2", 3),),
+            ((Fraction(5, 2), 3),),
+            ((2.0, 3), (2, 4)),  # a duplicate once 2.0 is normalised
+            ((2, 3, 4),),
+            (2, 3),
+            5,
+        ],
+    )
+    def test_custom_table_entries_integral_pairs(self, table):
+        with pytest.raises(DomainError):
+            Custom(table, Power(1, 1))
+
+    def test_custom_table_normalises_integral_values(self):
+        spec = Custom([[2.0, Fraction(4)], (3, 5)], Power(1, 1))
+        assert spec.table == ((2, 4), (3, 5))
+        assert all(type(x) is int for entry in spec.table for x in entry)
+        assert [kappa_value(spec, n) for n in (1, 2, 3)] == [1, 4, 5]
 
     def test_positive_coefficients(self):
         with pytest.raises(DomainError):
@@ -382,6 +414,43 @@ class TestComparabilityReport:
         with pytest.raises(DomainError):
             comparability_report(E_HALF_2, (1, 20_000), Geometric(1))
 
+    def test_matches_reference_on_random_cases(self):
+        """Every row equals the per-row reference exactly, and failures agree in type."""
+        rng = random.Random(20261018)
+        fractional = (Fraction(1, 2), Fraction(1, 7), Fraction(3, 2), Fraction(-1, 2), Fraction(-5, 3))
+        rates = (Fraction(1, 2), Fraction(3, 11), Fraction(-2, 7), Fraction(1), Fraction(1, 3))
+        equal = raised = critical = 0
+        for _ in range(240):
+            p = rng.choice((Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(5)))
+            ap = rng.choice((Fraction(1), Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)))
+            e = Exponents(ap / p, p)
+            C = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            kind = rng.randrange(5)
+            if kind == 0:
+                spec = Geometric(rng.randint(1, 7))
+            elif kind == 1:
+                spec = Power(C, rng.choice((Fraction(0), Fraction(1), Fraction(2)) + fractional))
+            elif kind == 2:
+                spec = Linear(C)
+            elif kind == 3:
+                spec = Growth(C, rng.choice((Fraction(0), Fraction(1)) + fractional), rng.choice((Fraction(0),) + rates))
+            else:
+                table = tuple((n, rng.randint(1, 60)) for n in rng.sample(range(1, 40), 4))
+                spec = Custom(table, Power(C, rng.choice((Fraction(0), Fraction(1)) + fractional)))
+            lo = rng.choice((1, rng.randint(1, 60), rng.randint(60, 1500), rng.randint(1000, 3000)))
+            n_range = (lo, lo + rng.randint(0, 40))
+            try:
+                expected = comparability_reference(e, n_range, spec)
+            except (DomainError, ArithmeticError) as exc:
+                with pytest.raises(type(exc)):
+                    comparability_report(e, n_range, spec)
+                raised += 1
+                continue
+            assert comparability_report(e, n_range, spec) == expected, (e, n_range, spec)
+            equal += 1
+            critical += e.is_critical
+        assert raised >= 10 and equal - critical >= 60 and critical >= 60
+
 
 class TestDimensionProfile:
     def test_geometric_brackets_to_zero(self):
@@ -435,3 +504,30 @@ class TestSpecJson:
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             spec_from_json({"family": "fibonacci"})
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"family": "geometric"}, "m"),
+            ({"family": "geometric", "m": "three"}, "m"),
+            ({"family": "geometric", "m": 2.5}, "m"),
+            ({"family": "geometric", "m": None}, "m"),
+            ({"family": "power", "C": "1"}, "beta"),
+            ({"family": "power", "C": [1], "beta": "1"}, "C"),
+            ({"family": "linear"}, "C"),
+            ({"family": "growth", "C": "1", "beta": "0"}, "gamma"),
+            ({"family": "growth", "C": "1", "beta": 0.5, "gamma": "1"}, "beta"),
+            ({"family": "custom", "tail_rule": {"family": "geometric", "m": 1}}, "table"),
+            ({"family": "custom", "table": [[2, 3]]}, "tail_rule"),
+            ({"family": "custom", "table": [[2, 3]], "tail_rule": {"family": "geometric"}}, "m"),
+            ({"family": "custom", "table": [[2.5, 3]], "tail_rule": {"family": "geometric", "m": 1}}, "n"),
+            ({"family": "custom", "table": 7, "tail_rule": {"family": "geometric", "m": 1}}, "table"),
+        ],
+    )
+    def test_bad_fields_raise_domain_error_naming_them(self, data, field):
+        with pytest.raises(DomainError, match=f"\\b{field}\\b"):
+            spec_from_json(data)
+
+    def test_malformed_json_text(self):
+        with pytest.raises(DomainError):
+            spec_from_json('{"family": "geometric", "m": ')
