@@ -15,10 +15,11 @@ composes to
     lambda**k * Phi_{S_k}(y),   S_k = sum_{j=1..k} lambda**(j q),
 
 where S_k = k on the critical branch a*p = 1 and a geometric sum below it.
-So the capacity of a finite union of cylinders costs one Phi evaluation
-per edge of the compressed trie of its generators (branch nodes and
-generators only), walked bottom-up in one pass over the sorted generators;
-and the capacity of a run set D(n, kappa) collapses further, to a single
+So the capacity of a finite union of cylinders costs at most one Phi
+evaluation per edge of the compressed trie of its generators (branch nodes
+and generators only), walked bottom-up in one pass over the sorted
+generators, and a branch that repeats an earlier one reuses its value;
+the capacity of a run set D(n, kappa) collapses further, to a single
 Phi at a geometric-sum index sigma.
 
 Every closed form here is one geometric sum
@@ -39,6 +40,8 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import rshift, sub, xor
 from typing import Mapping, Sequence
 
 from .errors import ConvergenceError, DomainError
@@ -196,6 +199,14 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
     depth ``join``.  A branch closes once the next LCP is shallower than
     it; its two subtrees are lifted to depth join+1, added, and lifted one
     more level.  Every value is positive, so the loop runs on log2 floats.
+
+    Neighbours first differ at the highest set bit of the XOR of their
+    first m = min(len) digits read as binary integers, so the LCPs come from
+    C-level maps in time and memory linear in the digits (no word is padded
+    to the deepest one).  Since every generator takes the same value, a
+    branch's value depends only on its two (value, chain length) pairs; a
+    dict local to the call computes each distinct branch once, by the same
+    float operations, so the result is bit-identical.
     """
     generators = cyl.generators
     if not generators:
@@ -204,10 +215,11 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
     q = e.q_f
     pm1 = e.pm1_f
     qs = q * s  # log2 lambda**q
+    depths = list(map(len, generators))
     # log2 S_k = qs + log2 G(k, qs) for every chain length k a lift can need;
     # k = 0 never looks it up
     log2_sum = _geometric(qs)
-    log2_index = [math.nan] + [qs + log2_sum(k) for k in range(1, max(map(len, generators)) + 1)]
+    log2_index = [math.nan] + [qs + log2_sum(k) for k in range(1, max(depths) + 1)]
 
     def lift(v: float, k: int) -> float:
         """log2 of the value k one-child levels above a node of log2 value v."""
@@ -215,15 +227,15 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
             return v
         return k * s + v - pm1 * _log2_1p_exp2(log2_index[k] + q * v)
 
-    # Two neighbouring generators first differ at the highest set bit of the
-    # XOR of their first m = min(len) digits, read as binary integers.
-    depths = [len(g) for g in generators]
-    keys = [int(g or "0", 2) for g in generators]
-    lcps = []
-    for a, la, b, lb in zip(keys, depths, keys[1:], depths[1:]):
-        m = min(la, lb)
-        lcps.append(m - ((a >> (la - m)) ^ (b >> (lb - m))).bit_length())
     leaf = generator_value.log2
+    if len(generators) == 1:  # int("", 2) would reject the root generator
+        return LogValue.from_log2(lift(leaf, depths[0]))
+    keys = list(map(int, generators, repeat(2)))
+    mins = list(map(min, depths, islice(depths, 1, None)))
+    heads = map(rshift, keys, map(sub, depths, mins))
+    tails = map(rshift, islice(keys, 1, None), map(sub, islice(depths, 1, None), mins))
+    lcps = list(map(sub, mins, map(int.bit_length, map(xor, heads, tails))))
+    branches = {}  # (left, kl, right, kr) -> log2 value of the branch
     stack = []
     for depth, join, next_join in zip(depths, [-1] + lcps, lcps + [-1]):
         stack.append((join, depth, leaf))
@@ -231,10 +243,15 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
             # close the branch at depth b where the top subtree meets the one below it
             b, right_depth, right = stack.pop()
             left_join, left_depth, left = stack[-1]
-            u = lift(left, left_depth - b - 1)
-            v = lift(right, right_depth - b - 1)
-            hi, lo = (u, v) if u >= v else (v, u)
-            stack[-1] = (left_join, b, lift(hi + math.log1p(2.0 ** (lo - hi)) / _LN2, 1))
+            kl, kr = left_depth - b - 1, right_depth - b - 1
+            key = (left, kl, right, kr)
+            w = branches.get(key)
+            if w is None:
+                u = lift(left, kl)
+                v = lift(right, kr)
+                hi, lo = (u, v) if u >= v else (v, u)
+                w = branches[key] = lift(hi + math.log1p(2.0 ** (lo - hi)) / _LN2, 1)
+            stack[-1] = (left_join, b, w)
     ((_, depth, v),) = stack
     return LogValue.from_log2(lift(v, depth))
 

@@ -50,7 +50,7 @@ class Geometric:
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise DomainError(f"geometric family needs a positive integer m, got {self.m}")
 
 
@@ -550,17 +550,17 @@ def comparability_report(
         kappa = kappa_of(n)
         cap_log2 = log2_cap(n, kappa)
         log2_kappa = math.log2(kappa)
-        if critical:
-            proxy_log2 = n - pm1 * log2_kappa
-        else:
-            try:
+        try:
+            if critical:
+                proxy_log2 = n - pm1 * log2_kappa
+            else:
                 proxy_log2 = (ap_num * n - vb * kappa) / v  # int / int rounds once
-            except OverflowError as exc:
-                raise DomainError(
-                    f"comparison exponent exceeds double range at n={n}"
-                ) from exc
-        ratio_log2 = cap_log2 - min(0.0, proxy_log2)
-        ratio = 2.0 ** ratio_log2
+            ratio_log2 = cap_log2 - min(0.0, proxy_log2)
+            ratio = 2.0 ** ratio_log2
+        except OverflowError as exc:
+            raise DomainError(
+                f"comparison exponent or ratio exceeds double range at n={n}"
+            ) from exc
         ratio_min = min(ratio_min, ratio)
         ratio_max = max(ratio_max, ratio)
         rows.append(

@@ -24,10 +24,10 @@ RationalLike = Union[Fraction, int, str]
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Parse a rational given as Fraction, int, or a "num/den" string."""
+    """Parse a rational given as Fraction, int (not bool), or a "num/den" string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

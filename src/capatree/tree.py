@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -25,8 +26,13 @@ def validate_word(word: str) -> str:
 
 
 def _validate_words(words: Sequence[str]) -> None:
-    """validate_word on each word, with one scan of their concatenation."""
-    if "".join(words).strip("01"):
+    """validate_word on each word, with one byte-level scan of their concatenation.
+
+    ASCII encoding maps every other character (lone surrogates too) to b"?",
+    so bytes other than 0 and 1 remain exactly when some word is bad; only
+    then is each word checked, so that the error names it.
+    """
+    if "".join(words).encode("ascii", "replace").translate(None, b"01"):
         for w in words:
             validate_word(w)
 
@@ -76,17 +82,20 @@ class CylinderSet:
         """Drop any word that has a (weak) prefix in the set; sort the rest.
 
         Lexicographic order lists a word right after all of its kept
-        prefixes, so comparing against the last kept word suffices.  Every
-        word is validated once, dropped ones included, and the result is
-        built without re-running the checks of direct construction.
+        prefixes, so comparing against the last kept word suffices; when no
+        word starts with its predecessor that loop is skipped (if w_j is a
+        prefix of w_i, j < i, then w_{j+1} sorts between them and starts
+        with w_j).  Every word is validated once, dropped ones included, and
+        the result is built without re-running the checks of direct construction.
         """
-        unique = sorted(set(words))
+        unique = kept = sorted(set(words))
         _validate_words(unique)
-        kept: list[str] = []
-        for w in unique:
-            if kept and w.startswith(kept[-1]):
-                continue
-            kept.append(w)
+        if any(map(str.startswith, islice(unique, 1, None), unique)):
+            kept = []
+            for w in unique:
+                if kept and w.startswith(kept[-1]):
+                    continue
+                kept.append(w)
         out = object.__new__(cls)
         object.__setattr__(out, "generators", tuple(kept))
         return out

@@ -1,7 +1,8 @@
 import math
 from fractions import Fraction
 
-from capatree import Custom, DomainError, Exponents, LogValue, cap_component, kappa_value
+from capatree import Custom, CylinderSet, DomainError, Exponents, LogValue, cap_component, kappa_value
+from capatree.capacity import _LN2, _geometric, _log2_1p_exp2
 from capatree.dobinski import _iroot_floor, to_growth
 
 # the six (a, p) pairs of acceptance criterion 3
@@ -10,6 +11,10 @@ PAIRS = [
     for p in (Fraction(3, 2), Fraction(2), Fraction(3))
     for ap in (Fraction(1), Fraction(1, 2))
 ]
+
+
+# words that int(w, 2) or str.isdigit accept but that are not over {0,1}
+NON_BINARY_WORDS = ["0_1", " 01", "01\n", "+1", "-1", "\uff10\uff11", "0\u0661", "0\u00e9", "\ud800"]
 
 
 def rel_diff(u, v) -> float:
@@ -147,3 +152,52 @@ def tail_sum_reference(spec, e: Exponents, start: int, count: int = 2001):
             if term < tiny:
                 break
         return +total
+
+
+def sweep_reference(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValue:
+    """``capacity._sweep`` as the package computed it before branch reuse.
+
+    One Python loop for the neighbour LCPs and one Phi evaluation per edge
+    of the compressed trie, every branch computed afresh.  The body is kept
+    verbatim, so the current sweep must match it bit for bit.
+    """
+    generators = cyl.generators
+    if not generators:
+        return LogValue.zero()
+    s = e.ap_f - 1.0  # log2 lambda
+    q = e.q_f
+    pm1 = e.pm1_f
+    qs = q * s  # log2 lambda**q
+    # log2 S_k = qs + log2 G(k, qs) for every chain length k a lift can need;
+    # k = 0 never looks it up
+    log2_sum = _geometric(qs)
+    log2_index = [math.nan] + [qs + log2_sum(k) for k in range(1, max(map(len, generators)) + 1)]
+
+    def lift(v: float, k: int) -> float:
+        """log2 of the value k one-child levels above a node of log2 value v."""
+        if k == 0:
+            return v
+        return k * s + v - pm1 * _log2_1p_exp2(log2_index[k] + q * v)
+
+    # Two neighbouring generators first differ at the highest set bit of the
+    # XOR of their first m = min(len) digits, read as binary integers.
+    depths = [len(g) for g in generators]
+    keys = [int(g or "0", 2) for g in generators]
+    lcps = []
+    for a, la, b, lb in zip(keys, depths, keys[1:], depths[1:]):
+        m = min(la, lb)
+        lcps.append(m - ((a >> (la - m)) ^ (b >> (lb - m))).bit_length())
+    leaf = generator_value.log2
+    stack = []
+    for depth, join, next_join in zip(depths, [-1] + lcps, lcps + [-1]):
+        stack.append((join, depth, leaf))
+        while stack[-1][0] > next_join:
+            # close the branch at depth b where the top subtree meets the one below it
+            b, right_depth, right = stack.pop()
+            left_join, left_depth, left = stack[-1]
+            u = lift(left, left_depth - b - 1)
+            v = lift(right, right_depth - b - 1)
+            hi, lo = (u, v) if u >= v else (v, u)
+            stack[-1] = (left_join, b, lift(hi + math.log1p(2.0 ** (lo - hi)) / _LN2, 1))
+    ((_, depth, v),) = stack
+    return LogValue.from_log2(lift(v, depth))

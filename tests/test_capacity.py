@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +23,8 @@ from capatree import (
     sigma_closed_form,
     truncated_tree_capacity,
 )
-from capatree.capacity import BoundKind, CapacityReport, Method, _log2_geometric
-from conftest import PAIRS, phi_composition_exponents, rel_diff, sigma_direct
+from capatree.capacity import BoundKind, CapacityReport, Method, _log2_geometric, _sweep
+from conftest import PAIRS, phi_composition_exponents, rel_diff, sigma_direct, sweep_reference
 
 E_HALF_2 = Exponents("1/2", 2)
 E_THIRD_3 = Exponents("1/3", 3)
@@ -315,6 +316,53 @@ class TestSweepEngine:
     def test_bit_flip_is_exact(self, words, e):
         cyl = CylinderSet.from_words(words)
         assert capacity_recursive(cyl.bit_flip(), e) == capacity_recursive(cyl, e)
+
+    def test_bit_identical_to_the_reference_sweep(self):
+        """Neighbour LCPs from maps and reuse of repeated branches change no bit."""
+        rng = random.Random(20261018)
+        exps = PAIRS + [Exponents("1/8", 2), Exponents("3/10", "5/2"), Exponents("1/5", 5)]
+        one = LogValue.one()
+        singles = roots = deepest = 0
+        for i in range(1000):
+            e = rng.choice(exps)
+            kind = ("mixed", "dense", "run", "single")[i % 4]
+            if kind == "mixed":
+                words = ["".join(rng.choices("01", k=rng.randint(0, 40))) for _ in range(rng.randint(1, 80))]
+            elif kind == "dense":
+                d = min(rng.randint(0, 12), rng.randint(0, 12))  # fewer of the slow deep sets
+                count = rng.randint(1, 2 ** d)
+                deepest = max(deepest, d)
+                words = [format(j, f"0{d}b") if d else "" for j in rng.sample(range(2 ** d), count)]
+            elif kind == "run":
+                n = rng.randint(0, 7)
+                words = list(d_cylinder_set(n, rng.randint(1, 3 * n + 3)).generators)
+            else:
+                words = ["".join(rng.choices("01", k=rng.choice((0, 0, 1, 5, 40))))]
+            cyl = CylinderSet.from_words(words)
+            singles += len(cyl) == 1
+            roots += cyl.generators == ("",)
+            c = full_tree_capacity(e).value
+            assert capacity_recursive(cyl, e).value.log2 == sweep_reference(cyl, c, e).log2, (words, e)
+            depths = set(map(len, cyl.generators))
+            if len(depths) == 1:
+                got = finite_tree_capacity(depths.pop(), cyl.generators, e)
+            else:
+                got = _sweep(cyl, one, e)
+            assert got.log2 == sweep_reference(cyl, one, e).log2, (words, e)
+        assert singles >= 250 and roots >= 40 and deepest == 12
+
+    def test_memory_is_linear_in_the_digits(self):
+        # padding every word to the deepest one would hold 8192 100000-digit keys
+        words = ["1" * 100_000] + [format(i, "014b") for i in range(2 ** 13)]
+        cyl = CylinderSet.from_words(words)
+        tracemalloc.start()
+        try:
+            value = capacity_recursive(cyl, E_THIRD_3).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert value.log2 == sweep_reference(cyl, full_tree_capacity(E_THIRD_3).value, E_THIRD_3).log2
 
     def test_deep_comb(self):
         # "1", "01", "001", ...: a chain of 3000 branch nodes, each with one

@@ -183,6 +183,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("capatree: error:") and field in err
 
+    def test_ratio_beyond_the_double_range_is_a_domain_error(self, capsys):
+        argv = ["ratios", "--a", "3/25", "--p", "5/2", "--family", "growth", "--C", "1",
+                "--beta", "1", "--gamma", "1", "--n-from", "789", "--n-to", "856"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capatree: error:") and "n=796" in err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["classify", "--a", "1/2", "--p", "2", "--family", "geometric", "--m", "1", "--bogus"])

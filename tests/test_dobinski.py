@@ -528,6 +528,24 @@ class TestSpecJson:
         with pytest.raises(DomainError, match=f"\\b{field}\\b"):
             spec_from_json(data)
 
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"family": "geometric", "m": True}, "m"),
+            ({"family": "linear", "C": True}, "C"),
+            ({"family": "power", "C": "1", "beta": False}, "beta"),
+            ({"family": "growth", "C": "1", "beta": "0", "gamma": True}, "gamma"),
+        ],
+    )
+    def test_bool_fields_raise_domain_error(self, data, field):
+        with pytest.raises(DomainError, match=f"\\b{field}\\b"):
+            spec_from_json(data)
+
+    @pytest.mark.parametrize("build", [lambda: Geometric(True), lambda: Linear(True), lambda: Power(1, False)])
+    def test_bool_constructor_arguments_raise_domain_error(self, build):
+        with pytest.raises(DomainError):
+            build()
+
     def test_malformed_json_text(self):
         with pytest.raises(DomainError):
             spec_from_json('{"family": "geometric", "m": ')

@@ -74,6 +74,13 @@ class TestExponents:
         with pytest.raises(DomainError):
             as_fraction("1/0")
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_are_not_rationals(self, value):
+        with pytest.raises(DomainError):
+            as_fraction(value)
+        with pytest.raises(DomainError):
+            Exponents(value, 2)
+
 
 class TestLogValue:
     def test_doubling(self):

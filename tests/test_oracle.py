@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from capatree import (
     solve_from_json,
 )
 from capatree.oracle import _node_index, _TreeArrays
-from conftest import PAIRS
+from conftest import NON_BINARY_WORDS, PAIRS
 
 E = Exponents("1/2", 2)  # weights identically 1
 
@@ -85,6 +86,12 @@ class TestProblemValidation:
         leaves[3001] = bad
         with pytest.raises(DomainError, match=repr(bad)):
             FiniteProblem(12, tuple(leaves), E)
+
+    @pytest.mark.parametrize("bad", NON_BINARY_WORDS)
+    def test_non_binary_target_is_named(self, bad):
+        leaves = tuple(format(i, f"0{len(bad)}b") for i in range(2 ** len(bad) - 1)) + (bad,)
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            FiniteProblem(len(bad), leaves, E)
 
     def test_bad_weight_key_is_named(self):
         weights = dict.fromkeys((format(i, "012b") for i in range(4096)), 1.0)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from capatree import CylinderSet, DomainError, Exponents, LogValue, d_cylinder_set
 from capatree.tree import lambda_interval, meet, metric, weight
+from conftest import NON_BINARY_WORDS
 
 words_st = st.text(alphabet="01", max_size=10)
 
@@ -97,6 +99,14 @@ class TestCylinderSet:
     def test_rejects_bad_alphabet(self):
         with pytest.raises(DomainError):
             CylinderSet.from_words({"0a1"})
+
+    @pytest.mark.parametrize("bad", NON_BINARY_WORDS)
+    def test_rejects_any_character_outside_the_alphabet_naming_the_word(self, bad):
+        good = [format(i, "012b") for i in range(64)]
+        for build in (CylinderSet.from_words, CylinderSet):
+            for words in ([bad], good + [bad], [bad] + good):
+                with pytest.raises(DomainError, match=re.escape(repr(bad))):
+                    build(tuple(words))
 
     @given(st.sets(words_st, max_size=12))
     def test_canonical_form_is_antichain_with_same_cover(self, words):
