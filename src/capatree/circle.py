@@ -119,7 +119,7 @@ class RunLength:
 
 
 def run_lengths(stream: DigitStream, count: int) -> list[RunLength]:
-    """s_n for n = 1..count.
+    """s_n for n = 1..count, with count at most 10 000.
 
     Exact streams are scanned until the run breaks or provably never does
     (one full cycle beyond the preamble with no change of digit).  Finite
@@ -127,6 +127,8 @@ def run_lengths(stream: DigitStream, count: int) -> list[RunLength]:
     """
     if count < 1:
         raise DomainError(f"need count >= 1, got {count}")
+    if count > 10_000:
+        raise DomainError(f"need count <= 10000, got {count}")
     out: list[RunLength] = []
     if stream.finite:
         horizon = len(stream.preamble)
@@ -172,7 +174,7 @@ def membership_score(stream: DigitStream, count: int) -> float:
             return math.inf
         if rl.censored:
             continue
-        best = max(best, rl.value / 2.0 ** rl.n)
+        best = max(best, math.ldexp(rl.value, -rl.n))  # 0.0 once 2**-n underflows
     return best
 
 

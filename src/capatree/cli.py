@@ -2,24 +2,20 @@
 
 Every run echoes its fully resolved configuration so reports are
 reproducible from the output alone.  Exit status: 0 on success, 2 on
-domain/usage errors, 3 when the oracle battery finds a mismatch.
+domain/usage errors, 3 when the oracle battery finds a mismatch.  Each
+command imports the engine module it runs, so a process loads no other.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from typing import Sequence
 
-from . import circle, dobinski
-from .capacity import cap_component, capacity_recursive
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, as_fraction
-from .tree import CylinderSet
 
 SCHEMA = "capatree/1"
 
@@ -28,7 +24,9 @@ def _exponents(args) -> Exponents:
     return Exponents(as_fraction(args.a), as_fraction(args.p))
 
 
-def _family(args) -> dobinski.SequenceSpec:
+def _family(args):
+    from . import dobinski
+
     name = args.family
     if name == "geometric":
         if args.m is None:
@@ -70,6 +68,9 @@ def _report_json(report) -> dict:
 # ----------------------------------------------------------------------
 
 def _cmd_cap_cylinder(args):
+    from .capacity import capacity_recursive
+    from .tree import CylinderSet
+
     e = _exponents(args)
     cyl = CylinderSet.from_json(args.set)
     report = _report_json(capacity_recursive(cyl, e))
@@ -78,6 +79,8 @@ def _cmd_cap_cylinder(args):
 
 
 def _cmd_cap_component(args):
+    from .capacity import cap_component
+
     e = _exponents(args)
     if args.kappa < 1:
         raise DomainError(f"kappa must be >= 1, got {args.kappa}")
@@ -87,6 +90,8 @@ def _cmd_cap_component(args):
 
 
 def _cmd_classify(args):
+    from . import dobinski
+
     e = _exponents(args)
     if args.family == "dobinski":
         verdict = dobinski.dobinski_full(e)
@@ -98,6 +103,8 @@ def _cmd_classify(args):
 
 
 def _cmd_bounds(args):
+    from . import dobinski
+
     e = _exponents(args)
     lower, upper = dobinski.capacity_bounds(_family(args), e, args.n_max)
     result = {
@@ -113,6 +120,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_ratios(args):
+    from . import dobinski
+
     e = _exponents(args)
     report = dobinski.comparability_report(e, (args.n_from, args.n_to), _family(args))
     result = {
@@ -124,6 +133,8 @@ def _cmd_ratios(args):
 
 
 def _cmd_dimension(args):
+    from . import dobinski
+
     spec = _family(args)
     ap_values = [as_fraction(tok) for tok in args.ap_grid.split(",") if tok.strip()]
     p_values = [as_fraction(tok) for tok in args.p_grid.split(",") if tok.strip()]
@@ -153,6 +164,8 @@ def _cmd_oracle_check(args):
 
 
 def _cmd_circle_capacity(args):
+    from . import circle
+
     e = _exponents(args)
     integral, err = circle.kernel_integral(e.a, args.tol)
     value = integral ** (-e.p_f)
@@ -165,12 +178,16 @@ def _cmd_circle_capacity(args):
 
 
 def _cmd_product_identity(args):
+    from . import circle
+
     lhs, rhs = circle.product_identity(as_fraction(args.x), args.N)
     result = {"lhs_partial": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs)}
     return result, [result], 0
 
 
 def _cmd_run_lengths(args):
+    from . import circle
+
     stream = circle.DigitStream.from_rational(as_fraction(args.x))
     entries = [rl.to_json() for rl in circle.run_lengths(stream, args.N)]
     score = circle.membership_score(stream, args.N)
@@ -285,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("run-lengths", help="binary run lengths of a rational point")
     s.add_argument("--x", required=True, help="rational point of [0,1]")
-    s.add_argument("--N", type=int, required=True)
+    s.add_argument("--N", type=int, required=True, help="number of positions (1..10000)")
     _add_output_args(s)
     s.set_defaults(fn=_cmd_run_lengths)
 
@@ -311,6 +328,9 @@ def _emit_json(config: dict, result: dict) -> str:
 
 
 def _emit_csv(config: dict, rows: list[dict]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     buf.write(f"# schema={SCHEMA}\n")
     for key, value in sorted(config.items()):
@@ -352,8 +372,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     config = _resolved_config(args)
     text = _emit_json(config, result) if args.format == "json" else _emit_csv(config, rows)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + ("\n" if not text.endswith("\n") else ""))
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + ("\n" if not text.endswith("\n") else ""))
+        except OSError as exc:
+            print(f"capatree: error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return status

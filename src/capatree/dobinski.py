@@ -603,7 +603,8 @@ def dimension_profile(
     Lower endpoint: the largest 1 - a*p whose point classifies Positive.
     Upper endpoint: the largest 1 - a*p whose point does not classify Zero.
     The endpoints agree whenever no grid point is Indeterminate.  Both
-    default to 0 for an all-Zero grid (dimension is nonnegative).
+    default to 0 for an all-Zero grid (dimension is nonnegative); an empty
+    grid is rejected, since it gives no evidence for any bracket.
     """
     lower = Fraction(0)
     upper = Fraction(0)
@@ -625,6 +626,8 @@ def dimension_profile(
                 "condition": verdict.condition,
             }
         )
+    if not points:
+        raise DomainError("empty exponent grid: no point to bracket the dimension from")
     return DimensionBracket(lower, upper, tuple(points))
 
 

@@ -153,7 +153,10 @@ class CylinderSet:
             data = json.loads(data)
         if not isinstance(data, (list, tuple)):
             raise DomainError("cylinder set JSON must be an array of bit strings")
-        return cls.from_words(str(w) for w in data)
+        for w in data:
+            if not isinstance(w, str):
+                raise DomainError(f"cylinder set words must be bit strings, got {w!r}")
+        return cls.from_words(data)
 
 
 def d_cylinder_set(n: int, kappa: int) -> CylinderSet:

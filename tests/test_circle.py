@@ -92,6 +92,12 @@ class TestRunLengths:
         with pytest.raises(DomainError):
             run_lengths(s, 5)
 
+    def test_count_is_capped_at_ten_thousand(self):
+        s = DigitStream.from_rational("1/5")
+        assert len(run_lengths(s, 10_000)) == 10_000
+        with pytest.raises(DomainError, match="10000"):
+            run_lengths(s, 10_001)
+
 
 class TestMembershipScore:
     def test_alternating_scores_zero(self):
@@ -102,6 +108,11 @@ class TestMembershipScore:
 
     def test_fifth_scores_half(self):
         assert membership_score(DigitStream.from_rational("1/5"), 32) == 0.5
+
+    def test_horizon_past_the_double_exponent_range(self):
+        # s_n / 2**n for n >= 1024 underflows to 0 instead of overflowing 2**n
+        assert membership_score(DigitStream.from_rational("1/5"), 1030) == 0.5
+        assert membership_score(DigitStream.from_rational("1/3"), 1030) == 0.0
 
     def test_censored_entries_do_not_count(self):
         s = DigitStream.from_digits([0, 0, 0, 0])

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -190,6 +191,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("capatree: error:") and "n=796" in err
 
+    def test_run_lengths_past_the_double_exponent_range(self, capsys):
+        status, doc = run_json(capsys, ["run-lengths", "--x", "1/5", "--N", "1030"])
+        assert status == 0
+        assert doc["result"]["score"] == 0.5
+
+    def test_run_lengths_count_is_capped(self, capsys):
+        assert cli.main(["run-lengths", "--x", "1/3", "--N", "10001"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capatree: error:") and "10000" in err
+
+    @pytest.mark.parametrize("word, shown", [("10", "10"), ("1.5", "1.5"), ("true", "True"), ("null", "None")])
+    def test_non_string_cylinder_word_is_an_error(self, capsys, word, shown):
+        argv = ["cap-cylinder", "--a", "1/2", "--p", "2", "--set", f'["0", {word}]']
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capatree: error:") and err.rstrip().endswith(f"got {shown}")
+
+    def test_empty_dimension_grid_is_an_error(self, capsys):
+        argv = ["dimension", "--family", "geometric", "--m", "1", "--ap-grid", ",", "--p-grid", "2"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("capatree: error: empty exponent grid")
+
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        argv = ["cap-component", "--a", "1/2", "--p", "2", "--n", "1", "--kappa", "1", "--output", str(target)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("capatree: error:") and str(target) in err
+        assert not target.exists()
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["classify", "--a", "1/2", "--p", "2", "--family", "geometric", "--m", "1", "--bogus"])
@@ -235,13 +267,72 @@ NUMPY_FREE_COMMANDS = [
 ]
 
 
+# the engine modules each subcommand runs, beyond the CLI's own
+CLI_MODULES = {"capatree", "capatree.cli", "capatree.errors", "capatree.exponents"}
+COMMAND_ENGINES = {
+    "cap-cylinder": {"capatree.capacity", "capatree.tree"},
+    "cap-component": {"capatree.capacity", "capatree.tree"},
+    **dict.fromkeys(
+        ("classify", "bounds", "ratios", "dimension"),
+        {"capatree.capacity", "capatree.dobinski", "capatree.tree"},
+    ),
+    **dict.fromkeys(("circle-capacity", "product-identity", "run-lengths"), {"capatree.circle"}),
+}
+
+# every name the package root exports, by defining module
+ROOT_EXPORTS = {
+    "capacity": "BoundKind CapacityReport Method cap_component capacity_recursive finite_tree_capacity "
+                "full_tree_capacity phi_apply sigma_closed_form truncated_tree_capacity",
+    "circle": "DigitStream DyadicDensity RunLength circle_full_capacity kernel_integral membership_score "
+              "product_identity riesz_potential run_lengths",
+    "dobinski": "Custom DimensionBracket Geometric Growth Linear Outcome Power Verdict capacity_bounds classify "
+                "comparability_report dimension_profile dobinski_full kappa_value spec_from_json spec_to_json",
+    "errors": "ConvergenceError DomainError DyadicTangentPole",
+    "exponents": "ApBranch Exponents LogValue as_fraction conjugate rel_error",
+    "tree": "CylinderSet d_cylinder_set lambda_interval meet metric weight",
+    "oracle": "FiniteProblem OracleResult agreement_battery emulated_infinite_problem energy_eval "
+              "potential_eval solve_capacity solve_from_json",
+}
+
+
 class TestStartup:
     def test_import_loads_no_numpy_or_scipy(self):
         assert modules_after("import capatree\nimport capatree.cli") == []
 
+    def test_import_loads_no_engine_module(self):
+        assert modules_after("import capatree", ("capatree",)) == ["capatree"]
+
     @pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: argv[0])
     def test_command_loads_no_numpy_or_scipy(self, argv):
         code = f"import capatree.cli\nassert capatree.cli.main({argv!r}) == 0"
+        assert modules_after(code) == []
+
+    @pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: argv[0])
+    def test_command_loads_only_the_modules_it_runs(self, argv):
+        code = f"import capatree.cli\nassert capatree.cli.main({argv!r}) == 0"
+        assert modules_after(code, ("capatree",)) == sorted(CLI_MODULES | COMMAND_ENGINES[argv[0]])
+
+    @pytest.mark.parametrize("module", sorted(ROOT_EXPORTS))
+    def test_root_names_follow_their_modules(self, module, monkeypatch):
+        import capatree
+
+        owner = importlib.import_module(f"capatree.{module}")
+        for name in ROOT_EXPORTS[module].split():
+            assert getattr(capatree, name) is getattr(owner, name)
+            assert name in dir(capatree)
+            patched = object()
+            monkeypatch.setattr(owner, name, patched)
+            assert getattr(capatree, name) is patched
+
+    def test_star_import_binds_the_root_names_without_numpy(self):
+        expected = sorted(
+            {name for module, names in ROOT_EXPORTS.items() if module != "oracle" for name in names.split()}
+            | set(ROOT_EXPORTS) - {"oracle"}
+        )
+        code = (
+            "ns = {}\nexec('from capatree import *', ns)"
+            f"\nassert sorted(set(ns) - {{'__builtins__'}}) == {expected!r}"
+        )
         assert modules_after(code) == []
 
     def test_oracle_names_resolve_and_load_numpy(self):

@@ -491,6 +491,10 @@ class TestDimensionProfile:
         assert all(pt["outcome"] != "Indeterminate" for pt in bracket.points)
         assert bracket.lower == bracket.upper
 
+    def test_empty_grid_is_rejected(self):
+        with pytest.raises(DomainError, match="empty exponent grid"):
+            dimension_profile(Geometric(1), [])
+
 
 class TestSpecJson:
     @pytest.mark.parametrize(

@@ -130,6 +130,11 @@ class TestCylinderSet:
         text = json.dumps(cyl.to_json())
         assert CylinderSet.from_json(text) == cyl
 
+    @pytest.mark.parametrize("word", [10, 1, 1.5, True, None])
+    def test_from_json_rejects_non_string_words_naming_them(self, word):
+        with pytest.raises(DomainError, match=re.escape(repr(word))):
+            CylinderSet.from_json(json.dumps(["0", word]))
+
     def test_dropped_words_are_still_validated(self):
         with pytest.raises(DomainError):
             CylinderSet.from_words(["0", "0x"])
