@@ -39,13 +39,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import rshift, sub, xor
 from typing import Mapping, Sequence
 
 from .errors import ConvergenceError, DomainError
-from .exponents import Exponents, LogValue, rel_error
+from .exponents import Exponents, LogValue, Record, _set, rel_error
 from .tree import CylinderSet
 
 _LN2 = math.log(2.0)
@@ -63,11 +62,13 @@ class BoundKind(enum.Enum):
     LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class CapacityReport:
-    value: LogValue
-    method: Method
-    bound_kind: BoundKind
+class CapacityReport(Record):
+    _fields = ("value", "method", "bound_kind")
+
+    def __init__(self, value: LogValue, method: Method, bound_kind: BoundKind):
+        _set(self, "value", value)
+        _set(self, "method", method)
+        _set(self, "bound_kind", bound_kind)
 
     def to_json(self) -> dict:
         return {
@@ -262,8 +263,6 @@ def capacity_recursive(cyl: CylinderSet, e: Exponents) -> CapacityReport:
     Generators root full shifted subtrees, so their normalized value is the
     full-tree constant.  The empty set has capacity zero.
     """
-    if cyl.is_empty():
-        return CapacityReport(LogValue.zero(), Method.RECURSION, BoundKind.EXACT)
     value = _sweep(cyl, full_tree_capacity(e).value, e)
     return CapacityReport(value, Method.RECURSION, BoundKind.EXACT)
 

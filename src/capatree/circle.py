@@ -12,12 +12,11 @@ power-law endpoint rule on the touching pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, DyadicTangentPole
-from .exponents import Exponents, RationalLike, as_fraction
+from .exponents import Exponents, RationalLike, Record, _set, as_fraction
 
 
 def quad(*args, **kwargs):
@@ -35,8 +34,7 @@ def _is_dyadic(x: Fraction) -> bool:
     return den & (den - 1) == 0
 
 
-@dataclass(frozen=True)
-class DigitStream:
+class DigitStream(Record):
     """Binary digits of a point of [0, 1).
 
     Exact streams come from rationals (eventually periodic, computed by
@@ -44,10 +42,14 @@ class DigitStream:
     censored beyond them.  Digits are indexed from 1.
     """
 
-    preamble: tuple[int, ...]
-    cycle: tuple[int, ...]  # empty for finite (censored) streams
-    dyadic: bool
-    value: Fraction | None = None
+    _fields = ("preamble", "cycle", "dyadic", "value")  # cycle is empty for finite (censored) streams
+
+    def __init__(self, preamble: tuple[int, ...], cycle: tuple[int, ...], dyadic: bool,
+                 value: Fraction | None = None):
+        _set(self, "preamble", preamble)
+        _set(self, "cycle", cycle)
+        _set(self, "dyadic", dyadic)
+        _set(self, "value", value)
 
     @classmethod
     def from_rational(cls, x: RationalLike) -> "DigitStream":
@@ -97,8 +99,7 @@ class DigitStream:
         return self.cycle[(idx - len(self.preamble)) % len(self.cycle)]
 
 
-@dataclass(frozen=True)
-class RunLength:
+class RunLength(Record):
     """s_n for one position: the maximal run starting at n, minus one.
 
     ``infinite`` marks runs that never terminate (constant tails of dyadic
@@ -106,10 +107,13 @@ class RunLength:
     finite stream, in which case ``value`` is the observed lower bound.
     """
 
-    n: int
-    value: int
-    infinite: bool = False
-    censored: bool = False
+    _fields = ("n", "value", "infinite", "censored")
+
+    def __init__(self, n: int, value: int, infinite: bool = False, censored: bool = False):
+        _set(self, "n", n)
+        _set(self, "value", value)
+        _set(self, "infinite", infinite)
+        _set(self, "censored", censored)
 
     def to_json(self) -> dict:
         out: dict = {"n": self.n, "s": "inf" if self.infinite else self.value}
@@ -129,33 +133,24 @@ def run_lengths(stream: DigitStream, count: int) -> list[RunLength]:
         raise DomainError(f"need count >= 1, got {count}")
     if count > 10_000:
         raise DomainError(f"need count <= 10000, got {count}")
+    horizon = len(stream.preamble)
+    if stream.finite and count > horizon:
+        raise DomainError(f"stream has {horizon} digits, cannot report n up to {count}")
     out: list[RunLength] = []
-    if stream.finite:
-        horizon = len(stream.preamble)
-        if count > horizon:
-            raise DomainError(f"stream has {horizon} digits, cannot report n up to {count}")
-        for n in range(1, count + 1):
-            d = stream.digit(n)
-            j = n + 1
-            while j <= horizon and stream.digit(j) == d:
-                j += 1
-            if j > horizon:
-                out.append(RunLength(n, horizon - n, censored=True))
-            else:
-                out.append(RunLength(n, j - 1 - n))
-        return out
-    # exact stream: a run is infinite iff it survives one whole cycle past
-    # the preamble (after that the digits repeat verbatim)
     for n in range(1, count + 1):
         d = stream.digit(n)
-        limit = max(n, len(stream.preamble)) + len(stream.cycle) + 1
+        # an exact stream's run is infinite iff it survives one whole cycle
+        # past the preamble (after that the digits repeat verbatim)
+        limit = horizon if stream.finite else max(n, horizon) + len(stream.cycle) + 1
         j = n + 1
         while j <= limit and stream.digit(j) == d:
             j += 1
-        if j > limit:
-            out.append(RunLength(n, 0, infinite=True))
-        else:
+        if j <= limit:
             out.append(RunLength(n, j - 1 - n))
+        elif stream.finite:
+            out.append(RunLength(n, horizon - n, censored=True))
+        else:
+            out.append(RunLength(n, 0, infinite=True))
     return out
 
 
@@ -207,24 +202,21 @@ def product_identity(x: RationalLike, n_terms: int) -> tuple[float, float]:
 # Riesz potentials on the circle
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DyadicDensity:
+class DyadicDensity(Record):
     """Piecewise-constant density on the 2**depth dyadic arcs of [0, 1)."""
 
-    depth: int
-    values: tuple[float, ...]
+    _fields = ("depth", "values")
 
-    def __post_init__(self) -> None:
-        if self.depth < 0:
-            raise DomainError(f"depth must be >= 0, got {self.depth}")
-        values = tuple(float(v) for v in self.values)
-        if len(values) != 2 ** self.depth:
-            raise DomainError(
-                f"need {2 ** self.depth} arc values at depth {self.depth}, got {len(values)}"
-            )
+    def __init__(self, depth: int, values: Sequence[float]):
+        if depth < 0:
+            raise DomainError(f"depth must be >= 0, got {depth}")
+        values = tuple(float(v) for v in values)
+        if len(values) != 2 ** depth:
+            raise DomainError(f"need {2 ** depth} arc values at depth {depth}, got {len(values)}")
         if any(v < 0 or not math.isfinite(v) for v in values):
             raise DomainError("density values must be finite and nonnegative")
-        object.__setattr__(self, "values", values)
+        _set(self, "depth", depth)
+        _set(self, "values", values)
 
     def integral(self) -> float:
         return math.fsum(self.values) / len(self.values)
@@ -239,15 +231,14 @@ class DyadicDensity:
 
     @classmethod
     def indicator(cls, lo_arc: int, hi_arc: int, depth: int) -> "DyadicDensity":
-        values = [1.0 if lo_arc <= i < hi_arc else 0.0 for i in range(2 ** depth)]
-        return cls(depth, tuple(values))
+        return cls(depth, [1.0 if lo_arc <= i < hi_arc else 0.0 for i in range(2 ** depth)])
 
     def to_json(self) -> dict:
         return {"depth": self.depth, "values": list(self.values)}
 
     @classmethod
     def from_json(cls, data) -> "DyadicDensity":
-        return cls(int(data["depth"]), tuple(float(v) for v in data["values"]))
+        return cls(int(data["depth"]), data["values"])
 
 
 def _kernel_piece(s0: float, s1: float, a: float, epsrel: float) -> tuple[float, float]:

@@ -1,9 +1,10 @@
 """Command-line surface with machine-readable (JSON / CSV) output.
 
 Every run echoes its fully resolved configuration so reports are
-reproducible from the output alone.  Exit status: 0 on success, 2 on
-domain/usage errors, 3 when the oracle battery finds a mismatch.  Each
-command imports the engine module it runs, so a process loads no other.
+reproducible from the output alone.  Exit status: 0 on success, 1 when
+the reader closes stdout early, 2 on domain/usage errors, 3 when the oracle
+battery finds a mismatch.  Each command imports the engine module it runs,
+so a process loads no other.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -124,12 +126,7 @@ def _cmd_ratios(args):
 
     e = _exponents(args)
     report = dobinski.comparability_report(e, (args.n_from, args.n_to), _family(args))
-    result = {
-        "ratio_min": report["ratio_min"],
-        "ratio_max": report["ratio_max"],
-        "rows": report["rows"],
-    }
-    return result, report["rows"], 0
+    return report, report["rows"], 0
 
 
 def _cmd_dimension(args):
@@ -238,20 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("cap-cylinder", help="capacity of a finite union of cylinders")
     _add_exponent_args(s)
     s.add_argument("--set", required=True, help='cylinder set as a JSON array, e.g. ["0","10"]')
-    _add_output_args(s)
     s.set_defaults(fn=_cmd_cap_cylinder)
 
     s = sub.add_parser("cap-component", help="capacity of the run set D(n, kappa)")
     _add_exponent_args(s)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--kappa", type=int, required=True)
-    _add_output_args(s)
     s.set_defaults(fn=_cmd_cap_component)
 
     s = sub.add_parser("classify", help="positive/zero/indeterminate verdict for a limsup set")
     _add_exponent_args(s)
     _add_family_args(s, allow_dobinski=True)
-    _add_output_args(s)
     s.set_defaults(fn=_cmd_classify)
 
     s = sub.add_parser(
@@ -262,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exponent_args(s)
     _add_family_args(s)
     s.add_argument("--n-max", dest="n_max", type=int, required=True)
-    _add_output_args(s)
     s.set_defaults(fn=_cmd_bounds)
 
     s = sub.add_parser("ratios", help="component capacity vs comparison quantity")
@@ -270,14 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(s)
     s.add_argument("--n-from", dest="n_from", type=int, default=1)
     s.add_argument("--n-to", dest="n_to", type=int, required=True)
-    _add_output_args(s)
     s.set_defaults(fn=_cmd_ratios)
 
     s = sub.add_parser("dimension", help="Hausdorff dimension bracket over an exponent grid")
     _add_family_args(s)
     s.add_argument("--ap-grid", dest="ap_grid", required=True, help="comma list of rational a*p values")
     s.add_argument("--p-grid", dest="p_grid", required=True, help="comma list of rational p values")
-    _add_output_args(s)
     s.set_defaults(fn=_cmd_dimension)
 
     s = sub.add_parser("oracle-check", help="randomized recursion-vs-oracle battery")
@@ -285,27 +276,25 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--count", type=int, default=200)
     s.add_argument("--max-depth", dest="max_depth", type=int, default=8)
     s.add_argument("--tol", type=float, default=1e-5)
-    _add_output_args(s)
     s.set_defaults(fn=_cmd_oracle_check)
 
     s = sub.add_parser("circle-capacity", help="Riesz capacity of the whole circle (quad_error: rounding bound)")
     _add_exponent_args(s)
     s.add_argument("--tol", type=float, default=1e-10, help="unused: the closed form is exact to rounding")
-    _add_output_args(s)
     s.set_defaults(fn=_cmd_circle_capacity)
 
     s = sub.add_parser("product-identity", help="tangent product vs squared-sine closed form")
     s.add_argument("--x", required=True, help="rational point of (0,1), e.g. 1/3")
     s.add_argument("--N", type=int, required=True, help="number of product terms (<= 64)")
-    _add_output_args(s)
     s.set_defaults(fn=_cmd_product_identity)
 
     s = sub.add_parser("run-lengths", help="binary run lengths of a rational point")
     s.add_argument("--x", required=True, help="rational point of [0,1]")
     s.add_argument("--N", type=int, required=True, help="number of positions (1..10000)")
-    _add_output_args(s)
     s.set_defaults(fn=_cmd_run_lengths)
 
+    for s in sub.choices.values():
+        _add_output_args(s)
     return parser
 
 
@@ -340,22 +329,14 @@ def _emit_csv(config: dict, rows: list[dict]) -> str:
         writer = csv.DictWriter(buf, fieldnames=fields)
         writer.writeheader()
         for row in rows:
-            writer.writerow(_csv_row(row))
+            writer.writerow({key: _csv_cell(value) for key, value in row.items()})
     return buf.getvalue()
 
 
-def _csv_row(row: dict) -> dict:
-    out = {}
-    for key, value in row.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            out[key] = ""
-        elif value is None:
-            out[key] = ""
-        elif isinstance(value, (dict, list)):
-            out[key] = json.dumps(value, sort_keys=True)
-        else:
-            out[key] = value
-    return out
+def _csv_cell(value):
+    if value is None or isinstance(value, float) and not math.isfinite(value):
+        return ""
+    return json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else value
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -379,7 +360,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"capatree: error: {exc}", file=sys.stderr)
             return 2
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (as `| head` does): point stdout at
+            # devnull so the flush at exit cannot fail again, and stop quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return status
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -34,7 +33,7 @@ from .capacity import (
     full_tree_capacity,
 )
 from .errors import DomainError
-from .exponents import Exponents, LogValue, RationalLike, as_fraction
+from .exponents import Exponents, LogValue, RationalLike, Record, _set, as_fraction
 
 _LN2 = math.log(2.0)
 
@@ -43,65 +42,61 @@ _LN2 = math.log(2.0)
 # Sequence families
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(Record):
     """kappa_n = ceil(2**n / m) for a positive integer m."""
 
-    m: int
+    _fields = ("m",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise DomainError(f"geometric family needs a positive integer m, got {self.m}")
+    def __init__(self, m: int):
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise DomainError(f"geometric family needs a positive integer m, got {m}")
+        _set(self, "m", m)
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Record):
     """kappa_n = ceil(C * n**beta)."""
 
-    C: Fraction
-    beta: Fraction
+    _fields = ("C", "beta")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "C", as_fraction(self.C))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        if self.C <= 0:
-            raise DomainError(f"power family needs C > 0, got {self.C}")
+    def __init__(self, C: RationalLike, beta: RationalLike):
+        C, beta = as_fraction(C), as_fraction(beta)
+        if C <= 0:
+            raise DomainError(f"power family needs C > 0, got {C}")
+        _set(self, "C", C)
+        _set(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class Linear:
+class Linear(Record):
     """kappa_n = ceil(C * n)."""
 
-    C: Fraction
+    _fields = ("C",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "C", as_fraction(self.C))
-        if self.C <= 0:
-            raise DomainError(f"linear family needs C > 0, got {self.C}")
+    def __init__(self, C: RationalLike):
+        C = as_fraction(C)
+        if C <= 0:
+            raise DomainError(f"linear family needs C > 0, got {C}")
+        _set(self, "C", C)
 
 
-@dataclass(frozen=True)
-class Growth:
+class Growth(Record):
     """General symbolic family kappa_n = ceil(C * n**beta * 2**(gamma*n)).
 
     Subsumes the named families (geometric: C=1/m, beta=0, gamma=1) and
     expresses mixed rules such as kappa_n = n * 2**n.
     """
 
-    C: Fraction
-    beta: Fraction
-    gamma: Fraction
+    _fields = ("C", "beta", "gamma")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "C", as_fraction(self.C))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        object.__setattr__(self, "gamma", as_fraction(self.gamma))
-        if self.C <= 0:
-            raise DomainError(f"growth family needs C > 0, got {self.C}")
+    def __init__(self, C: RationalLike, beta: RationalLike, gamma: RationalLike):
+        C, beta, gamma = as_fraction(C), as_fraction(beta), as_fraction(gamma)
+        if C <= 0:
+            raise DomainError(f"growth family needs C > 0, got {C}")
+        _set(self, "C", C)
+        _set(self, "beta", beta)
+        _set(self, "gamma", gamma)
 
 
-@dataclass(frozen=True)
-class Custom:
+class Custom(Record):
     """Finitely many tabulated values with a symbolic tail rule.
 
     Classification is a tail property, so the verdict comes from the tail
@@ -110,16 +105,15 @@ class Custom:
     non-integral value, a bool or a repeated n raises DomainError.
     """
 
-    table: tuple[tuple[int, int], ...]
-    tail_rule: Union[Geometric, Power, Linear, Growth]
+    _fields = ("table", "tail_rule")
 
-    def __post_init__(self) -> None:
-        if self.tail_rule is None:
+    def __init__(self, table, tail_rule: Union[Geometric, Power, Linear, Growth]):
+        if tail_rule is None:
             raise DomainError("custom family requires an explicit tail rule")
         try:
-            pairs = [(n, k) for n, k in self.table]
+            pairs = [(n, k) for n, k in table]
         except (TypeError, ValueError) as exc:
-            raise DomainError(f"table must be a sequence of (n, kappa) pairs, got {self.table!r}") from exc
+            raise DomainError(f"table must be a sequence of (n, kappa) pairs, got {table!r}") from exc
         table = tuple((_integral(n, "table n"), _integral(k, "table kappa")) for n, k in pairs)
         seen = set()
         for n, k in table:
@@ -128,7 +122,8 @@ class Custom:
             if n in seen:
                 raise DomainError(f"duplicate table entry for n={n}")
             seen.add(n)
-        object.__setattr__(self, "table", table)
+        _set(self, "table", table)
+        _set(self, "tail_rule", tail_rule)
 
 
 def _integral(value: object, name: str) -> int:
@@ -253,11 +248,13 @@ class Outcome(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: Outcome
-    condition: str | None
-    evidence: dict
+class Verdict(Record):
+    _fields = ("outcome", "condition", "evidence")
+
+    def __init__(self, outcome: Outcome, condition: str | None, evidence: dict):
+        _set(self, "outcome", outcome)
+        _set(self, "condition", condition)
+        _set(self, "evidence", evidence)
 
     def to_json(self) -> dict:
         # the wire format carries the numeric trace as the evidence array,
@@ -504,10 +501,12 @@ def capacity_bounds(
     bounded by exact terms plus a closed-form remainder.  ``None`` when
     ``classify`` finds the family not Zero (the series diverges, so no tail
     sum bounds anything), and for the rare Zero family whose majorant does
-    not start to decay within the exact window.
+    not start to decay within the exact window.  ``n_max`` is at most
+    10 000, as in ``comparability_report``; the lower bound's loop grows
+    with it.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    if not (1 <= n_max <= 10_000):
+        raise DomainError(f"n_max must satisfy 1 <= n_max <= 10000, got {n_max}")
     kappa = _Kappa(spec)
     best = LogValue.zero()
     for n in range(1, n_max + 1):
@@ -581,11 +580,13 @@ def comparability_report(
 # Dimension bracket
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimensionBracket:
-    lower: Fraction
-    upper: Fraction
-    points: tuple[dict, ...]
+class DimensionBracket(Record):
+    _fields = ("lower", "upper", "points")
+
+    def __init__(self, lower: Fraction, upper: Fraction, points: tuple[dict, ...]):
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "points", points)
 
     def to_json(self) -> dict:
         return {

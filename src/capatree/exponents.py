@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 from .errors import DomainError
@@ -45,23 +45,62 @@ def conjugate(p: RationalLike) -> Fraction:
     return p / (p - 1)
 
 
+_set = object.__setattr__  # assigns a field of a record, past its guard
+
+
+class Record:
+    """Base of the package's value types: equality, hash, repr, and no assignment.
+
+    A subclass lists its fields in constructor order in ``_fields`` and
+    sets them in its own ``__init__`` with ``_set``.  Records are equal when
+    they have the same class and equal fields, and hash as their fields do;
+    assigning or deleting an attribute raises AttributeError.  Plain classes
+    keep start-up cheap: nothing is generated or ``exec``-ed when a module
+    defines one.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls._fields)  # the field values (a one-field record's value itself)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+
 class ApBranch(enum.Enum):
     CRITICAL = "critical"      # a*p == 1
     SUBCRITICAL = "subcritical"  # a*p < 1
 
 
-@dataclass(frozen=True)
-class Exponents:
+class Exponents(Record):
     """The parameter pair (a, p) with derived conjugate and branch flag.
 
     Both parameters are exact rationals; construction rejects a*p > 1
-    (singletons would carry positive capacity there) and p <= 1.
+    (singletons would carry positive capacity there) and p <= 1.  Equality
+    and the hash use a and p, which fix everything else.
     """
 
-    a: Fraction
-    p: Fraction
-    p_prime: Fraction = field(init=False)
-    branch: ApBranch = field(init=False)
+    _fields = ("a", "p")
 
     def __init__(self, a: RationalLike, p: RationalLike):
         a = as_fraction(a)
@@ -72,14 +111,10 @@ class Exponents:
             raise DomainError(f"need p > 1, got p={p}")
         if a * p > 1:
             raise DomainError(f"need a*p <= 1, got a*p={a * p}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "p_prime", conjugate(p))
-        object.__setattr__(
-            self,
-            "branch",
-            ApBranch.CRITICAL if a * p == 1 else ApBranch.SUBCRITICAL,
-        )
+        _set(self, "a", a)
+        _set(self, "p", p)
+        _set(self, "p_prime", conjugate(p))
+        _set(self, "branch", ApBranch.CRITICAL if a * p == 1 else ApBranch.SUBCRITICAL)
 
     @functools.cached_property
     def ap(self) -> Fraction:
@@ -112,16 +147,18 @@ class Exponents:
         return f"Exponents(a={self.a}, p={self.p})"
 
 
-@dataclass(frozen=True, slots=True)
-class LogValue:
+class LogValue(Record):
     """A nonnegative real stored as its base-2 logarithm.
 
     ``is_zero`` marks an exact zero (log2 is then ignored).  Ordering and
     arithmetic follow ordinary nonnegative-real semantics.
     """
 
-    log2: float = 0.0
-    is_zero: bool = False
+    __slots__ = _fields = ("log2", "is_zero")
+
+    def __init__(self, log2: float = 0.0, is_zero: bool = False):
+        _set(self, "log2", log2)
+        _set(self, "is_zero", is_zero)
 
     # -- constructors -------------------------------------------------
     @classmethod

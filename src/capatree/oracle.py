@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .capacity import finite_tree_capacity, full_tree_capacity
 from .errors import ConvergenceError, DomainError
-from .exponents import Exponents
+from .exponents import Exponents, Record, _set
 from .tree import _validate_words, validate_word
 
 MAX_DEPTH = 20
@@ -44,8 +43,7 @@ def _word_of(index: int, depth: int) -> str:
     return format(index - (2 ** depth - 1), f"0{depth}b") if depth else ""
 
 
-@dataclass(frozen=True)
-class FiniteProblem:
+class FiniteProblem(Record):
     """A depth-N capacity problem over the truncated tree.
 
     ``weights`` overrides the default node weight 2**(-|x|(1-ap)) where
@@ -55,38 +53,37 @@ class FiniteProblem:
     caller's mapping do not reach the problem, and it hashes by content.
     """
 
-    depth: int
-    target_leaves: tuple[str, ...]
-    exponents: Exponents
-    weights: Mapping[str, float] | None = None
+    _fields = ("depth", "target_leaves", "exponents", "weights")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.depth <= MAX_DEPTH):
-            raise DomainError(f"depth must be in [0, {MAX_DEPTH}], got {self.depth}")
-        if not self.target_leaves:
+    def __init__(self, depth: int, target_leaves: Sequence[str], exponents: Exponents,
+                 weights: Mapping[str, float] | None = None):
+        if not (0 <= depth <= MAX_DEPTH):
+            raise DomainError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
+        if not target_leaves:
             raise DomainError("target leaf set must be nonempty")
-        leaves = sorted(self.target_leaves)
+        leaves = sorted(target_leaves)
         if any(map(operator.eq, leaves, islice(leaves, 1, None))):  # duplicates are neighbours
             leaves = list(dict.fromkeys(leaves))
         leaves = tuple(leaves)
         _validate_words(leaves)
-        if set(map(len, leaves)) != {self.depth}:
-            leaf = next(w for w in leaves if len(w) != self.depth)
-            raise DomainError(f"target {leaf!r} does not have length {self.depth}")
-        object.__setattr__(self, "target_leaves", leaves)
-        if self.weights is None:
-            return
-        weights = dict(self.weights)
-        object.__setattr__(self, "weights", weights)
-        _validate_words(list(weights))
-        if max(map(len, weights), default=0) > self.depth:
-            word = next(w for w in weights if len(w) > self.depth)
-            raise DomainError(f"weight on {word!r} lies outside the depth-{self.depth} tree")
-        values = np.fromiter(weights.values(), float, len(weights))
-        bad = ~(np.isfinite(values) & (values > 0))
-        if bad.any():
-            word = list(weights)[int(bad.argmax())]
-            raise DomainError(f"weights must be positive and finite, got {word!r}: {weights[word]}")
+        if set(map(len, leaves)) != {depth}:
+            leaf = next(w for w in leaves if len(w) != depth)
+            raise DomainError(f"target {leaf!r} does not have length {depth}")
+        if weights is not None:
+            weights = dict(weights)
+            _validate_words(list(weights))
+            if max(map(len, weights), default=0) > depth:
+                word = next(w for w in weights if len(w) > depth)
+                raise DomainError(f"weight on {word!r} lies outside the depth-{depth} tree")
+            values = np.fromiter(weights.values(), float, len(weights))
+            bad = ~(np.isfinite(values) & (values > 0))
+            if bad.any():
+                word = list(weights)[int(bad.argmax())]
+                raise DomainError(f"weights must be positive and finite, got {word!r}: {weights[word]}")
+        _set(self, "depth", depth)
+        _set(self, "target_leaves", leaves)
+        _set(self, "exponents", exponents)
+        _set(self, "weights", weights)
 
     def __hash__(self) -> int:
         weights = None if self.weights is None else frozenset(self.weights.items())
@@ -146,15 +143,23 @@ def energy_eval(phi: Mapping[str, float], problem: FiniteProblem) -> float:
     return total
 
 
-@dataclass
-class OracleResult:
-    value: float
-    witness: np.ndarray
-    lower: float
-    gap: float
-    violation: float
-    iterations: int
-    depth: int
+class OracleResult(Record):
+    """The solve's bracket and witness; unlike the other records it is mutable and unhashable."""
+
+    _fields = ("value", "witness", "lower", "gap", "violation", "iterations", "depth")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, value: float, witness: np.ndarray, lower: float, gap: float, violation: float,
+                 iterations: int, depth: int):
+        self.value = value
+        self.witness = witness
+        self.lower = lower
+        self.gap = gap
+        self.violation = violation
+        self.iterations = iterations
+        self.depth = depth
 
     def witness_dict(self, include_zero: bool = False) -> dict[str, float]:
         out = {}
@@ -392,12 +397,16 @@ def emulated_infinite_problem(cyl, e: Exponents, depth: int | None = None) -> Fi
     if n > MAX_DEPTH:
         raise DomainError(f"generators too deep for the oracle (depth {n})")
     # a generator g with |g| <= n covers g followed by every word of length n - |g|
-    leaves = tuple(
-        format((int(g or "0", 2) << (n - len(g))) + i, f"0{n}b")
-        for g in cyl.generators
-        if len(g) <= n
-        for i in range(2 ** (n - len(g)))
-    )
+    tables = {0: ("",), 1: ("0", "1")}
+
+    def words(k: int) -> Sequence[str]:
+        """The words of length k in order: one concatenation per word of two half-length tables."""
+        if k not in tables:
+            tables[k] = [head + tail for head in words(k - k // 2) for tail in words(k // 2)]
+        return tables[k]
+
+    covered = (map(operator.add, repeat(g), words(n - len(g))) for g in cyl.generators if len(g) <= n)
+    leaves = tuple(chain.from_iterable(covered))
     weight = 2.0 ** (-n * float(1 - e.ap)) * full_tree_capacity(e).value.to_float()
     return FiniteProblem(
         depth=n, target_leaves=leaves, exponents=e, weights=dict.fromkeys(leaves, weight)

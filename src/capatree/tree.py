@@ -8,13 +8,13 @@ antichain of generator words (no generator is a prefix of another).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from os.path import commonprefix
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .exponents import Exponents, LogValue
+from .exponents import Exponents, LogValue, Record, _set
 
 ROOT = ""
 
@@ -39,11 +39,7 @@ def _validate_words(words: Sequence[str]) -> None:
 
 def meet(x: str, y: str) -> str:
     """Longest common prefix of two words."""
-    n = min(len(x), len(y))
-    i = 0
-    while i < n and x[i] == y[i]:
-        i += 1
-    return x[:i]
+    return commonprefix((x, y))
 
 
 def metric(x: str, y: str) -> LogValue:
@@ -68,14 +64,21 @@ def weight(x: str, e: Exponents) -> LogValue:
     return LogValue.from_log2(-len(x) * float(1 - e.ap))
 
 
-@dataclass(frozen=True)
-class CylinderSet:
+class CylinderSet(Record):
     """Canonical antichain of generator words for a finite union of cylinders.
 
     The generators are stored sorted, whatever order they are given in.
     """
 
-    generators: tuple[str, ...]
+    _fields = ("generators",)
+
+    def __init__(self, generators: Iterable[str]):
+        gens = tuple(sorted(generators))
+        _validate_words(gens)
+        for prev, cur in zip(gens, gens[1:]):
+            if cur.startswith(prev):
+                raise DomainError(f"generators are not an antichain: {prev!r} <= {cur!r}")
+        _set(self, "generators", gens)
 
     @classmethod
     def from_words(cls, words: Iterable[str]) -> "CylinderSet":
@@ -97,20 +100,12 @@ class CylinderSet:
                     continue
                 kept.append(w)
         out = object.__new__(cls)
-        object.__setattr__(out, "generators", tuple(kept))
+        _set(out, "generators", tuple(kept))
         return out
 
     @classmethod
     def empty(cls) -> "CylinderSet":
         return cls(())
-
-    def __post_init__(self) -> None:
-        gens = tuple(sorted(self.generators))
-        _validate_words(gens)
-        object.__setattr__(self, "generators", gens)
-        for prev, cur in zip(gens, gens[1:]):
-            if cur.startswith(prev):
-                raise DomainError(f"generators are not an antichain: {prev!r} <= {cur!r}")
 
     def __len__(self) -> int:
         return len(self.generators)

@@ -441,6 +441,33 @@ class TestOracleCrossChecks:
                 assert prob.target_leaves == tuple(leaves)
                 assert set(prob.weights) == set(leaves)
 
+    def test_leaves_and_weights_match_the_per_leaf_construction(self):
+        from capatree import emulated_infinite_problem
+
+        weight_below = full_tree_capacity(E_THIRD_3).value.to_float()
+        rng = random.Random(14)
+        sets = [[""], ["0", "10"]] + [
+            {"".join(rng.choice("01") for _ in range(rng.randint(0, 12))) for _ in range(rng.randint(1, 8))}
+            for _ in range(30)
+        ]
+        for words in sets:
+            cyl = CylinderSet.from_words(words)
+            longest = max(len(g) for g in cyl.generators)
+            for n in sorted({max(longest, 1), max(longest - 3, 1), 12}):
+                # one format() per covered leaf, the construction the suffix tables replace
+                leaves = tuple(
+                    format((int(g or "0", 2) << (n - len(g))) + i, f"0{n}b")
+                    for g in cyl.generators
+                    if len(g) <= n
+                    for i in range(2 ** (n - len(g)))
+                )
+                if not leaves:
+                    continue
+                prob = emulated_infinite_problem(cyl, E_THIRD_3, n)
+                assert prob.target_leaves == leaves
+                weight = 2.0 ** (-n * float(1 - E_THIRD_3.ap)) * weight_below
+                assert prob.weights == dict.fromkeys(leaves, weight)
+
 
 class TestSigma:
     def test_critical_values(self):

@@ -239,6 +239,33 @@ class TestExitCodes:
         monkeypatch.setattr(oracle_module, "agreement_battery", fake_battery)
         assert cli.main(["oracle-check", "--seed", "1", "--count", "1"]) == 3
 
+    def test_huge_n_max_is_rejected_at_once(self, capsys):
+        argv = ["bounds", "--a", "1/3", "--p", "3", "--family", "geometric", "--m", "1", "--n-max", "100000000"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("capatree: error: n_max")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cap-component", "--a", "1/2", "--p", "2", "--n", "1", "--kappa", "1"],
+            ["ratios", "--a", "1/2", "--p", "2", "--family", "geometric", "--m", "1", "--n-to", "1000"],
+        ],
+        ids=["buffered", "longer-than-a-pipe"],
+    )
+    def test_closed_stdout_exits_one_without_a_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "capatree.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
 
 def modules_after(code: str, packages: tuple[str, ...] = ("numpy", "scipy")) -> list[str]:
     """Run ``code`` in a fresh interpreter and return the modules of ``packages`` it loaded."""
@@ -306,6 +333,11 @@ class TestStartup:
     def test_command_loads_no_numpy_or_scipy(self, argv):
         code = f"import capatree.cli\nassert capatree.cli.main({argv!r}) == 0"
         assert modules_after(code) == []
+
+    @pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: argv[0])
+    def test_command_loads_no_dataclasses_or_inspect(self, argv):
+        code = f"import capatree.cli\nassert capatree.cli.main({argv!r}) == 0"
+        assert modules_after(code, ("dataclasses", "inspect")) == []
 
     @pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: argv[0])
     def test_command_loads_only_the_modules_it_runs(self, argv):

@@ -276,6 +276,16 @@ class TestCapacityBounds:
         with pytest.raises(DomainError):
             capacity_bounds(Geometric(1), E_HALF_2, 0)
 
+    def test_rejects_n_max_past_the_cap_at_once(self):
+        # the lower bound loops over every n <= n_max, so a huge n_max would hang
+        for n_max in (10_001, 10 ** 8):
+            with pytest.raises(DomainError, match="n_max"):
+                capacity_bounds(Geometric(1), E_THIRD_3, n_max)
+
+    def test_accepts_n_max_at_the_cap(self):
+        lower, upper = capacity_bounds(Geometric(1), E_THIRD_3, 10_000)
+        assert lower.bound_kind.value == "lower" and upper is not None
+
 
 # Zero families: (spec, exponents, n_max, whether the exact window closes
 # before its term cap, so that the upper bound is tight)
