@@ -18,9 +18,9 @@ where S_k = k on the critical branch a*p = 1 and a geometric sum below it.
 So the capacity of a finite union of cylinders costs at most one Phi
 evaluation per edge of the compressed trie of its generators (branch nodes
 and generators only), walked bottom-up in one pass over the sorted
-generators, and a branch that repeats an earlier one reuses its value;
-the capacity of a run set D(n, kappa) collapses further, to a single
-Phi at a geometric-sum index sigma.
+generators, which finds each branch at the join depth of two neighbours;
+a branch that repeats an earlier one reuses its value.  The capacity of a
+run set D(n, kappa) collapses further, to one Phi at an index sigma.
 
 Every closed form here is one geometric sum
 
@@ -39,13 +39,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from itertools import islice, repeat
-from operator import rshift, sub, xor
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, LogValue, Record, _set, rel_error
-from .tree import CylinderSet
+from .tree import CylinderSet, _check_run_set
 
 _LN2 = math.log(2.0)
 
@@ -192,20 +191,20 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
     (module docstring), so only the edges of the compressed trie cost a
     Phi evaluation.
 
-    The trie is never materialised.  Its branch nodes sit at the longest
-    common prefixes of neighbouring generators in sorted order, so one pass
-    with a stack builds it as the Cartesian tree of that LCP array: each
-    entry is (join, depth, log2 value) for a finished subtree whose root
-    lies at ``depth`` and which meets the entry below it at a branch of
-    depth ``join``.  A branch closes once the next LCP is shallower than
-    it; its two subtrees are lifted to depth join+1, added, and lifted one
-    more level.  Every value is positive, so the loop runs on log2 floats.
-
-    Neighbours first differ at the highest set bit of the XOR of their
-    first m = min(len) digits read as binary integers, so the LCPs come from
-    C-level maps in time and memory linear in the digits (no word is padded
-    to the deepest one).  Since every generator takes the same value, a
-    branch's value depends only on its two (value, chain length) pairs; a
+    The trie is never materialised.  Its branch nodes sit where neighbouring
+    generators in sorted order join, so one pass with a stack builds it as
+    the Cartesian tree of those join depths.  Each entry is (join, depth,
+    log2 value) for a finished subtree whose root lies at ``depth`` and
+    which meets the entry below it at a branch of depth ``join``; the top
+    entry is kept in locals and pushed when the next generator arrives.  A
+    generator's join with the previous one is m minus the bit length of the
+    XOR of their first m = min(len) digits read as binary integers, so keys
+    are read one at a time and no word is padded (time and memory linear in
+    the digits).  A branch closes once the next join is shallower than it:
+    its two subtrees are lifted to depth join+1, added, and lifted one more
+    level; a sentinel join of -1 closes the rest.  Values are positive, so
+    the loop runs on log2 floats.  Every generator takes the same value, so
+    a branch's value depends only on its two (value, chain length) pairs; a
     dict local to the call computes each distinct branch once, by the same
     float operations, so the result is bit-identical.
     """
@@ -216,11 +215,10 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
     q = e.q_f
     pm1 = e.pm1_f
     qs = q * s  # log2 lambda**q
-    depths = list(map(len, generators))
     # log2 S_k = qs + log2 G(k, qs) for every chain length k a lift can need;
     # k = 0 never looks it up
     log2_sum = _geometric(qs)
-    log2_index = [math.nan] + [qs + log2_sum(k) for k in range(1, max(depths) + 1)]
+    log2_index = [math.nan] + [qs + log2_sum(k) for k in range(1, max(map(len, generators)) + 1)]
 
     def lift(v: float, k: int) -> float:
         """log2 of the value k one-child levels above a node of log2 value v."""
@@ -228,31 +226,32 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
             return v
         return k * s + v - pm1 * _log2_1p_exp2(log2_index[k] + q * v)
 
-    leaf = generator_value.log2
-    if len(generators) == 1:  # int("", 2) would reject the root generator
-        return LogValue.from_log2(lift(leaf, depths[0]))
-    keys = list(map(int, generators, repeat(2)))
-    mins = list(map(min, depths, islice(depths, 1, None)))
-    heads = map(rshift, keys, map(sub, depths, mins))
-    tails = map(rshift, islice(keys, 1, None), map(sub, islice(depths, 1, None), mins))
-    lcps = list(map(sub, mins, map(int.bit_length, map(xor, heads, tails))))
+    top = leaf = generator_value.log2
+    first, rest = generators[0], generators[1:]
+    top_join, top_depth, top_key = -1, len(first), int(first or "0", 2)  # the root "" has key 0
     branches = {}  # (left, kl, right, kr) -> log2 value of the branch
     stack = []
-    for depth, join, next_join in zip(depths, [-1] + lcps, lcps + [-1]):
-        stack.append((join, depth, leaf))
-        while stack[-1][0] > next_join:
+    # (depth, key) of each further generator; the sentinel joins every word at -1
+    for depth, key in chain(zip(map(len, rest), map(int, rest, repeat(2))), ((-1, 0),)):
+        # the top is the previous generator; the two words share exactly their first join digits
+        join = (depth - (key ^ top_key >> (top_depth - depth)).bit_length() if depth <= top_depth
+                else top_depth - (top_key ^ key >> (depth - top_depth)).bit_length())
+        top_key = key
+        while top_join > join:
             # close the branch at depth b where the top subtree meets the one below it
-            b, right_depth, right = stack.pop()
-            left_join, left_depth, left = stack[-1]
-            kl, kr = left_depth - b - 1, right_depth - b - 1
-            key = (left, kl, right, kr)
-            w = branches.get(key)
+            b = top_join
+            top_join, left_depth, left = stack.pop()
+            kl, kr = left_depth - b - 1, top_depth - b - 1
+            branch = (left, kl, top, kr)
+            w = branches.get(branch)
             if w is None:
                 u = lift(left, kl)
-                v = lift(right, kr)
+                v = lift(top, kr)
                 hi, lo = (u, v) if u >= v else (v, u)
-                w = branches[key] = lift(hi + math.log1p(2.0 ** (lo - hi)) / _LN2, 1)
-            stack[-1] = (left_join, b, w)
+                w = branches[branch] = lift(hi + math.log1p(2.0 ** (lo - hi)) / _LN2, 1)
+            top_depth, top = b, w
+        stack.append((top_join, top_depth, top))
+        top_join, top_depth, top = join, depth, leaf
     ((_, depth, v),) = stack
     return LogValue.from_log2(lift(v, depth))
 
@@ -276,10 +275,11 @@ def finite_tree_capacity(depth: int, target_leaves: Sequence[str], e: Exponents)
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
-    for leaf in target_leaves:
-        if len(leaf) != depth:
-            raise DomainError(f"target {leaf!r} does not have length {depth}")
-    return _sweep(CylinderSet.from_words(target_leaves), LogValue.one(), e)
+    cyl = CylinderSet.from_words(target_leaves)  # every leaf is a string from here on
+    if set(map(len, target_leaves)) - {depth}:
+        leaf = next(w for w in target_leaves if len(w) != depth)
+        raise DomainError(f"target {leaf!r} does not have length {depth}")
+    return _sweep(cyl, LogValue.one(), e)
 
 
 # ----------------------------------------------------------------------
@@ -298,8 +298,7 @@ def sigma_closed_form(n: int, kappa: int, e: Exponents) -> LogValue:
     the run sum read from its top term down.  On the critical branch
     (b = 0) this is (2**(nq) - 1)/(1 - 2**-q) + kappa.
     """
-    if n < 0 or kappa < 1:
-        raise DomainError(f"need n >= 0 and kappa >= 1, got n={n}, kappa={kappa}")
+    _check_run_set(n, kappa)
     q = e.q_f
     qb = q * (1.0 - e.ap_f)
     run = LogValue.from_log2(_times(n + kappa - 1, qb) + _log2_geometric(kappa, -qb))
@@ -357,7 +356,6 @@ def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:
     components of one exponent pair build that kernel once.  Exactness is
     checked against the explicit recursion in the test suite.
     """
-    if n < 0 or kappa < 1:
-        raise DomainError(f"need n >= 0 and kappa >= 1, got n={n}, kappa={kappa}")
+    _check_run_set(n, kappa)
     value = LogValue.from_log2(_component_kernel(e)(n, kappa))
     return CapacityReport(value, Method.CLOSED_FORM, BoundKind.EXACT)

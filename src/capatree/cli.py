@@ -84,8 +84,6 @@ def _cmd_cap_component(args):
     from .capacity import cap_component
 
     e = _exponents(args)
-    if args.kappa < 1:
-        raise DomainError(f"kappa must be >= 1, got {args.kappa}")
     report = _report_json(cap_component(args.n, args.kappa, e))
     result = report | {"n": args.n, "kappa": args.kappa}
     return result, [result], 0

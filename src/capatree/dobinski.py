@@ -22,14 +22,13 @@ import enum
 import math
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .capacity import (
     BoundKind,
     CapacityReport,
     Method,
     _component_kernel,
-    cap_component,
     full_tree_capacity,
 )
 from .errors import DomainError
@@ -455,14 +454,14 @@ def _remainder(kappa: _Kappa, e: Exponents):
     return remainder
 
 
-def _tail_upper(kappa: _Kappa, e: Exponents, start: int) -> LogValue | None:
+def _tail_upper(kappa: _Kappa, e: Exponents, start: int, log2_cap: Callable) -> LogValue | None:
     """Proven upper bound on sum_{n >= start} cap(D(n, kappa_n)) for a Zero family.
 
     Sums the exact terms n = start .. N-1 and adds the closed-form remainder
     R(N).  The window closes once R(N) <= 2**-40 times the partial sum, or
     after ``_WINDOW`` terms; None when R has no closed form by then.  Table
     entries at or past N are added exactly (R already bounds the rule there,
-    and a table entry only adds a term).
+    and a table entry only adds a term).  Terms come from the query's kernel.
     """
     remainder = _remainder(kappa, e)
     total = LogValue.zero()
@@ -470,7 +469,7 @@ def _tail_upper(kappa: _Kappa, e: Exponents, start: int) -> LogValue | None:
         rem = remainder(N)
         if rem is not None and N > start and rem <= total.log2 - 40.0:
             break
-        total = total + cap_component(N, kappa(N), e).value
+        total = total + LogValue.from_log2(log2_cap(N, kappa(N)))
     else:
         N = start + _WINDOW
         rem = remainder(N)
@@ -478,7 +477,7 @@ def _tail_upper(kappa: _Kappa, e: Exponents, start: int) -> LogValue | None:
             return None
     for n, k in kappa.table.items():
         if n >= N:
-            total = total + cap_component(n, k, e).value
+            total = total + LogValue.from_log2(log2_cap(n, k))
     total = total + LogValue.from_log2(rem)
     # cap_component's log2 is good to about 1e-13 plus a few ulps of its
     # magnitude, and each of the window's additions loses half an ulp:
@@ -508,15 +507,12 @@ def capacity_bounds(
     if not (1 <= n_max <= 10_000):
         raise DomainError(f"n_max must satisfy 1 <= n_max <= 10000, got {n_max}")
     kappa = _Kappa(spec)
-    best = LogValue.zero()
-    for n in range(1, n_max + 1):
-        value = cap_component(n, kappa(n), e).value
-        if value > best:
-            best = value
+    log2_cap = _component_kernel(e)
+    best = LogValue.from_log2(max(log2_cap(n, kappa(n)) for n in range(1, n_max + 1)))
     lower = CapacityReport(best, Method.CLOSED_FORM, BoundKind.LOWER)
     if classify(spec, e).outcome is not Outcome.ZERO:
         return lower, None
-    tail = _tail_upper(kappa, e, n_max)
+    tail = _tail_upper(kappa, e, n_max, log2_cap)
     upper = None if tail is None else CapacityReport(tail, Method.CLOSED_FORM, BoundKind.UPPER)
     return lower, upper
 

@@ -24,7 +24,7 @@ import numpy as np
 from .capacity import finite_tree_capacity, full_tree_capacity
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, Record, _set
-from .tree import _validate_words, validate_word
+from .tree import _sorted_words, _validate_words, validate_word
 
 MAX_DEPTH = 20
 
@@ -61,11 +61,10 @@ class FiniteProblem(Record):
             raise DomainError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
         if not target_leaves:
             raise DomainError("target leaf set must be nonempty")
-        leaves = sorted(target_leaves)
+        leaves = _sorted_words(target_leaves)
         if any(map(operator.eq, leaves, islice(leaves, 1, None))):  # duplicates are neighbours
             leaves = list(dict.fromkeys(leaves))
         leaves = tuple(leaves)
-        _validate_words(leaves)
         if set(map(len, leaves)) != {depth}:
             leaf = next(w for w in leaves if len(w) != depth)
             raise DomainError(f"target {leaf!r} does not have length {depth}")

@@ -20,9 +20,18 @@ ROOT = ""
 
 
 def validate_word(word: str) -> str:
-    if word.strip("01"):
-        raise DomainError(f"word must be over the alphabet {{0,1}}: {word!r}")
+    if not isinstance(word, str) or word.strip("01"):
+        raise DomainError(f"words must be bit strings over the alphabet {{0,1}}, got {word!r}")
     return word
+
+
+def _sorted_words(words: Iterable[str]) -> list[str]:
+    """The words validated and sorted; DomainError for a bare string."""
+    if isinstance(words, str):
+        raise DomainError(f"expected an iterable of words, got the string {words!r}")
+    out = list(words)
+    _validate_words(out)
+    return sorted(out)
 
 
 def _validate_words(words: Sequence[str]) -> None:
@@ -32,7 +41,11 @@ def _validate_words(words: Sequence[str]) -> None:
     so bytes other than 0 and 1 remain exactly when some word is bad; only
     then is each word checked, so that the error names it.
     """
-    if "".join(words).encode("ascii", "replace").translate(None, b"01"):
+    try:
+        bad = "".join(words).encode("ascii", "replace").translate(None, b"01")
+    except TypeError:  # a word that is not a string
+        bad = True
+    if bad:
         for w in words:
             validate_word(w)
 
@@ -73,8 +86,7 @@ class CylinderSet(Record):
     _fields = ("generators",)
 
     def __init__(self, generators: Iterable[str]):
-        gens = tuple(sorted(generators))
-        _validate_words(gens)
+        gens = tuple(_sorted_words(generators))
         for prev, cur in zip(gens, gens[1:]):
             if cur.startswith(prev):
                 raise DomainError(f"generators are not an antichain: {prev!r} <= {cur!r}")
@@ -84,21 +96,19 @@ class CylinderSet(Record):
     def from_words(cls, words: Iterable[str]) -> "CylinderSet":
         """Drop any word that has a (weak) prefix in the set; sort the rest.
 
-        Lexicographic order lists a word right after all of its kept
-        prefixes, so comparing against the last kept word suffices; when no
-        word starts with its predecessor that loop is skipped (if w_j is a
-        prefix of w_i, j < i, then w_{j+1} sorts between them and starts
+        Lexicographic order lists a word right after its repeats and all of
+        its kept prefixes, so comparing against the last kept word suffices;
+        when no word starts with its predecessor that loop is skipped (if w_j
+        is a prefix of w_i, j < i, then w_{j+1} sorts between them and starts
         with w_j).  Every word is validated once, dropped ones included, and
         the result is built without re-running the checks of direct construction.
         """
-        unique = kept = sorted(set(words))
-        _validate_words(unique)
-        if any(map(str.startswith, islice(unique, 1, None), unique)):
+        ordered = kept = _sorted_words(words)
+        if any(map(str.startswith, islice(ordered, 1, None), ordered)):
             kept = []
-            for w in unique:
-                if kept and w.startswith(kept[-1]):
-                    continue
-                kept.append(w)
+            for w in dict.fromkeys(ordered):  # drops repeats in C
+                if not (kept and w.startswith(kept[-1])):
+                    kept.append(w)
         out = object.__new__(cls)
         _set(out, "generators", tuple(kept))
         return out
@@ -148,10 +158,13 @@ class CylinderSet(Record):
             data = json.loads(data)
         if not isinstance(data, (list, tuple)):
             raise DomainError("cylinder set JSON must be an array of bit strings")
-        for w in data:
-            if not isinstance(w, str):
-                raise DomainError(f"cylinder set words must be bit strings, got {w!r}")
         return cls.from_words(data)
+
+
+def _check_run_set(n: int, kappa: int) -> None:
+    """DomainError unless n >= 0 and kappa >= 1 are ints (a bool is not one)."""
+    if type(n) is not int or type(kappa) is not int or n < 0 or kappa < 1:
+        raise DomainError(f"need ints n >= 0 and kappa >= 1, got n={n!r}, kappa={kappa!r}")
 
 
 def d_cylinder_set(n: int, kappa: int) -> CylinderSet:
@@ -160,8 +173,7 @@ def d_cylinder_set(n: int, kappa: int) -> CylinderSet:
     Generators are every length-n word followed by kappa zeros, i.e. the
     boundary points whose digits n+1 .. n+kappa all vanish.
     """
-    if n < 0 or kappa < 1:
-        raise DomainError(f"need n >= 0 and kappa >= 1, got n={n}, kappa={kappa}")
+    _check_run_set(n, kappa)
     if (n + kappa) * 2 ** n > 2 ** 15:
         raise DomainError("explicit cylinder set too large; use the closed form")
     zeros = "0" * kappa

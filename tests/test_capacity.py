@@ -160,6 +160,16 @@ class TestTruncatedTreeCapacity:
         with pytest.raises(DomainError):
             finite_tree_capacity(2, leaves, E_HALF_2)
 
+    @pytest.mark.parametrize("leaves", ["01", "0", [0, 1], ["1", 10], [b"0"]])
+    def test_finite_problem_rejects_a_bare_string_and_non_string_targets(self, leaves):
+        # iterating the string "01" would give the leaves "0" and "1", the whole depth-1 tree
+        with pytest.raises(DomainError, match="string"):
+            finite_tree_capacity(1, leaves, E_HALF_2)
+
+    def test_finite_problem_names_a_target_of_the_wrong_length(self):
+        with pytest.raises(DomainError, match="'011' does not have length 2"):
+            finite_tree_capacity(2, ["00", "011", "1"], E_HALF_2)
+
     def test_astronomical_depth_is_the_full_tree_value(self):
         e = Exponents("1/2", 2)
         assert truncated_tree_capacity(e, 10**400) == full_tree_capacity(e).value
@@ -351,6 +361,42 @@ class TestSweepEngine:
             assert got.log2 == sweep_reference(cyl, one, e).log2, (words, e)
         assert singles >= 250 and roots >= 40 and deepest == 12
 
+    def test_bit_identical_on_unsorted_repeated_and_ragged_input(self):
+        """Input order, repeats and neighbours of very different lengths change no bit."""
+        rng = random.Random(20261019)
+        exps = PAIRS + [Exponents("1/8", 2), Exponents("1/5", 5)]
+        one = LogValue.one()
+
+        def bits(k):
+            return "".join(rng.choices("01", k=k))
+
+        for i in range(120):
+            e = rng.choice(exps)
+            kind = ("unsorted", "repeated", "flipped", "ragged")[i % 4]
+            words = [bits(rng.randint(1, 14)) for _ in range(rng.randint(2, 120))]
+            if kind == "repeated":
+                words = rng.choices(words, k=2 * len(words))
+            elif kind == "flipped":
+                # bit_flip images reach from_words in reverse-sorted order
+                words = sorted(CylinderSet.from_words(words).generators, reverse=True)
+            elif kind == "ragged":
+                # neighbours that differ in length by >= 10 000 digits, long-short and short-long
+                words = []
+                for _ in range(rng.randint(1, 4)):
+                    stem = bits(rng.randint(0, 30))
+                    long_tail = bits(rng.randint(10_000, 12_000))
+                    words += [stem + "0" + long_tail, stem + "1"] if rng.random() < 0.5 else [stem + "0", stem + "1" + long_tail]
+                rng.shuffle(words)
+            present = set(words)
+            canonical = CylinderSet(w for w in present if not any(w != v and w.startswith(v) for v in present))
+            cyl = CylinderSet.from_words(words)
+            assert cyl == canonical, (kind, words)
+            c = full_tree_capacity(e).value
+            assert capacity_recursive(cyl, e).value.log2 == sweep_reference(canonical, c, e).log2, (kind, e)
+            assert _sweep(cyl, one, e).log2 == sweep_reference(canonical, one, e).log2, (kind, e)
+            if kind == "flipped":
+                assert capacity_recursive(cyl.bit_flip(), e) == capacity_recursive(cyl, e)
+
     def test_memory_is_linear_in_the_digits(self):
         # padding every word to the deepest one would hold 8192 100000-digit keys
         words = ["1" * 100_000] + [format(i, "014b") for i in range(2 ** 13)]
@@ -500,6 +546,12 @@ class TestSigma:
             sigma_closed_form(n, kappa, E_QUARTER_2)
         with pytest.raises(DomainError):
             cap_component(n, kappa, E_QUARTER_2)
+
+    @pytest.mark.parametrize("n,kappa", [(2.5, 3), (2.0, 3), (True, 3), (2, 3.0), (2, True), (Fraction(2), 3), ("2", 3)])
+    def test_non_int_arguments_raise_domain_error(self, n, kappa):
+        for f in (sigma_closed_form, cap_component):
+            with pytest.raises(DomainError, match="need ints"):
+                f(n, kappa, E_HALF_2)
 
     def test_critical_run_sum_takes_any_kappa(self):
         # at (1/2, 2) sigma = 2**(n+1) - 2 + kappa exactly

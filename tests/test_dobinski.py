@@ -347,12 +347,17 @@ class TestCertifiedUpperBound:
     )
     def test_divergent_families_stop_at_the_verdict(self, spec, e, monkeypatch):
         calls = []
+        component_kernel = dobinski._component_kernel
 
-        def counting(n, kappa, e):
-            calls.append(n)
-            return cap_component(n, kappa, e)
+        def counting_kernel(e):
+            kernel = component_kernel(e)
 
-        monkeypatch.setattr(dobinski, "cap_component", counting)
+            def log2_cap(n, kappa):
+                calls.append(n)
+                return kernel(n, kappa)
+            return log2_cap
+
+        monkeypatch.setattr(dobinski, "_component_kernel", counting_kernel)
         n_max = 30
         assert classify(spec, e).outcome is not Outcome.ZERO
         lower, upper = capacity_bounds(spec, e, n_max)

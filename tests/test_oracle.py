@@ -93,6 +93,12 @@ class TestProblemValidation:
         with pytest.raises(DomainError, match="'01x'"):
             FiniteProblem(12, ("0" * 12,), E, weights=weights)
 
+    @pytest.mark.parametrize("leaves", ["01", ["0", 1], [1, 0], ["1", None]])
+    def test_a_bare_string_and_non_string_targets_are_rejected(self, leaves):
+        # iterating the string "01" would give the targets "0" and "1"
+        with pytest.raises(DomainError, match="string"):
+            FiniteProblem(1, leaves, E)
+
     def test_duplicate_targets_collapse(self):
         prob = FiniteProblem(2, ("11", "00", "11", "01", "00"), E)
         assert prob.target_leaves == ("00", "01", "11")

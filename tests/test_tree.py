@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -134,6 +135,31 @@ class TestCylinderSet:
     def test_from_json_rejects_non_string_words_naming_them(self, word):
         with pytest.raises(DomainError, match=re.escape(repr(word))):
             CylinderSet.from_json(json.dumps(["0", word]))
+
+    @pytest.mark.parametrize("word", [10, 1, 1.5, True, None, b"01"])
+    def test_rejects_non_string_words_naming_them(self, word):
+        for build in (CylinderSet.from_words, CylinderSet):
+            for words in ([word], ["0", word], [word, "1"], [word, word]):
+                with pytest.raises(DomainError, match=re.escape(repr(word))):
+                    build(iter(words))
+
+    def test_rejects_a_bare_string(self):
+        # iterating "0101" would give the words "0" and "1", the whole boundary
+        for build in (CylinderSet.from_words, CylinderSet):
+            for text in ("0101", "1", ""):
+                with pytest.raises(DomainError, match="string"):
+                    build(text)
+
+    def test_from_words_equals_a_prefix_dropping_reference(self):
+        rng = random.Random(20261019)
+        for _ in range(400):
+            pool = ["".join(rng.choices("01", k=rng.randint(1, 9))) for _ in range(rng.randint(1, 30))]
+            pool += [""] * (rng.random() < 0.05)
+            words = rng.choices(pool, k=rng.randint(1, 60))  # repeats on purpose
+            present = set(words)
+            expected = tuple(sorted(w for w in present if not any(w[:i] in present for i in range(len(w)))))
+            for order in (words, sorted(words), sorted(words, reverse=True)):
+                assert CylinderSet.from_words(order).generators == expected, words
 
     def test_dropped_words_are_still_validated(self):
         with pytest.raises(DomainError):
