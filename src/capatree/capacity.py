@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, LogValue, Record, _set, rel_error
-from .tree import CylinderSet, _check_run_set
+from .tree import CylinderSet, _check_run_set, _sorted_words
 
 _LN2 = math.log(2.0)
 
@@ -275,11 +275,11 @@ def finite_tree_capacity(depth: int, target_leaves: Sequence[str], e: Exponents)
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
-    cyl = CylinderSet.from_words(target_leaves)  # every leaf is a string from here on
-    if set(map(len, target_leaves)) - {depth}:
-        leaf = next(w for w in target_leaves if len(w) != depth)
+    leaves = _sorted_words(target_leaves)  # strings, read once even from an iterator
+    if set(map(len, leaves)) - {depth}:
+        leaf = next(w for w in leaves if len(w) != depth)
         raise DomainError(f"target {leaf!r} does not have length {depth}")
-    return _sweep(cyl, LogValue.one(), e)
+    return _sweep(CylinderSet.from_words(leaves), LogValue.one(), e)
 
 
 # ----------------------------------------------------------------------

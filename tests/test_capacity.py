@@ -167,8 +167,10 @@ class TestTruncatedTreeCapacity:
             finite_tree_capacity(1, leaves, E_HALF_2)
 
     def test_finite_problem_names_a_target_of_the_wrong_length(self):
-        with pytest.raises(DomainError, match="'011' does not have length 2"):
-            finite_tree_capacity(2, ["00", "011", "1"], E_HALF_2)
+        for leaves in (["00", "011", "1"], iter(["011", "11"])):  # an iterator is read once
+            with pytest.raises(DomainError, match="'011' does not have length 2"):
+                finite_tree_capacity(2, leaves, E_HALF_2)
+        assert rel_diff(finite_tree_capacity(1, iter(["0", "1"]), E_HALF_2), truncated_tree_capacity(E_HALF_2, 1)) <= 1e-12
 
     def test_astronomical_depth_is_the_full_tree_value(self):
         e = Exponents("1/2", 2)
