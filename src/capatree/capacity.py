@@ -18,9 +18,9 @@ where S_k = k on the critical branch a*p = 1 and a geometric sum below it.
 So the capacity of a finite union of cylinders costs at most one Phi
 evaluation per edge of the compressed trie of its generators (branch nodes
 and generators only), walked bottom-up in one pass over the sorted
-generators, which finds each branch at the join depth of two neighbours;
-a branch that repeats an earlier one reuses its value.  The capacity of a
-run set D(n, kappa) collapses further, to one Phi at an index sigma.
+generators, whose loop computes each branch's depth as the join of two
+neighbours; a repeated branch reuses its value.  The capacity of a run
+set D(n, kappa) collapses further, to one Phi at an index sigma.
 
 Every closed form here is one geometric sum
 
