@@ -29,9 +29,9 @@ _EXPORTS = {
                      "spec_to_json"),
         ("errors", "ConvergenceError DomainError DyadicTangentPole"),
         ("exponents", "ApBranch Exponents LogValue as_fraction conjugate rel_error"),
-        ("tree", "CylinderSet d_cylinder_set lambda_interval meet metric weight"),
-        ("oracle", "FiniteProblem OracleResult agreement_battery emulated_infinite_problem energy_eval "
-                   "potential_eval solve_capacity solve_from_json"),
+        ("tree", "CylinderSet d_cylinder_set"),
+        ("oracle", "FiniteProblem OracleResult agreement_battery emulated_infinite_problem solve_capacity "
+                   "solve_from_json"),
     )
     for name in names.split()
 }

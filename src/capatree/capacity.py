@@ -215,16 +215,17 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
     q = e.q_f
     pm1 = e.pm1_f
     qs = q * s  # log2 lambda**q
-    # log2 S_k = qs + log2 G(k, qs) for every chain length k a lift can need;
-    # k = 0 never looks it up
     log2_sum = _geometric(qs)
-    log2_index = [math.nan] + [qs + log2_sum(k) for k in range(1, max(map(len, generators)) + 1)]
+    log2_index = {}  # chain length k -> log2 S_k = qs + log2 G(k, qs), filled on first use
 
     def lift(v: float, k: int) -> float:
         """log2 of the value k one-child levels above a node of log2 value v."""
         if k == 0:
             return v
-        return k * s + v - pm1 * _log2_1p_exp2(log2_index[k] + q * v)
+        index = log2_index.get(k)
+        if index is None:
+            index = log2_index[k] = qs + log2_sum(k)
+        return k * s + v - pm1 * _log2_1p_exp2(index + q * v)
 
     top = leaf = generator_value.log2
     first, rest = generators[0], generators[1:]
@@ -308,34 +309,43 @@ def sigma_closed_form(n: int, kappa: int, e: Exponents) -> LogValue:
 
 
 def _component_kernel(e: Exponents):
-    """(n, kappa) -> log2 cap(D(n, kappa)) for one exponent pair, as in ``cap_component``.
+    """(log2_cap, log2_ratio) of one exponent pair: (n, kappa) -> log2 cap(D(n, kappa)), as in
+    ``cap_component``, and (n, kappa) -> log2 of the ratio cap(D(n, kappa)) 2**(b kappa - ap n).
 
     Every constant that does not depend on (n, kappa) is computed once, here,
     so a caller that evaluates many components builds one kernel per query.
-    The kernel does not check its arguments; it returns a finite log2 or
-    raises DomainError.
+    The kernels do not check their arguments; each returns a finite log2 or
+    raises DomainError.  Cap's three terms are 2**x, x = q(b kappa - ap n), times
+    2**-qb G(kappa, -qb), G(inf, -q ap) and 2**-x G(n, -q ap); as (p-1)q = 1 the
+    ratio is the sum of those cofactors to the power -(p-1), so x cancels exactly.
     """
     q = e.q_f
     v = e.ap.denominator
     ap_num = e.ap.numerator
     vb = v - ap_num  # v * b
     q_v = q / v
-    run_sum = _geometric(-q * (1.0 - e.ap_f))  # G(kappa, -qb)
+    qb = q * (1.0 - e.ap_f)
+    run_sum = _geometric(-qb)  # G(kappa, -qb)
     branch_sum = _geometric(-q * e.ap_f)  # G(n, -q ap)
     full = branch_sum(math.inf)
     pm1 = e.pm1_f
 
-    def log2_cap(n: int, kappa: int) -> float:
-        run = vb * (kappa - 1) - ap_num * n  # v * (b(kappa-1) - ap n)
-        t0 = _times(run, q_v) + run_sum(kappa)
-        t1 = _times(run + vb, q_v) + full
-        t2 = branch_sum(n) if n else -math.inf  # G(0, .) = 0 drops out of the sum
+    def log2_power(t0: float, t1: float, t2: float) -> float:  # log2 (2**t0 + 2**t1 + 2**t2)**-(p-1)
         hi = max(t0, t1, t2)
         out = -pm1 * (hi + math.log2(2.0 ** (t0 - hi) + 2.0 ** (t1 - hi) + 2.0 ** (t2 - hi)))
         if not math.isfinite(out):
             raise DomainError("component capacity exceeds the double-precision log2 range")
         return out
-    return log2_cap
+
+    def log2_cap(n: int, kappa: int) -> float:
+        run = vb * (kappa - 1) - ap_num * n  # v * (b(kappa-1) - ap n)
+        t2 = branch_sum(n) if n else -math.inf  # G(0, .) = 0 drops out of the sum
+        return log2_power(_times(run, q_v) + run_sum(kappa), _times(run + vb, q_v) + full, t2)
+
+    def log2_ratio(n: int, kappa: int) -> float:
+        t2 = branch_sum(n) - _times(vb * kappa - ap_num * n, q_v) if n else -math.inf
+        return log2_power(run_sum(kappa) - qb, full, t2)
+    return log2_cap, log2_ratio
 
 
 def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:
@@ -357,5 +367,5 @@ def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:
     checked against the explicit recursion in the test suite.
     """
     _check_run_set(n, kappa)
-    value = LogValue.from_log2(_component_kernel(e)(n, kappa))
+    value = LogValue.from_log2(_component_kernel(e)[0](n, kappa))
     return CapacityReport(value, Method.CLOSED_FORM, BoundKind.EXACT)

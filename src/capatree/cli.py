@@ -27,30 +27,14 @@ def _exponents(args) -> Exponents:
 
 
 def _family(args):
-    from . import dobinski
+    """The family flags given, read as a sequence spec; a missing or bad field is named."""
+    from .dobinski import spec_from_json
 
-    name = args.family
-    if name == "geometric":
-        if args.m is None:
-            raise DomainError("--family geometric requires --m")
-        return dobinski.Geometric(args.m)
-    if name == "power":
-        if args.C is None or args.beta is None:
-            raise DomainError("--family power requires --C and --beta")
-        return dobinski.Power(as_fraction(args.C), as_fraction(args.beta))
-    if name == "linear":
-        if args.C is None:
-            raise DomainError("--family linear requires --C")
-        return dobinski.Linear(as_fraction(args.C))
-    if name == "growth":
-        if args.C is None or args.beta is None or args.gamma is None:
-            raise DomainError("--family growth requires --C, --beta and --gamma")
-        return dobinski.Growth(as_fraction(args.C), as_fraction(args.beta), as_fraction(args.gamma))
-    if name == "custom":
-        if args.table is None or args.tail_rule is None:
-            raise DomainError("--family custom requires --table and --tail-rule")
-        return dobinski.Custom(json.loads(args.table), dobinski.spec_from_json(args.tail_rule))
-    raise DomainError(f"unknown family {name!r}")
+    names = ("family", "m", "C", "beta", "gamma", "table", "tail_rule")
+    data = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if "table" in data:
+        data["table"] = json.loads(data["table"])
+    return spec_from_json(data)
 
 
 def _linear_or_none(log2: float | None) -> float | None:

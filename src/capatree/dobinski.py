@@ -507,7 +507,7 @@ def capacity_bounds(
     if not (1 <= n_max <= 10_000):
         raise DomainError(f"n_max must satisfy 1 <= n_max <= 10000, got {n_max}")
     kappa = _Kappa(spec)
-    log2_cap = _component_kernel(e)
+    log2_cap, _ = _component_kernel(e)
     best = LogValue.from_log2(max(log2_cap(n, kappa(n)) for n in range(1, n_max + 1)))
     lower = CapacityReport(best, Method.CLOSED_FORM, BoundKind.LOWER)
     if classify(spec, e).outcome is not Outcome.ZERO:
@@ -529,7 +529,8 @@ def comparability_report(
     Each row takes cap(D(n, kappa_n)) from one ``cap_component`` kernel built
     for the query, and the subcritical exponent is the exact integer
     quotient (v ap n - v (1-ap) kappa) / v, v the denominator of ap, rounded
-    once.
+    once.  Where it is negative the ratio is the kernel's ``log2_ratio``, which
+    keeps its bits for any kappa, as no log of size kappa enters a difference.
     """
     lo, hi = n_range
     if not (1 <= lo <= hi <= 10_000):
@@ -537,7 +538,7 @@ def comparability_report(
     rows = []
     ratio_min, ratio_max = math.inf, -math.inf
     kappa_of = _Kappa(spec)
-    log2_cap = _component_kernel(e)
+    log2_cap, log2_ratio = _component_kernel(e)
     critical, pm1 = e.is_critical, e.pm1_f
     v, ap_num = e.ap.denominator, e.ap.numerator
     vb = v - ap_num  # v * (1-ap)
@@ -548,9 +549,10 @@ def comparability_report(
         try:
             if critical:
                 proxy_log2 = n - pm1 * log2_kappa
+                ratio_log2 = cap_log2 - min(0.0, proxy_log2)
             else:
                 proxy_log2 = (ap_num * n - vb * kappa) / v  # int / int rounds once
-            ratio_log2 = cap_log2 - min(0.0, proxy_log2)
+                ratio_log2 = cap_log2 if proxy_log2 >= 0 else log2_ratio(n, kappa)
             ratio = 2.0 ** ratio_log2
         except OverflowError as exc:
             raise DomainError(

@@ -219,21 +219,6 @@ class LogValue(Record):
             return LogValue.zero()
         return LogValue(self.log2 + other.log2, False)
 
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogValue zero")
-        if self.is_zero:
-            return LogValue.zero()
-        return LogValue(self.log2 - other.log2, False)
-
-    def pow_scale(self, exponent: float) -> "LogValue":
-        """Raise to a real power; 0**e = 0 for e > 0, 0**0 = 1."""
-        if not math.isfinite(exponent):
-            raise DomainError("pow_scale exponent must be finite")
-        if self.is_zero:
-            return LogValue.one() if exponent == 0 else LogValue.zero()
-        return LogValue(self.log2 * exponent, False)
-
     # -- comparisons (monotone in the represented value) ---------------
     def _key(self) -> tuple:
         return (0, 0.0) if self.is_zero else (1, self.log2)

@@ -24,13 +24,9 @@ import numpy as np
 from .capacity import finite_tree_capacity, full_tree_capacity
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, Record, _set
-from .tree import _sorted_words, _validate_words, validate_word
+from .tree import _sorted_words, _validate_words
 
 MAX_DEPTH = 20
-
-
-def _node_index(word: str) -> int:
-    return 2 ** len(word) - 1 + (int(word, 2) if word else 0)
 
 
 def _node_indices(words: Sequence[str]) -> np.ndarray:
@@ -120,26 +116,6 @@ class FiniteProblem(Record):
             exponents=Exponents(data["a"], data["p"]),
             weights=data.get("weights"),
         )
-
-
-def potential_eval(phi: Mapping[str, float], x: str) -> float:
-    """Sum of phi over the root-to-x path, endpoints included."""
-    validate_word(x)
-    return sum(phi.get(x[:i], 0.0) for i in range(len(x) + 1))
-
-
-def energy_eval(phi: Mapping[str, float], problem: FiniteProblem) -> float:
-    """sum over tree nodes of phi(x)**p * weight(x)."""
-    w = problem.weight_array()
-    p = problem.exponents.p_f
-    total = 0.0
-    for word, value in phi.items():
-        if value < 0:
-            raise DomainError(f"phi must be nonnegative, got {word!r}: {value}")
-        if len(word) > problem.depth:
-            raise DomainError(f"{word!r} lies outside the depth-{problem.depth} tree")
-        total += value ** p * w[_node_index(word)]
-    return total
 
 
 class OracleResult(Record):

@@ -1,4 +1,4 @@
-"""Binary words, the boundary metric, the binary-expansion map, and cylinder sets.
+"""Binary words and cylinder sets.
 
 Words are plain strings over {'0','1'}; the empty string is the root.
 A finite union of boundary cylinders is kept canonical as a sorted
@@ -8,13 +8,11 @@ antichain of generator words (no generator is a prefix of another).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import islice
-from os.path import commonprefix
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .exponents import Exponents, LogValue, Record, _set
+from .exponents import Record, _set
 
 ROOT = ""
 
@@ -48,33 +46,6 @@ def _validate_words(words: Sequence[str]) -> None:
     if bad:
         for w in words:
             validate_word(w)
-
-
-def meet(x: str, y: str) -> str:
-    """Longest common prefix of two words."""
-    return commonprefix((x, y))
-
-
-def metric(x: str, y: str) -> LogValue:
-    """Boundary distance 2**(-|meet(x, y)|)."""
-    return LogValue.from_log2(-float(len(meet(x, y))))
-
-
-def lambda_interval(x: str) -> tuple[Fraction, Fraction]:
-    """The dyadic subinterval of [0,1] covered by the cylinder at ``x``.
-
-    The word read as a binary integer k gives [k/2^|x|, (k+1)/2^|x|].
-    """
-    validate_word(x)
-    n = len(x)
-    k = int(x, 2) if x else 0
-    scale = Fraction(1, 2 ** n)
-    return (k * scale, (k + 1) * scale)
-
-
-def weight(x: str, e: Exponents) -> LogValue:
-    """Node weight 2**(-|x|*(1-ap)); identically 1 on the critical branch."""
-    return LogValue.from_log2(-len(x) * float(1 - e.ap))
 
 
 class CylinderSet(Record):

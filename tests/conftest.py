@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from typing import Mapping
 
 from capatree import Custom, CylinderSet, DomainError, Exponents, LogValue, cap_component, kappa_value
 from capatree.capacity import _LN2, _geometric, _log2_1p_exp2
 from capatree.dobinski import _iroot_floor, to_growth
+from capatree.tree import validate_word
 
 # the six (a, p) pairs of acceptance criterion 3
 PAIRS = [
@@ -73,16 +75,16 @@ def kappa_reference(spec, n: int) -> int:
 
 
 def comparability_reference(e: Exponents, n_range: tuple[int, int], spec) -> dict:
-    """``comparability_report`` as the package computed it before the run-set kernel.
+    """``comparability_report`` rows as the package computed them before the run-set kernel.
 
     One public ``cap_component`` call and one ``kappa_reference`` lookup per
-    row, and the subcritical exponent from Fraction arithmetic.
+    row, and the subcritical exponent from Fraction arithmetic.  The rows
+    carry no ratio: ``ratio_reference`` gives it.
     """
     lo, hi = n_range
     if not (1 <= lo <= hi <= 10_000):
         raise DomainError(f"n range must satisfy 1 <= lo <= hi <= 10000, got {n_range}")
     rows = []
-    ratio_min, ratio_max = math.inf, -math.inf
     for n in range(lo, hi + 1):
         kappa = kappa_reference(spec, n)
         cap = cap_component(n, kappa, e).value
@@ -96,10 +98,6 @@ def comparability_reference(e: Exponents, n_range: tuple[int, int], spec) -> dic
                 raise DomainError(
                     f"comparison exponent exceeds double range at n={n}"
                 ) from exc
-        ratio_log2 = cap.log2 - min(0.0, proxy_log2)
-        ratio = 2.0 ** ratio_log2
-        ratio_min = min(ratio_min, ratio)
-        ratio_max = max(ratio_max, ratio)
         rows.append(
             {
                 "n": n,
@@ -108,10 +106,33 @@ def comparability_reference(e: Exponents, n_range: tuple[int, int], spec) -> dic
                 "cap_linear": 2.0 ** cap.log2 if abs(cap.log2) < 1020 else None,
                 "cap_log2": cap.log2,
                 "proxy_log2": proxy_log2,
-                "ratio": ratio,
             }
         )
-    return {"rows": rows, "ratio_min": ratio_min, "ratio_max": ratio_max}
+    return {"rows": rows}
+
+
+def _exact_powers(e: Exponents):
+    """(A, B, pow2, geometric, -(p-1)) with q ap = A/D and q b = B/D, q = 1/(p-1).
+
+    pow2(k) = 2**(k/D) and geometric(k, t) = G(k, -t/D) are exact to the
+    mpmath working precision of the call, for integers k of any size.
+    """
+    import mpmath  # imported here so that only the tests that use it need it
+
+    q = 1 / (e.p - 1)
+    # q ap = A/D and q b = B/D, so every exponent is an integer over D
+    D = math.lcm((q * e.ap).denominator, (q * (1 - e.ap)).denominator)
+    roots = [mpmath.power(2, mpmath.mpf(j) / D) for j in range(D)]
+
+    def pow2(k: int):  # 2**(k/D)
+        return mpmath.ldexp(roots[k % D], k // D)
+
+    def geometric(k: int, t: int):  # G(k, -t/D)
+        return k if t == 0 else (1 - pow2(-k * t)) / (1 - pow2(-t))
+
+    pm1 = e.p - 1
+    exponent = -(pm1.numerator if pm1.denominator == 1 else mpmath.mpf(pm1.numerator) / pm1.denominator)
+    return int(q * e.ap * D), int(q * (1 - e.ap) * D), pow2, geometric, exponent
 
 
 def tail_sum_reference(spec, e: Exponents, start: int, count: int = 2001):
@@ -123,23 +144,10 @@ def tail_sum_reference(spec, e: Exponents, start: int, count: int = 2001):
     power of two taken from its exact rational exponent.  The sum stops
     early once a term falls below 2**-10000.
     """
-    import mpmath  # imported here so that only the tests that use it need it
+    import mpmath
 
-    q = 1 / (e.p - 1)
-    # q ap = A/D and q b = B/D, so every exponent is an integer over D
-    D = math.lcm((q * e.ap).denominator, (q * (1 - e.ap)).denominator)
-    A, B = int(q * e.ap * D), int(q * (1 - e.ap) * D)
-    pm1 = e.p - 1
     with mpmath.workdps(50):
-        roots = [mpmath.power(2, mpmath.mpf(j) / D) for j in range(D)]
-
-        def pow2(k: int):  # 2**(k/D)
-            return mpmath.ldexp(roots[k % D], k // D)
-
-        def geometric(k: int, t: int):  # G(k, -t/D)
-            return k if t == 0 else (1 - pow2(-k * t)) / (1 - pow2(-t))
-
-        exponent = -(pm1.numerator if pm1.denominator == 1 else mpmath.mpf(pm1.numerator) / pm1.denominator)
+        A, B, pow2, geometric, exponent = _exact_powers(e)
         tiny = mpmath.ldexp(1, -10000)
         full = 1 / (1 - pow2(-A))
         total = mpmath.mpf(0)
@@ -152,6 +160,53 @@ def tail_sum_reference(spec, e: Exponents, start: int, count: int = 2001):
             if term < tiny:
                 break
         return +total
+
+
+def ratio_reference(e: Exponents, n: int, kappa: int) -> float:
+    """The subcritical comparability ratio cap(D(n, kappa)) / min(1, 2**(ap n - b kappa)), 60 digits.
+
+    Where the proxy is below 1 this is the factored form
+    (2**-qb G(kappa, -qb) + G(inf, -q ap) + 2**(-q(b kappa - ap n)) G(n, -q ap))**-(p-1);
+    elsewhere it is cap itself, the term of ``tail_sum_reference``.
+    """
+    import mpmath
+
+    if e.is_critical:
+        raise DomainError("the reference ratio is for a*p < 1")
+    with mpmath.workdps(60):
+        A, B, pow2, geometric, exponent = _exact_powers(e)
+        full = 1 / (1 - pow2(-A))
+        x = B * kappa - A * n  # D q (b kappa - ap n), over the denominator D of _exact_powers
+        if x > 0:
+            inner = pow2(-B) * geometric(kappa, B) + full + pow2(-x) * geometric(n, A)
+        else:
+            inner = geometric(n, A) + pow2(x - B) * geometric(kappa, B) + pow2(x) * full
+        return float(mpmath.power(inner, exponent))
+
+
+def node_index(word: str) -> int:
+    """Heap index of a word in the oracle's dense layout: 2**|w| - 1 + int(w, 2)."""
+    return 2 ** len(word) - 1 + (int(word, 2) if word else 0)
+
+
+def potential_eval(phi: Mapping[str, float], x: str) -> float:
+    """Sum of phi over the root-to-x path, endpoints included."""
+    validate_word(x)
+    return sum(phi.get(x[:i], 0.0) for i in range(len(x) + 1))
+
+
+def energy_eval(phi: Mapping[str, float], problem) -> float:
+    """sum over the nodes of a ``FiniteProblem``'s tree of phi(x)**p * weight(x)."""
+    w = problem.weight_array()
+    p = problem.exponents.p_f
+    total = 0.0
+    for word, value in phi.items():
+        if value < 0:
+            raise DomainError(f"phi must be nonnegative, got {word!r}: {value}")
+        if len(word) > problem.depth:
+            raise DomainError(f"{word!r} lies outside the depth-{problem.depth} tree")
+        total += value ** p * w[node_index(word)]
+    return total
 
 
 def sweep_reference(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValue:

@@ -398,6 +398,11 @@ class TestSweepEngine:
             assert _sweep(cyl, one, e).log2 == sweep_reference(canonical, one, e).log2, (kind, e)
             if kind == "flipped":
                 assert capacity_recursive(cyl.bit_flip(), e) == capacity_recursive(cyl, e)
+        # a chain of 100 000 levels next to a generator at depth 1
+        cyl = CylinderSet.from_words(["0" * 100_000 + "1", "1"])
+        c = full_tree_capacity(E_THIRD_3).value
+        assert capacity_recursive(cyl, E_THIRD_3).value.log2 == sweep_reference(cyl, c, E_THIRD_3).log2
+        assert _sweep(cyl, one, E_THIRD_3).log2 == sweep_reference(cyl, one, E_THIRD_3).log2
 
     def test_memory_is_linear_in_the_digits(self):
         # padding every word to the deepest one would hold 8192 100000-digit keys

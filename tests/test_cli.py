@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from capatree import cli
+from capatree import Exponents, Growth, cli, kappa_value
+from conftest import comparability_reference, ratio_reference
 
 
 def run_cli(capsys, argv):
@@ -69,6 +70,21 @@ class TestSubcommands:
         assert status == 0
         assert doc["result"]["ratio_min"] == pytest.approx(1 / 3, rel=1e-12)
         assert doc["result"]["ratio_max"] == pytest.approx(1 / 3, rel=1e-12)
+
+    def test_ratios_match_mpmath_for_kappa_past_2_to_the_798(self, capsys):
+        # kappa_n = n 2**n: cap's log2 and the proxy's are both about -b kappa_n,
+        # so the ratio cannot come from their difference
+        argv = ["ratios", "--a", "3/25", "--p", "5/2", "--family", "growth", "--C", "1",
+                "--beta", "1", "--gamma", "1", "--n-from", "789", "--n-to", "856"]
+        status, doc = run_json(capsys, argv)
+        assert status == 0
+        e, spec = Exponents("3/25", "5/2"), Growth(1, 1, 1)
+        rows = doc["result"]["rows"]
+        ratios = [row.pop("ratio") for row in rows]
+        assert rows == comparability_reference(e, (789, 856), spec)["rows"]
+        for n, ratio in enumerate(ratios, 789):
+            assert ratio == pytest.approx(ratio_reference(e, n, kappa_value(spec, n)), rel=1e-13, abs=0)
+        assert (doc["result"]["ratio_min"], doc["result"]["ratio_max"]) == (min(ratios), max(ratios))
 
     def test_dimension(self, capsys):
         status, doc = run_json(
@@ -176,20 +192,30 @@ class TestExitCodes:
             ("[[2, 3], [2.0, 4]]", '{"family": "geometric", "m": 1}', "duplicate"),
             ("[[2, true]]", '{"family": "geometric", "m": 1}', "table kappa"),
             ("[2, 3]", '{"family": "geometric", "m": 1}', "pairs"),
+            ("[[2, 3]]", None, "'tail_rule'"),  # no --tail-rule
         ],
     )
     def test_bad_custom_family_is_an_error(self, capsys, table, tail_rule, field):
-        argv = ["classify", "--a", "1/2", "--p", "2", "--family", "custom", "--table", table, "--tail-rule", tail_rule]
+        argv = ["classify", "--a", "1/2", "--p", "2", "--family", "custom", "--table", table]
+        if tail_rule is not None:
+            argv += ["--tail-rule", tail_rule]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("capatree: error:") and field in err
 
-    def test_ratio_beyond_the_double_range_is_a_domain_error(self, capsys):
-        argv = ["ratios", "--a", "3/25", "--p", "5/2", "--family", "growth", "--C", "1",
-                "--beta", "1", "--gamma", "1", "--n-from", "789", "--n-to", "856"]
-        assert cli.main(argv) == 2
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--family", "geometric"], "'m'"),
+            (["--family", "growth", "--C", "1", "--beta", "0"], "'gamma'"),
+            (["--family", "power", "--C", "1/0", "--beta", "0"], "'C'"),
+        ],
+        ids=["geometric-without-m", "growth-without-gamma", "malformed-C"],
+    )
+    def test_missing_or_malformed_family_flag_is_an_error(self, capsys, flags, field):
+        assert cli.main(["classify", "--a", "1/2", "--p", "2", *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("capatree: error:") and "n=796" in err
+        assert err.startswith("capatree: error:") and field in err
 
     def test_run_lengths_past_the_double_exponent_range(self, capsys):
         status, doc = run_json(capsys, ["run-lengths", "--x", "1/5", "--N", "1030"])
@@ -316,9 +342,9 @@ ROOT_EXPORTS = {
                 "comparability_report dimension_profile dobinski_full kappa_value spec_from_json spec_to_json",
     "errors": "ConvergenceError DomainError DyadicTangentPole",
     "exponents": "ApBranch Exponents LogValue as_fraction conjugate rel_error",
-    "tree": "CylinderSet d_cylinder_set lambda_interval meet metric weight",
-    "oracle": "FiniteProblem OracleResult agreement_battery emulated_infinite_problem energy_eval "
-              "potential_eval solve_capacity solve_from_json",
+    "tree": "CylinderSet d_cylinder_set",
+    "oracle": "FiniteProblem OracleResult agreement_battery emulated_infinite_problem solve_capacity "
+              "solve_from_json",
 }
 
 

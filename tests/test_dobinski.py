@@ -28,7 +28,7 @@ from capatree import (
     spec_from_json,
     spec_to_json,
 )
-from conftest import comparability_reference, kappa_reference, rel_diff, tail_sum_reference
+from conftest import comparability_reference, kappa_reference, ratio_reference, rel_diff, tail_sum_reference
 
 E_HALF_2 = Exponents("1/2", 2)
 E_THIRD_3 = Exponents("1/3", 3)
@@ -350,12 +350,12 @@ class TestCertifiedUpperBound:
         component_kernel = dobinski._component_kernel
 
         def counting_kernel(e):
-            kernel = component_kernel(e)
+            kernel, log2_ratio = component_kernel(e)
 
             def log2_cap(n, kappa):
                 calls.append(n)
                 return kernel(n, kappa)
-            return log2_cap
+            return log2_cap, log2_ratio
 
         monkeypatch.setattr(dobinski, "_component_kernel", counting_kernel)
         n_max = 30
@@ -438,15 +438,23 @@ class TestComparabilityReport:
             comparability_report(E_HALF_2, (1, 20_000), Geometric(1))
 
     def test_matches_reference_on_random_cases(self):
-        """Every row equals the per-row reference exactly, and failures agree in type."""
+        """Rows equal the per-row reference, and failures agree in type.
+
+        Every field but the ratio is exact.  Critical ratios are exactly cap
+        over the clamped proxy, taken in log2; subcritical ratios are within
+        1e-13 of a 60-digit value, with kappa up to 2**1000.
+        """
         rng = random.Random(20261018)
         fractional = (Fraction(1, 2), Fraction(1, 7), Fraction(3, 2), Fraction(-1, 2), Fraction(-5, 3))
         rates = (Fraction(1, 2), Fraction(3, 11), Fraction(-2, 7), Fraction(1), Fraction(1, 3))
-        equal = raised = critical = 0
+        cases = [
+            (Exponents("1/8", 2), Geometric(1), (1, 70)),
+            (Exponents("1/12", 3), Geometric(1), (960, 1000)),
+            (Exponents("1/8", 2), Geometric(3), (970, 1000)),
+        ]
         for _ in range(240):
             p = rng.choice((Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(5)))
             ap = rng.choice((Fraction(1), Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)))
-            e = Exponents(ap / p, p)
             C = Fraction(rng.randint(1, 9), rng.randint(1, 4))
             kind = rng.randrange(5)
             if kind == 0:
@@ -461,7 +469,9 @@ class TestComparabilityReport:
                 table = tuple((n, rng.randint(1, 60)) for n in rng.sample(range(1, 40), 4))
                 spec = Custom(table, Power(C, rng.choice((Fraction(0), Fraction(1)) + fractional)))
             lo = rng.choice((1, rng.randint(1, 60), rng.randint(60, 1500), rng.randint(1000, 3000)))
-            n_range = (lo, lo + rng.randint(0, 40))
+            cases.append((Exponents(ap / p, p), spec, (lo, lo + rng.randint(0, 40))))
+        equal = raised = critical = factored = deep = 0
+        for e, spec, n_range in cases:
             try:
                 expected = comparability_reference(e, n_range, spec)
             except (DomainError, ArithmeticError) as exc:
@@ -469,10 +479,21 @@ class TestComparabilityReport:
                     comparability_report(e, n_range, spec)
                 raised += 1
                 continue
-            assert comparability_report(e, n_range, spec) == expected, (e, n_range, spec)
+            got = comparability_report(e, n_range, spec)
+            ratios = [row.pop("ratio") for row in got["rows"]]
+            assert got == dict(expected, ratio_min=min(ratios), ratio_max=max(ratios)), (e, n_range, spec)
+            for row, ratio in zip(got["rows"], ratios):
+                if e.is_critical:
+                    assert ratio == 2.0 ** (row["cap_log2"] - min(0.0, row["proxy_log2"])), (e, row["n"], spec)
+                    continue
+                kappa = kappa_value(spec, row["n"])
+                reference = ratio_reference(e, row["n"], kappa)
+                assert ratio == pytest.approx(reference, rel=1e-13, abs=0), (e, row["n"], spec)
+                factored += row["proxy_log2"] < 0
+                deep += kappa >= 2 ** 960
             equal += 1
             critical += e.is_critical
-        assert raised >= 10 and equal - critical >= 60 and critical >= 60
+        assert raised >= 10 and equal - critical >= 60 and critical >= 60 and factored >= 1000 and deep >= 50
 
 
 class TestDimensionProfile:

@@ -99,8 +99,6 @@ class TestLogValue:
 
     def test_zero_absorbs_in_products(self):
         assert (LogValue.zero() * LogValue.from_log2(5.0)).is_zero
-        assert LogValue.zero().pow_scale(2.0).is_zero
-        assert not LogValue.zero().pow_scale(0.0).is_zero
 
     def test_ordering_matches_linear_scale(self):
         values = [LogValue.zero(), LogValue.from_float(0.25), LogValue.one(), LogValue.from_float(7)]
@@ -112,14 +110,13 @@ class TestLogValue:
         a=st.floats(min_value=-50, max_value=50),
         b=st.floats(min_value=-50, max_value=50),
     )
-    @example(a=math.log2(3.0), b=math.log2(5.0))  # pow_scale: 3**2 == 9
+    @example(a=math.log2(3.0), b=math.log2(5.0))
     def test_add_mul_match_linear_arithmetic(self, a, b):
         u, v = LogValue.from_log2(a), LogValue.from_log2(b)
         lin_add = 2.0**a + 2.0**b
         lin_mul = 2.0**a * 2.0**b
         assert rel_error(u + v, LogValue.from_float(lin_add)) <= 1e-12
         assert rel_error(u * v, LogValue.from_float(lin_mul)) <= 1e-12
-        assert rel_error(u.pow_scale(2.0), LogValue.from_float(2.0**a * 2.0**a)) <= 1e-12
 
     @given(
         a=st.floats(min_value=-50, max_value=50),

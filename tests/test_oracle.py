@@ -10,14 +10,12 @@ from capatree import (
     Exponents,
     FiniteProblem,
     agreement_battery,
-    energy_eval,
     finite_tree_capacity,
-    potential_eval,
     solve_capacity,
     solve_from_json,
 )
-from capatree.oracle import _node_index, _TreeArrays
-from conftest import NON_BINARY_WORDS, PAIRS
+from capatree.oracle import _TreeArrays
+from conftest import NON_BINARY_WORDS, PAIRS, energy_eval, node_index, potential_eval
 
 E = Exponents("1/2", 2)  # weights identically 1
 
@@ -110,7 +108,7 @@ class TestProblemValidation:
         prob = FiniteProblem(6, ("000000",), Exponents("1/4", 2), weights=weights)
         reference = FiniteProblem(6, ("000000",), Exponents("1/4", 2)).weight_array()
         for word, value in weights.items():
-            reference[_node_index(word)] = value
+            reference[node_index(word)] = value
         np.testing.assert_array_equal(prob.weight_array(), reference)
 
 

@@ -2,85 +2,14 @@ import itertools
 import json
 import random
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from capatree import CylinderSet, DomainError, Exponents, LogValue, d_cylinder_set
-from capatree.tree import lambda_interval, meet, metric, weight
+from capatree import CylinderSet, DomainError, d_cylinder_set
 from conftest import NON_BINARY_WORDS
 
 words_st = st.text(alphabet="01", max_size=10)
-
-
-class TestMeetAndMetric:
-    def test_common_prefix(self):
-        assert meet("0110", "0100") == "01"
-        assert metric("0110", "0100").log2 == -2.0
-
-    def test_root_meet(self):
-        assert meet("", "1011") == ""
-        assert metric("", "1011").to_float() == 1.0
-
-    def test_identical_words(self):
-        assert meet("01101", "01101") == "01101"
-        assert metric("01101", "01101").log2 == -5.0
-
-    @given(x=words_st, y=words_st)
-    def test_symmetry(self, x, y):
-        assert meet(x, y) == meet(y, x)
-
-    def test_ultrametric_exhaustive_short_words(self):
-        words = [
-            "".join(bits)
-            for n in range(5)
-            for bits in itertools.product("01", repeat=n)
-        ]
-        for x, y, z in itertools.product(words, repeat=3):
-            dxz = metric(x, z)
-            assert dxz <= max(metric(x, y), metric(y, z))
-
-    @given(x=words_st, y=words_st, z=words_st)
-    def test_ultrametric_random(self, x, y, z):
-        assert metric(x, z) <= max(metric(x, y), metric(y, z))
-
-
-class TestLambdaInterval:
-    def test_examples(self):
-        assert lambda_interval("") == (Fraction(0), Fraction(1))
-        assert lambda_interval("1") == (Fraction(1, 2), Fraction(1))
-        assert lambda_interval("011") == (Fraction(3, 8), Fraction(4, 8))
-
-    def test_children_partition_parent_exhaustive(self):
-        for n in range(10):
-            for bits in itertools.product("01", repeat=n):
-                x = "".join(bits)
-                lo, hi = lambda_interval(x)
-                l0, m0 = lambda_interval(x + "0")
-                m1, h1 = lambda_interval(x + "1")
-                assert (l0, m0, m1, h1) == (lo, (lo + hi) / 2, (lo + hi) / 2, hi)
-
-
-class TestWeight:
-    def test_critical_weight_is_one(self):
-        e = Exponents("1/2", 2)
-        for x in ("", "011", "000111"):
-            assert weight(x, e).to_float() == 1.0
-
-    def test_subcritical_example(self):
-        e = Exponents("1/4", 2)  # 1 - ap = 1/2
-        assert weight("0110", e).log2 == -2.0
-
-    def test_root_weight(self):
-        for e in (Exponents("1/2", 2), Exponents("1/5", 3)):
-            assert weight("", e).to_float() == 1.0
-
-    @given(x=words_st, y=words_st)
-    def test_shift_law(self, x, y):
-        e = Exponents("1/4", 2)
-        shifted = weight(x, e) * LogValue.from_log2(-len(y) * 0.5)
-        assert abs(weight(x + y, e).log2 - shifted.log2) < 1e-12
 
 
 class TestCylinderSet:
