@@ -2,8 +2,8 @@
 
 Binary expansions and doubling orbits are computed in exact rational
 arithmetic, so none of the digit statistics drift; potentials integrate
-the chord-distance kernel with explicit handling of its endpoint
-singularity.
+the chord-distance kernel through its antiderivative in closed form, so
+its endpoint singularity needs no special handling.
 
 Run:  python demos/04_circle_side.py
 """

@@ -4,8 +4,8 @@ The package computes boundary capacities through an exact two-child
 recursion and closed forms, classifies limsup run sets as positive / zero
 / indeterminate capacity, brackets Hausdorff dimension through the
 capacity profile, and cross-validates everything against an independent
-convex-program oracle (numpy) and the circle side (closed forms, and
-potentials by scipy quadrature); numpy and scipy are imported on first use.
+convex-program oracle (numpy, imported on first use) and the circle side,
+whose capacities and potentials come in closed form.
 
 ``import capatree`` loads no engine module: each public name below is
 looked up in its defining module on every access (PEP 562), which imports

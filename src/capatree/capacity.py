@@ -309,8 +309,9 @@ def sigma_closed_form(n: int, kappa: int, e: Exponents) -> LogValue:
 
 
 def _component_kernel(e: Exponents):
-    """(log2_cap, log2_ratio) of one exponent pair: (n, kappa) -> log2 cap(D(n, kappa)), as in
-    ``cap_component``, and (n, kappa) -> log2 of the ratio cap(D(n, kappa)) 2**(b kappa - ap n).
+    """(log2_cap, log2_cap_ratio) of one exponent pair: (n, kappa) -> log2 cap(D(n, kappa)), as in
+    ``cap_component``, and (n, kappa) -> that log2 paired with the log2 of the ratio
+    cap(D(n, kappa)) 2**(b kappa - ap n), both from one evaluation of the sums.
 
     Every constant that does not depend on (n, kappa) is computed once, here,
     so a caller that evaluates many components builds one kernel per query.
@@ -342,10 +343,12 @@ def _component_kernel(e: Exponents):
         t2 = branch_sum(n) if n else -math.inf  # G(0, .) = 0 drops out of the sum
         return log2_power(_times(run, q_v) + run_sum(kappa), _times(run + vb, q_v) + full, t2)
 
-    def log2_ratio(n: int, kappa: int) -> float:
-        t2 = branch_sum(n) - _times(vb * kappa - ap_num * n, q_v) if n else -math.inf
-        return log2_power(run_sum(kappa) - qb, full, t2)
-    return log2_cap, log2_ratio
+    def log2_cap_ratio(n: int, kappa: int) -> tuple[float, float]:
+        run = vb * (kappa - 1) - ap_num * n
+        x, rs = _times(run + vb, q_v), run_sum(kappa)
+        t2 = branch_sum(n) if n else -math.inf
+        return log2_power(_times(run, q_v) + rs, x + full, t2), log2_power(rs - qb, full, t2 - x)
+    return log2_cap, log2_cap_ratio
 
 
 def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:

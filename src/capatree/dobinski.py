@@ -529,8 +529,9 @@ def comparability_report(
     Each row takes cap(D(n, kappa_n)) from one ``cap_component`` kernel built
     for the query, and the subcritical exponent is the exact integer
     quotient (v ap n - v (1-ap) kappa) / v, v the denominator of ap, rounded
-    once.  Where it is negative the ratio is the kernel's ``log2_ratio``, which
-    keeps its bits for any kappa, as no log of size kappa enters a difference.
+    once.  Where it is negative one call of the kernel's ``log2_cap_ratio``
+    gives cap's log2 and the ratio's from the same sums; the ratio keeps its
+    bits for any kappa, as no log of size kappa enters a difference.
     """
     lo, hi = n_range
     if not (1 <= lo <= hi <= 10_000):
@@ -538,13 +539,16 @@ def comparability_report(
     rows = []
     ratio_min, ratio_max = math.inf, -math.inf
     kappa_of = _Kappa(spec)
-    log2_cap, log2_ratio = _component_kernel(e)
+    log2_cap, log2_cap_ratio = _component_kernel(e)
     critical, pm1 = e.is_critical, e.pm1_f
     v, ap_num = e.ap.denominator, e.ap.numerator
     vb = v - ap_num  # v * (1-ap)
     for n in range(lo, hi + 1):
         kappa = kappa_of(n)
-        cap_log2 = log2_cap(n, kappa)
+        if critical or ap_num * n >= vb * kappa:  # the subcritical proxy is not negative
+            cap_log2 = ratio_log2 = log2_cap(n, kappa)
+        else:
+            cap_log2, ratio_log2 = log2_cap_ratio(n, kappa)
         log2_kappa = math.log2(kappa)
         try:
             if critical:
@@ -552,7 +556,6 @@ def comparability_report(
                 ratio_log2 = cap_log2 - min(0.0, proxy_log2)
             else:
                 proxy_log2 = (ap_num * n - vb * kappa) / v  # int / int rounds once
-                ratio_log2 = cap_log2 if proxy_log2 >= 0 else log2_ratio(n, kappa)
             ratio = 2.0 ** ratio_log2
         except OverflowError as exc:
             raise DomainError(

@@ -1,10 +1,10 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from scipy.special import gamma
 
 from capatree import (
     DigitStream,
@@ -179,18 +179,59 @@ class TestDyadicDensity:
         with pytest.raises(DomainError):
             DyadicDensity(0, (-1.0,))
 
-    def test_value_lookup(self):
-        f = DyadicDensity(1, (2.0, 5.0))
-        assert f.value_at(0.2) == 2.0
-        assert f.value_at(0.7) == 5.0
-        assert f.value_at(1.2) == 2.0
-
     def test_json_round_trip(self):
         f = DyadicDensity(2, (1.0, 0.0, 2.5, 0.5))
         assert DyadicDensity.from_json(f.to_json()) == f
 
 
+def reference_potential(f: DyadicDensity, y: float, a: Fraction):
+    """The potential at 30 digits: F(s) = 2**(a-2)/pi B_{sin(pi s)**2}(a/2, 1/2) by mpmath's betainc."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(a.numerator) / a.denominator
+        k = mpmath.gamma(a) / mpmath.gamma((a + 1) / 2) ** 2
+        scale = mpmath.mpf(2) ** (a - 2) / mpmath.pi
+        n = len(f.values)
+
+        @functools.cache
+        def antiderivative(j: int):  # F(t_j - y)
+            s = mpmath.mpf(j) / n - mpmath.mpf(y)
+            r = min(abs(s), 1 - abs(s))
+            value = scale * mpmath.betainc(a / 2, 0.5, 0, mpmath.sin(mpmath.pi * r) ** 2)
+            if abs(s) > 0.5:
+                value = k - value
+            return value if s >= 0 else -value
+
+        arcs = [(j, v) for j, v in enumerate(f.values) if v]
+        return sum(mpmath.mpf(v) * (antiderivative(j + 1) - antiderivative(j)) for j, v in arcs)
+
+
 class TestRieszPotential:
+    @pytest.mark.parametrize(
+        "a", [Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+              Fraction(9, 10), Fraction(99, 100)]
+    )
+    def test_matches_reference_on_random_densities(self, a):
+        rng = random.Random(a.denominator * 100 + a.numerator)
+        for _ in range(2):
+            depth = rng.randint(0, 8)
+            f = DyadicDensity(depth, [rng.random() for _ in range(2 ** depth)])
+            for y in (rng.random(), 0.0, rng.randrange(2 ** depth) / 2 ** depth):
+                expected = reference_potential(f, y, a)
+                assert abs(riesz_potential(f, y, a) - expected) <= 1e-13 * expected
+
+    def test_depth_ten_at_small_a(self):
+        # each arc's difference of F loses about |F| / |dF| ulps: worst on the arc opposite y
+        a = Fraction(1, 100)
+        rng = random.Random(10)
+        cases = [
+            (DyadicDensity(10, [rng.random() for _ in range(2 ** 10)]), rng.random()),
+            (DyadicDensity.indicator(512, 513, 10), 0.0),
+            (DyadicDensity.indicator(300, 301, 10), rng.random()),
+        ]
+        for f, y in cases:
+            expected = reference_potential(f, y, a)
+            assert abs(riesz_potential(f, y, a) - expected) <= 1e-11 * expected
+
     def test_zero_density(self):
         f = DyadicDensity(2, (0.0, 0.0, 0.0, 0.0))
         for y in (0.0, 0.3, 0.77):
@@ -225,7 +266,7 @@ class TestCircleCapacity:
     def test_kernel_integral_matches_gamma_closed_form(self, a):
         # independent evaluation of the same integral through the beta function
         value, _ = kernel_integral(a)
-        closed = gamma(float(a)) / gamma((float(a) + 1) / 2) ** 2
+        closed = math.gamma(float(a)) / math.gamma((float(a) + 1) / 2) ** 2
         assert value == pytest.approx(closed, rel=1e-10)
 
     @pytest.mark.parametrize("y", [Fraction(0), Fraction(1, 3), Fraction(5, 7)])
@@ -244,7 +285,7 @@ class TestCircleCapacity:
 
     def test_capacity_value_linear_point(self):
         e = Exponents("1/2", 2)
-        closed = (gamma(0.5) / gamma(0.75) ** 2) ** -2
+        closed = (math.gamma(0.5) / math.gamma(0.75) ** 2) ** -2
         assert circle_full_capacity(e) == pytest.approx(closed, rel=1e-9)
 
     def test_capacity_near_a_equals_one(self):

@@ -413,3 +413,10 @@ class TestStartup:
             "solve_capacity(FiniteProblem(3, ('000', '011', '101'), Exponents('1/3', 3)), tol=1e-8)"
         )
         assert modules_after(code, ("scipy",)) == []
+
+    def test_riesz_potential_does_not_load_scipy(self):
+        code = (
+            "from capatree import DyadicDensity, riesz_potential; "
+            "assert riesz_potential(DyadicDensity.indicator(0, 1, 2), 0.3, '1/3') > 0"
+        )
+        assert modules_after(code, ("scipy",)) == []

@@ -350,12 +350,12 @@ class TestCertifiedUpperBound:
         component_kernel = dobinski._component_kernel
 
         def counting_kernel(e):
-            kernel, log2_ratio = component_kernel(e)
+            kernel, log2_cap_ratio = component_kernel(e)
 
             def log2_cap(n, kappa):
                 calls.append(n)
                 return kernel(n, kappa)
-            return log2_cap, log2_ratio
+            return log2_cap, log2_cap_ratio
 
         monkeypatch.setattr(dobinski, "_component_kernel", counting_kernel)
         n_max = 30
