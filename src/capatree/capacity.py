@@ -26,7 +26,7 @@ Every closed form here is one geometric sum
 
     G(k, t) = sum_{j=0..k-1} 2**(j t),
 
-evaluated in log2 by ``_log2_geometric``.  With q = p'-1, the depth-N
+evaluated in log2 by ``_geometric``.  With q = p'-1, the depth-N
 truncated tree and the whole boundary have
 
     truncated(N) = G(N+1, -apq)**-(p-1),   c = G(inf, -apq)**-(p-1),
@@ -40,7 +40,7 @@ import enum
 import functools
 import math
 from itertools import chain, repeat
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, LogValue, Record, _set, rel_error
@@ -76,15 +76,6 @@ class CapacityReport(Record):
             "method": self.method.value,
             "bound_kind": self.bound_kind.value,
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "CapacityReport":
-        value = (
-            LogValue.zero()
-            if data["is_zero"]
-            else LogValue.from_log2(float(data["value_log2"]))
-        )
-        return cls(value, Method(data["method"]), BoundKind(data["bound_kind"]))
 
 
 def _log2_1p_exp2(t: float) -> float:
@@ -132,11 +123,6 @@ def _geometric(t: float):
     return log2_sum
 
 
-def _log2_geometric(k: int | float, t: float) -> float:
-    """log2 G(k, t) for a single (k, t); see ``_geometric``."""
-    return _geometric(t)(k)
-
-
 def phi_apply(r: LogValue, x: LogValue, e: Exponents) -> LogValue:
     """Evaluate Phi_r(x) in the log domain.
 
@@ -157,7 +143,7 @@ def full_tree_capacity(e: Exponents) -> CapacityReport:
     Solving the fixed-point equation gives c = G(inf, -apq)**-(p-1)
     (module docstring); one application of the map checks it.
     """
-    value = LogValue.from_log2(-e.pm1_f * _log2_geometric(math.inf, -e.ap_f * e.q_f))
+    value = LogValue.from_log2(-e.pm1_f * _geometric(-e.ap_f * e.q_f)(math.inf))
     image = phi_apply(LogValue.one(), LogValue.from_log2(value.log2 + e.ap_f), e)
     if rel_error(image, value) > 1e-10:
         raise ConvergenceError(
@@ -177,7 +163,7 @@ def truncated_tree_capacity(e: Exponents, depth: int) -> LogValue:
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
-    return LogValue.from_log2(-e.pm1_f * _log2_geometric(depth + 1, -e.ap_f * e.q_f))
+    return LogValue.from_log2(-e.pm1_f * _geometric(-e.ap_f * e.q_f)(depth + 1))
 
 
 def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValue:
@@ -302,10 +288,10 @@ def sigma_closed_form(n: int, kappa: int, e: Exponents) -> LogValue:
     _check_run_set(n, kappa)
     q = e.q_f
     qb = q * (1.0 - e.ap_f)
-    run = LogValue.from_log2(_times(n + kappa - 1, qb) + _log2_geometric(kappa, -qb))
+    run = LogValue.from_log2(_times(n + kappa - 1, qb) + _geometric(-qb)(kappa))
     if n == 0:
         return run
-    return LogValue.from_log2(_times(n, q) + _log2_geometric(n, -q * e.ap_f)) + run
+    return LogValue.from_log2(_times(n, q) + _geometric(-q * e.ap_f)(n)) + run
 
 
 def _component_kernel(e: Exponents):

@@ -1,12 +1,14 @@
 """Circle-side companion: binary run lengths, the tangent product, the circle's
 capacity in closed form, and Riesz potentials from the kernel's antiderivative.
 
-Binary expansions of rationals are computed by exact long division, so
-run-length statistics and the doubling orbit 2**n x mod 1 never suffer
-floating-point drift.  Potentials integrate against the chord-distance
-kernel (2*sin(pi*s))**(a-1), integrable for 0 < a < 1, through its
-antiderivative in closed form (an incomplete beta function summed as a
-power series), so its endpoint singularities need no special handling.
+Digit streams are exact: the binary expansion of a rational is computed by
+long division as a preamble and a repeating cycle, so run lengths (each one
+finite or provably infinite) and the doubling orbit 2**n x mod 1 never
+suffer floating-point drift or a finite horizon.  Potentials integrate
+against the chord-distance kernel (2*sin(pi*s))**(a-1), integrable for
+0 < a < 1, through its antiderivative in closed form (an incomplete beta
+function summed as a power series), so its endpoint singularities need no
+special handling.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ def _is_dyadic(x: Fraction) -> bool:
 
 
 class DigitStream(Record):
-    """Binary digits of a point of [0, 1).
+    """Binary digits of a rational point of [0, 1), computed by long division.
 
-    Exact streams come from rationals (eventually periodic, computed by
-    long division); finite streams carry only the digits given and are
-    censored beyond them.  Digits are indexed from 1.
+    The digits are the ``preamble`` followed by the ``cycle`` repeated for
+    ever; a dyadic rational's cycle is (0,).  Digits are indexed from 1.
     """
 
-    _fields = ("preamble", "cycle", "dyadic", "value")  # cycle is empty for finite (censored) streams
+    _fields = ("preamble", "cycle", "dyadic", "value")
 
     def __init__(self, preamble: tuple[int, ...], cycle: tuple[int, ...], dyadic: bool,
                  value: Fraction | None = None):
@@ -47,7 +48,6 @@ class DigitStream(Record):
         if not (0 <= x <= 1):
             raise DomainError(f"need x in [0, 1], got {x}")
         x = x % 1  # 1 wraps to 0 on the circle
-        dyadic = _is_dyadic(x)
         digits: list[int] = []
         seen: dict[int, int] = {}
         rem = x.numerator
@@ -57,25 +57,10 @@ class DigitStream(Record):
             rem *= 2
             digits.append(rem // den)
             rem %= den
-        if rem == 0:
+        if rem == 0:  # only a dyadic rational's division terminates
             return cls(tuple(digits), (0,), True, x)
         start = seen[rem]
-        return cls(tuple(digits[:start]), tuple(digits[start:]), dyadic, x)
-
-    @classmethod
-    def from_digits(cls, digits: Sequence[int]) -> "DigitStream":
-        digits = tuple(int(d) for d in digits)
-        if any(d not in (0, 1) for d in digits):
-            raise DomainError("digits must be 0 or 1")
-        return cls(digits, (), False, None)
-
-    @property
-    def finite(self) -> bool:
-        return not self.cycle
-
-    @property
-    def horizon(self) -> int | None:
-        return len(self.preamble) if self.finite else None
+        return cls(tuple(digits[:start]), tuple(digits[start:]), False, x)
 
     def digit(self, n: int) -> int:
         """The n-th binary digit (1-indexed)."""
@@ -84,8 +69,6 @@ class DigitStream(Record):
         idx = n - 1
         if idx < len(self.preamble):
             return self.preamble[idx]
-        if self.finite:
-            raise DomainError(f"digit {n} lies beyond the finite stream")
         return self.cycle[(idx - len(self.preamble)) % len(self.cycle)]
 
 
@@ -93,74 +76,57 @@ class RunLength(Record):
     """s_n for one position: the maximal run starting at n, minus one.
 
     ``infinite`` marks runs that never terminate (constant tails of dyadic
-    rationals); ``censored`` marks runs still alive at the horizon of a
-    finite stream, in which case ``value`` is the observed lower bound.
+    rationals).
     """
 
-    _fields = ("n", "value", "infinite", "censored")
+    _fields = ("n", "value", "infinite")
 
-    def __init__(self, n: int, value: int, infinite: bool = False, censored: bool = False):
+    def __init__(self, n: int, value: int, infinite: bool = False):
         _set(self, "n", n)
         _set(self, "value", value)
         _set(self, "infinite", infinite)
-        _set(self, "censored", censored)
 
     def to_json(self) -> dict:
-        out: dict = {"n": self.n, "s": "inf" if self.infinite else self.value}
-        if self.censored:
-            out["censored"] = True
-        return out
+        return {"n": self.n, "s": "inf" if self.infinite else self.value}
 
 
 def run_lengths(stream: DigitStream, count: int) -> list[RunLength]:
     """s_n for n = 1..count, with count at most 10 000.
 
-    Exact streams are scanned until the run breaks or provably never does
-    (one full cycle beyond the preamble with no change of digit).  Finite
-    streams are scanned to their horizon, censoring still-alive runs.
+    One backward pass over the first max(count, |preamble|) + |cycle| + 1
+    digits: the run from n ends at the first later digit that differs, and
+    a run that reaches the end of the scan is infinite, since it has
+    survived one whole cycle past the preamble (after that the digits
+    repeat verbatim).
     """
     if count < 1:
         raise DomainError(f"need count >= 1, got {count}")
     if count > 10_000:
         raise DomainError(f"need count <= 10000, got {count}")
-    horizon = len(stream.preamble)
-    if stream.finite and count > horizon:
-        raise DomainError(f"stream has {horizon} digits, cannot report n up to {count}")
+    preamble, cycle = stream.preamble, stream.cycle
+    size = max(count, len(preamble)) + len(cycle) + 1
+    digits = preamble + cycle * -(-(size - len(preamble)) // len(cycle))
     out: list[RunLength] = []
-    for n in range(1, count + 1):
-        d = stream.digit(n)
-        # an exact stream's run is infinite iff it survives one whole cycle
-        # past the preamble (after that the digits repeat verbatim)
-        limit = horizon if stream.finite else max(n, horizon) + len(stream.cycle) + 1
-        j = n + 1
-        while j <= limit and stream.digit(j) == d:
-            j += 1
-        if j <= limit:
-            out.append(RunLength(n, j - 1 - n))
-        elif stream.finite:
-            out.append(RunLength(n, horizon - n, censored=True))
-        else:
-            out.append(RunLength(n, 0, infinite=True))
-    return out
+    end = None  # 0-based index of the first digit after digit i that differs from it
+    for i in range(size - 2, -1, -1):
+        if digits[i] != digits[i + 1]:
+            end = i + 1
+        if i < count:
+            out.append(RunLength(i + 1, 0, infinite=True) if end is None else RunLength(i + 1, end - 1 - i))
+    return out[::-1]
 
 
 def membership_score(stream: DigitStream, count: int) -> float:
-    """Finite-horizon proxy max_{n <= count} s_n / 2**n over uncensored entries.
+    """Finite-horizon proxy max_{n <= count} s_n / 2**n.
 
     Membership in the limsup set is a tail property, so no finite horizon
     decides it; this score only witnesses lower bounds.  Dyadic rationals
-    score infinity outright (their constant tail is an infinite run).
+    score infinity outright (their constant tail is an infinite run); no
+    other rational has an infinite run, as its cycle holds both digits.
     """
     if stream.dyadic:
         return math.inf
-    best = 0.0
-    for rl in run_lengths(stream, count):
-        if rl.infinite:
-            return math.inf
-        if rl.censored:
-            continue
-        best = max(best, math.ldexp(rl.value, -rl.n))  # 0.0 once 2**-n underflows
-    return best
+    return max(math.ldexp(rl.value, -rl.n) for rl in run_lengths(stream, count))  # 0.0 once 2**-n underflows
 
 
 def product_identity(x: RationalLike, n_terms: int) -> tuple[float, float]:
@@ -208,9 +174,6 @@ class DyadicDensity(Record):
         _set(self, "depth", depth)
         _set(self, "values", values)
 
-    def integral(self) -> float:
-        return math.fsum(self.values) / len(self.values)
-
     @classmethod
     def constant(cls, value: float, depth: int = 0) -> "DyadicDensity":
         return cls(depth, (float(value),) * 2 ** depth)
@@ -218,13 +181,6 @@ class DyadicDensity(Record):
     @classmethod
     def indicator(cls, lo_arc: int, hi_arc: int, depth: int) -> "DyadicDensity":
         return cls(depth, [1.0 if lo_arc <= i < hi_arc else 0.0 for i in range(2 ** depth)])
-
-    def to_json(self) -> dict:
-        return {"depth": self.depth, "values": list(self.values)}
-
-    @classmethod
-    def from_json(cls, data) -> "DyadicDensity":
-        return cls(int(data["depth"]), data["values"])
 
 
 def _beta_series(x: float, alpha: float, beta: float) -> float:

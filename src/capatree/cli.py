@@ -37,15 +37,10 @@ def _family(args):
     return spec_from_json(data)
 
 
-def _linear_or_none(log2: float | None) -> float | None:
-    if log2 is None or abs(log2) > 1020:
-        return None
-    return 2.0 ** log2
-
-
 def _report_json(report) -> dict:
     out = report.to_json()
-    out["value_linear"] = None if out["is_zero"] else _linear_or_none(out["value_log2"])
+    log2 = out["value_log2"]  # None for a zero value
+    out["value_linear"] = None if log2 is None or abs(log2) > 1020 else 2.0 ** log2
     return out
 
 
@@ -117,6 +112,9 @@ def _cmd_dimension(args):
     spec = _family(args)
     ap_values = [as_fraction(tok) for tok in args.ap_grid.split(",") if tok.strip()]
     p_values = [as_fraction(tok) for tok in args.p_grid.split(",") if tok.strip()]
+    for p in p_values:  # before ap / p divides by it
+        if p <= 1:
+            raise DomainError(f"need p > 1, got p={p}")
     grid = [(ap / p, p) for ap in ap_values for p in p_values]
     bracket = dobinski.dimension_profile(spec, grid)
     result = bracket.to_json()

@@ -52,13 +52,21 @@ class Geometric(Record):
         _set(self, "m", m)
 
 
+def _exponent(value: RationalLike, name: str, family: str) -> Fraction:
+    """A family's beta or gamma; |value| <= 2**16 and denominator <= 2**8 bound kappa_n's exact powers."""
+    value = as_fraction(value)
+    if abs(value) > 2 ** 16 or value.denominator > 2 ** 8:
+        raise DomainError(f"{family} family needs |{name}| <= 2**16 with denominator <= 2**8, got {name}={value}")
+    return value
+
+
 class Power(Record):
     """kappa_n = ceil(C * n**beta)."""
 
     _fields = ("C", "beta")
 
     def __init__(self, C: RationalLike, beta: RationalLike):
-        C, beta = as_fraction(C), as_fraction(beta)
+        C, beta = as_fraction(C), _exponent(beta, "beta", "power")
         if C <= 0:
             raise DomainError(f"power family needs C > 0, got {C}")
         _set(self, "C", C)
@@ -87,7 +95,7 @@ class Growth(Record):
     _fields = ("C", "beta", "gamma")
 
     def __init__(self, C: RationalLike, beta: RationalLike, gamma: RationalLike):
-        C, beta, gamma = as_fraction(C), as_fraction(beta), as_fraction(gamma)
+        C, beta, gamma = as_fraction(C), _exponent(beta, "beta", "growth"), _exponent(gamma, "gamma", "growth")
         if C <= 0:
             raise DomainError(f"growth family needs C > 0, got {C}")
         _set(self, "C", C)
@@ -278,7 +286,10 @@ def _trace(spec: SequenceSpec, e: Exponents, count: int = 16) -> list[dict]:
             stat = n - float(e.p - 1) * log2_kappa  # log2 of 2**n " kappa**-(p-1)
             rows.append({"n": n, "log2_stat": stat})
         else:
-            stat = float(e.ap) * n - float(1 - e.ap) * kappa
+            try:
+                stat = float(e.ap) * n - float(1 - e.ap) * kappa
+            except OverflowError:  # kappa >= 2**1024; the verdict is symbolic, so the row is null
+                stat = None
             rows.append({"n": n, "exponent": stat})
     return rows
 
@@ -358,15 +369,8 @@ def dobinski_full(e: Exponents) -> Verdict:
     union, and countable subadditivity passes zero capacity to it.
     """
     verdicts = [classify(Geometric(m), e) for m in (1, 2, 3)]
-    outcomes = {v.outcome for v in verdicts}
-    if len(outcomes) != 1:
-        # cannot happen for geometric families (the verdict is m-free), but
-        # keep the combination rule explicit
-        outcome = Outcome.POSITIVE if Outcome.POSITIVE in outcomes else Outcome.INDETERMINATE
-        condition = next((v.condition for v in verdicts if v.outcome is outcome), None)
-    else:
-        outcome = verdicts[0].outcome
-        condition = verdicts[0].condition
+    # a geometric family's outcome and condition do not depend on m
+    ((outcome, condition),) = {(v.outcome, v.condition) for v in verdicts}
     evidence = {
         "construction": "union over m >= 1 of run sets with kappa_n = ceil(2**n/m), "
         "for runs of zeros and (by bit-flip symmetry) runs of ones",

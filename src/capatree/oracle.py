@@ -136,12 +136,12 @@ class OracleResult(Record):
         self.iterations = iterations
         self.depth = depth
 
-    def witness_dict(self, include_zero: bool = False) -> dict[str, float]:
+    def witness_dict(self) -> dict[str, float]:  # the positive values, keyed by word
         out = {}
         for d in range(self.depth + 1):
             for i in range(2 ** d - 1, 2 ** (d + 1) - 1):
                 v = float(self.witness[i])
-                if include_zero or v > 0:
+                if v > 0:
                     out[_word_of(i, d)] = v
         return out
 
@@ -314,6 +314,8 @@ _BATTERY_AP = (Fraction(1), Fraction(1, 2))
 
 
 def random_problem(rng: np.random.Generator, max_depth: int = 8) -> FiniteProblem:
+    if not (1 <= max_depth <= MAX_DEPTH):  # before 2**depth leaves are drawn
+        raise DomainError(f"max_depth must be in [1, {MAX_DEPTH}], got {max_depth}")
     depth = int(rng.integers(1, max_depth + 1))
     p = _BATTERY_P[rng.integers(len(_BATTERY_P))]
     ap = _BATTERY_AP[rng.integers(len(_BATTERY_AP))]
@@ -333,6 +335,8 @@ def agreement_battery(
     tol: float = 1e-5,
 ) -> list[dict]:
     """Solve ``count`` random problems both ways; one row per problem."""
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     problems = [random_problem(rng, max_depth) for _ in range(count)]
 
@@ -358,20 +362,20 @@ def agreement_battery(
     return [run(i, prob) for i, prob in enumerate(problems)]
 
 
-def emulated_infinite_problem(cyl, e: Exponents, depth: int | None = None) -> FiniteProblem:
+def emulated_infinite_problem(cyl, e: Exponents) -> FiniteProblem:
     """Finite problem whose value equals the infinite capacity of a cylinder set.
 
-    A leaf weighted by v has rooted capacity v, so giving each covered
-    depth-N leaf the weight pi(leaf) * c (the full shifted subtree below it)
-    makes the truncated program agree exactly with the infinite one.
+    Cut at the depth N of the longest generator (at least 1): a leaf weighted
+    by v has rooted capacity v, so giving each covered depth-N leaf the weight
+    pi(leaf) * c (the full shifted subtree below it) makes the truncated
+    program agree exactly with the infinite one.
     """
     if cyl.is_empty():
         raise DomainError("cannot emulate the empty set as a finite problem")
-    n = depth if depth is not None else max((len(g) for g in cyl.generators), default=0)
-    n = max(n, 1)
+    n = max(1, *map(len, cyl.generators))
     if n > MAX_DEPTH:
         raise DomainError(f"generators too deep for the oracle (depth {n})")
-    # a generator g with |g| <= n covers g followed by every word of length n - |g|
+    # a generator g covers g followed by every word of length n - |g|
     tables = {0: ("",), 1: ("0", "1")}
 
     def words(k: int) -> Sequence[str]:
@@ -380,7 +384,7 @@ def emulated_infinite_problem(cyl, e: Exponents, depth: int | None = None) -> Fi
             tables[k] = [head + tail for head in words(k - k // 2) for tail in words(k // 2)]
         return tables[k]
 
-    covered = (map(operator.add, repeat(g), words(n - len(g))) for g in cyl.generators if len(g) <= n)
+    covered = (map(operator.add, repeat(g), words(n - len(g))) for g in cyl.generators)
     leaves = tuple(chain.from_iterable(covered))
     weight = 2.0 ** (-n * float(1 - e.ap)) * full_tree_capacity(e).value.to_float()
     return FiniteProblem(

@@ -189,6 +189,12 @@ def node_index(word: str) -> int:
     return 2 ** len(word) - 1 + (int(word, 2) if word else 0)
 
 
+def dense_witness(result) -> dict[str, float]:
+    """An ``OracleResult``'s witness on every node of its tree, zeros included, keyed by word."""
+    words = [format(i, f"0{d}b") if d else "" for d in range(result.depth + 1) for i in range(2 ** d)]
+    return dict(zip(words, map(float, result.witness)))
+
+
 def potential_eval(phi: Mapping[str, float], x: str) -> float:
     """Sum of phi over the root-to-x path, endpoints included."""
     validate_word(x)
@@ -256,3 +262,25 @@ def sweep_reference(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -
             stack[-1] = (left_join, b, lift(hi + math.log1p(2.0 ** (lo - hi)) / _LN2, 1))
     ((_, depth, v),) = stack
     return LogValue.from_log2(lift(v, depth))
+
+
+def run_lengths_reference(stream, count: int) -> list[tuple[int, int, bool]]:
+    """``circle.run_lengths`` as the package computed it before the one-pass scan.
+
+    Digit by digit from each n, until the run breaks or provably never does
+    (one full cycle beyond the preamble with no change of digit).  Each
+    entry is the (n, value, infinite) fields of a ``RunLength``, as plain
+    tuples keep a comparison over a hundred thousand cases quick.
+    """
+    horizon = len(stream.preamble)
+    out = []
+    for n in range(1, count + 1):
+        d = stream.digit(n)
+        # a run is infinite iff it survives one whole cycle past the preamble
+        # (after that the digits repeat verbatim)
+        limit = max(n, horizon) + len(stream.cycle) + 1
+        j = n + 1
+        while j <= limit and stream.digit(j) == d:
+            j += 1
+        out.append((n, j - 1 - n, False) if j <= limit else (n, 0, True))
+    return out

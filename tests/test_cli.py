@@ -265,6 +265,50 @@ class TestExitCodes:
         monkeypatch.setattr(oracle_module, "agreement_battery", fake_battery)
         assert cli.main(["oracle-check", "--seed", "1", "--count", "1"]) == 3
 
+    @pytest.mark.parametrize(
+        "command",
+        [["classify"], ["bounds", "--n-max", "5"], ["dimension", "--ap-grid", "1/2,1", "--p-grid", "2"]],
+        ids=["classify", "bounds", "dimension"],
+    )
+    def test_kappa_past_the_double_range_gives_a_null_trace_row(self, capsys, command):
+        # kappa_16 = 2**1024 made the subcritical trace raise OverflowError
+        family = ["--family", "growth", "--C", "1", "--beta", "0", "--gamma", "64"]
+        exponents = [] if command[0] == "dimension" else ["--a", "1/4", "--p", "2"]
+        status, out = run_cli(capsys, [*command, *exponents, *family])
+        assert status == 0
+        if command[0] == "classify":
+            assert json.loads(out)["result"]["evidence"][-1] == {"exponent": None, "n": 16}
+
+    def test_huge_power_exponent_fails_fast(self):
+        # beta = 1e400 is the exact integer 10**400; n**beta ran without end
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["classify", "--a", "1/2", "--p", "2", "--family", "power", "--C", "1", "--beta", "1e400"]
+        proc = subprocess.run([sys.executable, "-m", "capatree.cli", *argv], env=env, capture_output=True,
+                              text=True, timeout=20)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("capatree: error: power family needs |beta| <= 2**16")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--count", "0"], "count must be >= 1, got 0"),
+            (["--max-depth", "0"], "max_depth must be in [1, 20], got 0"),
+            (["--count", "1", "--max-depth", "21"], "max_depth must be in [1, 20], got 21"),
+        ],
+    )
+    def test_oracle_check_arguments_are_checked_first(self, capsys, flags, message):
+        assert cli.main(["oracle-check", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"capatree: error: {message}\n"
+
+    @pytest.mark.parametrize("grid", ["0", "2,0", "1"])
+    def test_dimension_p_at_most_one_is_an_error(self, capsys, grid):
+        argv = ["dimension", "--family", "geometric", "--m", "1", "--ap-grid", "1", "--p-grid", grid]
+        assert cli.main(argv) == 2
+        bad = grid.split(",")[-1]
+        assert capsys.readouterr().err == f"capatree: error: need p > 1, got p={bad}\n"
+
     def test_huge_n_max_is_rejected_at_once(self, capsys):
         argv = ["bounds", "--a", "1/3", "--p", "3", "--family", "geometric", "--m", "1", "--n-max", "100000000"]
         assert cli.main(argv) == 2

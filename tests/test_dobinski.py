@@ -151,6 +151,30 @@ class TestFamilyValidation:
         with pytest.raises(DomainError):
             Linear(Fraction(-1))
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: Power(1, 10**400), "beta"),
+            (lambda: Power(1, 10**6), "beta"),
+            (lambda: Power(1, -(2**16) - 1), "beta"),
+            (lambda: Power(1, Fraction(1, 257)), "beta"),
+            (lambda: Growth(1, 2**16 + 1, 0), "beta"),
+            (lambda: Growth(1, 0, 2**16 + 1), "gamma"),
+            (lambda: Growth(1, 0, Fraction(-1, 257)), "gamma"),
+            (lambda: Custom(((1, 2),), Power(1, "1e400")), "beta"),
+        ],
+    )
+    def test_huge_exponents_are_rejected_at_construction(self, make, field):
+        # kappa_n = ceil(n**beta ...) is an exact integer: beta = 10**400 ran without end
+        with pytest.raises(DomainError, match=f"{field}="):
+            make()
+
+    def test_exponents_at_the_limits_are_accepted(self):
+        for beta in (2**16, -(2**16), Fraction(1, 2**8)):
+            assert Power(1, beta).beta == beta
+            assert Growth(1, beta, beta).gamma == beta
+        assert kappa_value(Power(1, 2**16), 2) == 2 ** (2**16)
+
 
 class TestClassify:
     def test_geometric_critical_linear_case(self):
@@ -224,6 +248,15 @@ class TestClassify:
         verdict = classify(Geometric(2), E_HALF_2)
         assert len(verdict.evidence["trace"]) > 0
         assert verdict.to_json()["outcome"] == "Positive"
+
+    def test_trace_exponent_past_the_double_range_is_none(self):
+        # kappa_16 = 2**1024 has no float, but the verdict is symbolic
+        e = Exponents("1/4", 2)
+        verdict = classify(Growth(1, 0, 64), e)
+        assert verdict.outcome is Outcome.ZERO
+        rows = verdict.evidence["trace"]
+        assert rows[-1] == {"n": 16, "exponent": None}
+        assert [row["exponent"] for row in rows[:15]] == [0.5 * n - 0.5 * 2 ** (64 * n) for n in range(1, 16)]
 
 
 class TestDobinskiFull:

@@ -15,7 +15,7 @@ from capatree import (
     solve_from_json,
 )
 from capatree.oracle import _TreeArrays
-from conftest import NON_BINARY_WORDS, PAIRS, energy_eval, node_index, potential_eval
+from conftest import NON_BINARY_WORDS, PAIRS, dense_witness, energy_eval, node_index, potential_eval
 
 E = Exponents("1/2", 2)  # weights identically 1
 
@@ -193,7 +193,7 @@ class TestSolveCapacity:
     def test_witness_is_admissible_and_energy_matches(self):
         prob = FiniteProblem(3, ("000", "011", "110"), Exponents("1/4", 2))
         res = solve_capacity(prob)
-        phi = res.witness_dict(include_zero=True)
+        phi = dense_witness(res)
         for leaf in prob.target_leaves:
             assert potential_eval(phi, leaf) >= 1.0 - 1e-12
         assert energy_eval(phi, prob) >= res.value * (1 - 1e-12)
@@ -254,7 +254,7 @@ class TestSolveCapacity:
                 prob = FiniteProblem(10, random_leaves(rng, 10, density), Exponents(ap / p, p), weights=weights)
                 res = solve_capacity(prob, tol=1e-8)
                 assert res.gap <= 1e-8
-                phi = res.witness_dict(include_zero=True)
+                phi = dense_witness(res)
                 assert min(potential_eval(phi, leaf) for leaf in prob.target_leaves) >= 1.0 - 1e-12
                 assert energy_eval(phi, prob) == pytest.approx(res.value, rel=1e-12)
 
@@ -264,6 +264,17 @@ class TestAgreementBattery:
         rows = agreement_battery(count=12, seed=7, max_depth=6)
         assert all(row["ok"] for row in rows)
         assert max(row["rel_diff"] for row in rows) <= 5e-5
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_is_rejected(self, count):
+        with pytest.raises(DomainError, match="count must be >= 1"):
+            agreement_battery(count=count)
+
+    @pytest.mark.parametrize("max_depth", [0, -3, 21, 22])
+    def test_max_depth_outside_the_oracle_range_is_rejected(self, max_depth):
+        # checked before 2**depth random leaves are drawn
+        with pytest.raises(DomainError, match=r"max_depth must be in \[1, 20\]"):
+            agreement_battery(count=1, max_depth=max_depth)
 
     def test_deterministic_for_fixed_seed(self):
         a = agreement_battery(count=4, seed=42, max_depth=5)

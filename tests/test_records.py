@@ -70,17 +70,17 @@ RECORDS = {
     ),
     DigitStream: (
         {"preamble": (), "cycle": (0, 1), "dyadic": False, "value": Fraction(1, 3)},
-        {"preamble": (1, 0), "cycle": (), "dyadic": False, "value": None},
+        {"preamble": (1,), "cycle": (0,), "dyadic": True, "value": Fraction(1, 2)},
         None,
         True,
         "DigitStream(preamble=(), cycle=(0, 1), dyadic=False, value=Fraction(1, 3))",
     ),
     RunLength: (
-        {"n": 3, "value": 2, "infinite": False, "censored": True},
-        {"n": 3, "value": 2, "infinite": False, "censored": False},
+        {"n": 3, "value": 2, "infinite": False},
+        {"n": 3, "value": 0, "infinite": True},
         None,
         True,
-        "RunLength(n=3, value=2, infinite=False, censored=True)",
+        "RunLength(n=3, value=2, infinite=False)",
     ),
     DyadicDensity: (
         {"depth": 1, "values": (1.0, 2.0)}, {"depth": 0, "values": (1.0,)}, {"depth": 1, "values": (1.0,)}, True,
@@ -165,6 +165,6 @@ def test_exponents_cached_floats_stay_out_of_equality_and_hash():
 
 def test_defaults_match_the_keyword_forms():
     assert LogValue() == LogValue(0.0, False)
-    assert RunLength(1, 2) == RunLength(1, 2, infinite=False, censored=False)
-    assert DigitStream((1,), (), False) == DigitStream((1,), (), False, value=None)
+    assert RunLength(1, 2) == RunLength(1, 2, infinite=False)
+    assert DigitStream((1,), (0,), True) == DigitStream((1,), (0,), True, value=None)
     assert FiniteProblem(1, ("0",), E) == FiniteProblem(1, ("0",), E, weights=None)
