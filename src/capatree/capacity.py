@@ -161,8 +161,8 @@ def truncated_tree_capacity(e: Exponents, depth: int) -> LogValue:
     G(N+1, -apq)**-(p-1) (module docstring), which is nonincreasing in N
     and converges to the full-tree constant.
     """
-    if depth < 0:
-        raise DomainError(f"depth must be >= 0, got {depth}")
+    if type(depth) is not int or depth < 0:
+        raise DomainError(f"depth must be an int >= 0, got {depth!r}")
     return LogValue.from_log2(-e.pm1_f * _geometric(-e.ap_f * e.q_f)(depth + 1))
 
 

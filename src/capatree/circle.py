@@ -99,8 +99,8 @@ def run_lengths(stream: DigitStream, count: int) -> list[RunLength]:
     survived one whole cycle past the preamble (after that the digits
     repeat verbatim).
     """
-    if count < 1:
-        raise DomainError(f"need count >= 1, got {count}")
+    if type(count) is not int or count < 1:
+        raise DomainError(f"need an int count >= 1, got {count!r}")
     if count > 10_000:
         raise DomainError(f"need count <= 10000, got {count}")
     preamble, cycle = stream.preamble, stream.cycle
@@ -141,8 +141,8 @@ def product_identity(x: RationalLike, n_terms: int) -> tuple[float, float]:
         raise DomainError(f"need x in (0, 1), got {x}")
     if _is_dyadic(x):
         raise DyadicTangentPole(f"{x} is a dyadic rational; the product hits a pole")
-    if not (1 <= n_terms <= 64):
-        raise DomainError(f"need 1 <= N <= 64, got {n_terms}")
+    if type(n_terms) is not int or not (1 <= n_terms <= 64):
+        raise DomainError(f"need an int N with 1 <= N <= 64, got {n_terms!r}")
     den = x.denominator
     rem = x.numerator
     log_sum = 0.0
@@ -211,6 +211,8 @@ def riesz_potential(
     [1/10, 99/100], and 3.4e-12 for the one arc opposite y at depth 10 and
     a = 1/100.  ``rel_tol`` is unused; the value does not depend on it.
     """
+    if isinstance(y, float) and not math.isfinite(y):
+        raise DomainError(f"need a finite y, got y={y}")
     k = kernel_integral(a)[0]
     a_f = float(as_fraction(a))
     scale = 2.0 ** (a_f - 2.0) / math.pi

@@ -11,9 +11,11 @@ conditions, depending on the branch of a*p:
                          (b)  sum 2**(ap*n - (1-ap)*kappa_n) < inf  -> zero
 
 The conditions leave a gap, so `Indeterminate` is a first-class verdict.
-All symbolic families are normalized to kappa_n = ceil(C * n**beta * 2**(gamma*n))
-and classified by exact rational comparison of growth exponents, never by
-numeric truncation of tails.
+All symbolic families are normalized to kappa_n = ceil(C * n**beta * 2**(gamma*n)),
+and a verdict comes from that (C, beta, gamma) alone, by exact rational
+comparison of growth exponents, never by numeric truncation of tails.  Only
+`classify` wraps a verdict in evidence, a 16-row trace of the decisive
+statistic included; the other callers decide without building it.
 """
 
 from __future__ import annotations
@@ -162,11 +164,6 @@ def _coefficients(spec: SequenceSpec) -> tuple[Fraction, Fraction, Fraction]:
     raise DomainError(f"unknown sequence family: {spec!r}")
 
 
-def to_growth(spec: SequenceSpec) -> Growth:
-    """Normalize any family to the general (C, beta, gamma) form."""
-    return spec if isinstance(spec, Growth) else Growth(*_coefficients(spec))
-
-
 def _iroot_floor(x: int, k: int) -> int:
     """floor(x ** (1/k)) for nonnegative integers, by integer Newton."""
     if x < 0 or k < 1:
@@ -242,6 +239,8 @@ class _Kappa:
 
 def kappa_value(spec: SequenceSpec, n: int) -> int:
     """Exact kappa_n as an integer (arbitrary precision; never truncated)."""
+    if type(n) is not int:
+        raise DomainError(f"n must be an int, got {n!r}")
     return _Kappa(spec)(n)
 
 
@@ -275,90 +274,77 @@ class Verdict(Record):
         }
 
 
-def _trace(spec: SequenceSpec, e: Exponents, count: int = 16) -> list[dict]:
+def _trace(kappa: _Kappa, e: Exponents, count: int = 16) -> list[dict]:
     """Finite-window values of the decisive statistic, for the evidence field."""
+    if e.is_critical:  # log2 of 2**n kappa**-(p-1)
+        return [{"n": n, "log2_stat": n - e.pm1_f * math.log2(kappa(n))} for n in range(1, count + 1)]
     rows = []
-    kappa_of = _Kappa(spec)
+    ap, b = e.ap_f, float(1 - e.ap)
     for n in range(1, count + 1):
-        kappa = kappa_of(n)
-        log2_kappa = math.log2(kappa)
-        if e.is_critical:
-            stat = n - float(e.p - 1) * log2_kappa  # log2 of 2**n " kappa**-(p-1)
-            rows.append({"n": n, "log2_stat": stat})
-        else:
-            try:
-                stat = float(e.ap) * n - float(1 - e.ap) * kappa
-            except OverflowError:  # kappa >= 2**1024; the verdict is symbolic, so the row is null
-                stat = None
-            rows.append({"n": n, "exponent": stat})
+        try:
+            stat = ap * n - b * kappa(n)
+        except OverflowError:  # kappa >= 2**1024; the verdict is symbolic, so the row is null
+            stat = None
+        rows.append({"n": n, "exponent": stat})
     return rows
+
+
+def _decide(C: Fraction, beta: Fraction, gamma: Fraction, e: Exponents) -> tuple[Outcome, str | None, dict]:
+    """(outcome, condition, symbolic facts) for kappa_n = ceil(C n**beta 2**(gamma n)) at ``e``."""
+    if e.is_critical:
+        p = e.p
+        slope = 1 - (p - 1) * gamma  # per-n log2 growth of the condition statistic
+        facts = {"slope_log2": str(slope)}
+        if slope > 0:
+            return Outcome.POSITIVE, "(i)", facts | {"limsup": "+inf"}
+        if slope < 0:
+            return Outcome.ZERO, "(ii)", facts | {"series": "geometric, convergent"}
+        # balanced exponential growth; the polynomial factor decides
+        if beta < 0:
+            return Outcome.POSITIVE, "(i)", facts | {"limsup": "+inf"}
+        if beta == 0:
+            limsup = str(C ** -(p - 1)) if (p - 1).denominator == 1 else "positive constant"
+            return Outcome.POSITIVE, "(i)", facts | {"limsup": limsup}
+        if (p - 1) * beta > 1:
+            return Outcome.ZERO, "(ii)", facts | {"series": "p-series, convergent"}
+        facts |= {"limsup": "0", "series": "p-series with exponent <= 1, divergent"}
+        return Outcome.INDETERMINATE, None, facts
+
+    # subcritical branch
+    if gamma > 0:
+        return Outcome.ZERO, "(b)", {"series": "super-exponentially convergent"}
+    if gamma < 0 or beta < 1:
+        return Outcome.POSITIVE, "(a)", {"limsup": "+inf"}
+    if beta > 1:
+        return Outcome.ZERO, "(b)", {"series": "convergent (superlinear run lengths)"}
+    slope = e.ap - (1 - e.ap) * C  # beta == 1, gamma == 0
+    facts = {"slope": str(slope)}
+    if slope > 0:
+        return Outcome.POSITIVE, "(a)", facts | {"limsup": "+inf"}
+    if slope == 0:
+        limsup = f"bounded in [{-float(1 - e.ap):.6g}, 0] by the ceiling offset"
+        return Outcome.POSITIVE, "(a)", facts | {"limsup": limsup}
+    return Outcome.ZERO, "(b)", facts | {"series": "geometric, convergent"}
 
 
 def classify(spec: SequenceSpec, e: Exponents) -> Verdict:
     """Decide positive / zero / indeterminate capacity for the limsup set.
 
-    The decision compares exact rational growth exponents of the family, so
-    it reflects the true tail behaviour rather than any finite horizon.
+    The verdict compares exact rational growth exponents of the family's
+    normalized (C, beta, gamma), so it reflects the true tail behaviour
+    rather than any finite horizon.  Only this function builds evidence.
     """
-    g = to_growth(spec)
+    kappa = _Kappa(spec)
     evidence: dict = {
         "family": spec_to_json(spec),
-        "normalized": {"C": str(g.C), "beta": str(g.beta), "gamma": str(g.gamma)},
+        "normalized": {"C": str(kappa.C), "beta": str(kappa.beta), "gamma": str(kappa.gamma)},
         "branch": "critical" if e.is_critical else "subcritical",
-        "trace": _trace(spec, e),
+        "trace": _trace(kappa, e),
     }
     if isinstance(spec, Custom):
         evidence["note"] = "table entries are a finite prefix and cannot affect the verdict"
-
-    if e.is_critical:
-        p = e.p
-        slope = 1 - (p - 1) * g.gamma  # per-n log2 growth of the condition statistic
-        evidence["slope_log2"] = str(slope)
-        if slope > 0:
-            return Verdict(Outcome.POSITIVE, "(i)", evidence | {"limsup": "+inf"})
-        if slope < 0:
-            return Verdict(Outcome.ZERO, "(ii)", evidence | {"series": "geometric, convergent"})
-        # balanced exponential growth; the polynomial factor decides
-        if g.beta < 0:
-            return Verdict(Outcome.POSITIVE, "(i)", evidence | {"limsup": "+inf"})
-        if g.beta == 0:
-            limit = g.C ** -(p - 1) if (p - 1).denominator == 1 else None
-            return Verdict(
-                Outcome.POSITIVE,
-                "(i)",
-                evidence | {"limsup": str(limit) if limit is not None else "positive constant"},
-            )
-        if (p - 1) * g.beta > 1:
-            return Verdict(Outcome.ZERO, "(ii)", evidence | {"series": "p-series, convergent"})
-        return Verdict(
-            Outcome.INDETERMINATE,
-            None,
-            evidence
-            | {
-                "limsup": "0",
-                "series": "p-series with exponent <= 1, divergent",
-            },
-        )
-
-    # subcritical branch
-    ap, b = e.ap, 1 - e.ap
-    if g.gamma > 0:
-        return Verdict(Outcome.ZERO, "(b)", evidence | {"series": "super-exponentially convergent"})
-    if g.gamma < 0 or g.beta < 1:
-        return Verdict(Outcome.POSITIVE, "(a)", evidence | {"limsup": "+inf"})
-    if g.beta > 1:
-        return Verdict(Outcome.ZERO, "(b)", evidence | {"series": "convergent (superlinear run lengths)"})
-    slope = ap - b * g.C  # beta == 1, gamma == 0
-    evidence["slope"] = str(slope)
-    if slope > 0:
-        return Verdict(Outcome.POSITIVE, "(a)", evidence | {"limsup": "+inf"})
-    if slope == 0:
-        return Verdict(
-            Outcome.POSITIVE,
-            "(a)",
-            evidence | {"limsup": f"bounded in [{-float(b):.6g}, 0] by the ceiling offset"},
-        )
-    return Verdict(Outcome.ZERO, "(b)", evidence | {"series": "geometric, convergent"})
+    outcome, condition, facts = _decide(kappa.C, kappa.beta, kappa.gamma, e)
+    return Verdict(outcome, condition, evidence | facts)
 
 
 def dobinski_full(e: Exponents) -> Verdict:
@@ -368,9 +354,8 @@ def dobinski_full(e: Exponents) -> Verdict:
     identically; positivity of any geometric component is inherited by the
     union, and countable subadditivity passes zero capacity to it.
     """
-    verdicts = [classify(Geometric(m), e) for m in (1, 2, 3)]
     # a geometric family's outcome and condition do not depend on m
-    ((outcome, condition),) = {(v.outcome, v.condition) for v in verdicts}
+    ((outcome, condition),) = {_decide(*_coefficients(Geometric(m)), e)[:2] for m in (1, 2, 3)}
     evidence = {
         "construction": "union over m >= 1 of run sets with kappa_n = ceil(2**n/m), "
         "for runs of zeros and (by bit-flip symmetry) runs of ones",
@@ -501,20 +486,20 @@ def capacity_bounds(
 
     Upper: the limsup set lies in union_{n >= n_max} D(n, kappa_n), so by
     subadditivity its capacity is at most the tail sum from n_max, which is
-    bounded by exact terms plus a closed-form remainder.  ``None`` when
-    ``classify`` finds the family not Zero (the series diverges, so no tail
-    sum bounds anything), and for the rare Zero family whose majorant does
-    not start to decay within the exact window.  ``n_max`` is at most
-    10 000, as in ``comparability_report``; the lower bound's loop grows
-    with it.
+    bounded by exact terms plus a closed-form remainder.  ``None`` when the
+    verdict, decided from (C, beta, gamma) with no trace, is not Zero (the
+    series diverges, so no tail sum bounds anything), and for the rare Zero
+    family whose majorant does not start to decay within the exact window.
+    ``n_max`` is an int of at most 10 000, as in ``comparability_report``;
+    the lower bound's loop grows with it.
     """
-    if not (1 <= n_max <= 10_000):
-        raise DomainError(f"n_max must satisfy 1 <= n_max <= 10000, got {n_max}")
+    if type(n_max) is not int or not (1 <= n_max <= 10_000):
+        raise DomainError(f"n_max must be an int with 1 <= n_max <= 10000, got {n_max!r}")
     kappa = _Kappa(spec)
     log2_cap, _ = _component_kernel(e)
     best = LogValue.from_log2(max(log2_cap(n, kappa(n)) for n in range(1, n_max + 1)))
     lower = CapacityReport(best, Method.CLOSED_FORM, BoundKind.LOWER)
-    if classify(spec, e).outcome is not Outcome.ZERO:
+    if _decide(kappa.C, kappa.beta, kappa.gamma, e)[0] is not Outcome.ZERO:
         return lower, None
     tail = _tail_upper(kappa, e, n_max, log2_cap)
     upper = None if tail is None else CapacityReport(tail, Method.CLOSED_FORM, BoundKind.UPPER)
@@ -538,8 +523,8 @@ def comparability_report(
     bits for any kappa, as no log of size kappa enters a difference.
     """
     lo, hi = n_range
-    if not (1 <= lo <= hi <= 10_000):
-        raise DomainError(f"n range must satisfy 1 <= lo <= hi <= 10000, got {n_range}")
+    if type(lo) is not int or type(hi) is not int or not (1 <= lo <= hi <= 10_000):
+        raise DomainError(f"n range must be ints with 1 <= lo <= hi <= 10000, got {n_range!r}")
     rows = []
     ratio_min, ratio_max = math.inf, -math.inf
     kappa_of = _Kappa(spec)
@@ -606,30 +591,32 @@ def dimension_profile(
 ) -> DimensionBracket:
     """Bracket the Hausdorff dimension from verdicts over an exponent grid.
 
+    The family is normalized to (C, beta, gamma) once, and each grid point
+    is decided from it, without ``classify``'s evidence or trace.
     Lower endpoint: the largest 1 - a*p whose point classifies Positive.
     Upper endpoint: the largest 1 - a*p whose point does not classify Zero.
     The endpoints agree whenever no grid point is Indeterminate.  Both
     default to 0 for an all-Zero grid (dimension is nonnegative); an empty
     grid is rejected, since it gives no evidence for any bracket.
     """
-    lower = Fraction(0)
-    upper = Fraction(0)
+    coefficients = _coefficients(spec)
+    lower = upper = Fraction(0)
     points = []
     for a_like, p_like in grid:
         e = Exponents(a_like, p_like)
-        verdict = classify(spec, e)
+        outcome, condition, _ = _decide(*coefficients, e)
         co_dim = 1 - e.ap
-        if verdict.outcome is Outcome.POSITIVE:
+        if outcome is Outcome.POSITIVE:
             lower = max(lower, co_dim)
-        if verdict.outcome is not Outcome.ZERO:
+        if outcome is not Outcome.ZERO:
             upper = max(upper, co_dim)
         points.append(
             {
                 "a": str(e.a),
                 "p": str(e.p),
                 "one_minus_ap": str(co_dim),
-                "outcome": verdict.outcome.value,
-                "condition": verdict.condition,
+                "outcome": outcome.value,
+                "condition": condition,
             }
         )
     if not points:

@@ -4,7 +4,7 @@ from typing import Mapping
 
 from capatree import Custom, CylinderSet, DomainError, Exponents, LogValue, cap_component, kappa_value
 from capatree.capacity import _LN2, _geometric, _log2_1p_exp2
-from capatree.dobinski import _iroot_floor, to_growth
+from capatree.dobinski import Growth, _coefficients, _iroot_floor
 from capatree.tree import validate_word
 
 # the six (a, p) pairs of acceptance criterion 3
@@ -61,7 +61,7 @@ def kappa_reference(spec, n: int) -> int:
             if tn == n:
                 return tk
         return kappa_reference(spec.tail_rule, n)
-    g = to_growth(spec)
+    g = Growth(*_coefficients(spec))
     exp2 = g.gamma * n
     if g.beta.denominator == 1 and exp2.denominator == 1:
         x = g.C * Fraction(n) ** int(g.beta) * Fraction(2) ** int(exp2)

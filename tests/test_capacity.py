@@ -171,6 +171,12 @@ class TestTruncatedTreeCapacity:
                 finite_tree_capacity(2, leaves, E_HALF_2)
         assert rel_diff(finite_tree_capacity(1, iter(["0", "1"]), E_HALF_2), truncated_tree_capacity(E_HALF_2, 1)) <= 1e-12
 
+    @pytest.mark.parametrize("depth", [2.5, True, "3"])
+    def test_depth_must_be_an_int(self, depth):
+        # a float depth would sum a fractional number of geometric terms
+        with pytest.raises(DomainError, match="int"):
+            truncated_tree_capacity(E_HALF_2, depth)
+
     def test_astronomical_depth_is_the_full_tree_value(self):
         e = Exponents("1/2", 2)
         assert truncated_tree_capacity(e, 10**400) == full_tree_capacity(e).value

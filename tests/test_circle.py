@@ -103,6 +103,18 @@ class TestRunLengths:
             run_lengths(s, 10_001)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda n: run_lengths(DigitStream.from_rational("1/3"), n), lambda n: product_identity("1/3", n)],
+    ids=["run_lengths", "product_identity"],
+)
+def test_counts_must_be_ints(call, bad):
+    # a bool is not taken for 1, and a float or a string gets a DomainError, not a TypeError
+    with pytest.raises(DomainError, match="int"):
+        call(bad)
+
+
 class TestMembershipScore:
     def test_alternating_scores_zero(self):
         assert membership_score(DigitStream.from_rational("1/3"), 24) == 0.0
@@ -251,6 +263,12 @@ class TestRieszPotential:
             riesz_potential(f, 0.1, "3/2")
         with pytest.raises(DomainError):
             riesz_potential(f, 0.1, "1")
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_rejected(self, y):
+        # nan % 1.0 is nan, so the potential would come out nan
+        with pytest.raises(DomainError, match="finite y"):
+            riesz_potential(DyadicDensity.constant(1.0), y, "1/2")
 
 
 class TestCircleCapacity:

@@ -529,6 +529,46 @@ class TestComparabilityReport:
         assert raised >= 10 and equal - critical >= 60 and critical >= 60 and factored >= 1000 and deep >= 50
 
 
+class TestOnlyClassifyBuildsTheTrace:
+    def test_bounds_dimension_and_union_decide_without_it(self, monkeypatch):
+        specs = [Geometric(1), Linear(Fraction(1)), Power(2, "3/2"), Growth(1, 1, "1/2"), Custom([(1, 5)], Linear(2))]
+        grid = [(Fraction(1, 2), Fraction(2)), (Fraction(1, 3), Fraction(3)), (Fraction(1, 8), Fraction(2))]
+
+        def outputs():
+            bounds = [capacity_bounds(spec, Exponents(a, p), 8) for spec in specs for a, p in grid]
+            return (
+                [(lower.value.log2, None if upper is None else upper.value.log2) for lower, upper in bounds],
+                [dimension_profile(spec, grid).to_json() for spec in specs],
+                [dobinski_full(Exponents(a, p)).to_json() for a, p in grid],
+            )
+
+        def no_trace(*args):
+            raise AssertionError("the trace was built outside classify")
+
+        expected = outputs()
+        monkeypatch.setattr(dobinski, "_trace", no_trace)
+        assert outputs() == expected
+        with pytest.raises(AssertionError, match="outside classify"):
+            classify(Geometric(1), E_HALF_2)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: capacity_bounds(Geometric(1), E_THIRD_3, n),
+        lambda n: comparability_report(E_HALF_2, (n, 4), Geometric(1)),
+        lambda n: comparability_report(E_HALF_2, (1, n), Geometric(1)),
+        lambda n: kappa_value(Geometric(1), n),
+    ],
+    ids=["capacity_bounds", "comparability_report_lo", "comparability_report_hi", "kappa_value"],
+)
+def test_integer_arguments_must_be_ints(call, bad):
+    # a bool is not taken for 1, and a float or a string gets a DomainError, not a TypeError
+    with pytest.raises(DomainError, match="int"):
+        call(bad)
+
+
 class TestDimensionProfile:
     def test_geometric_brackets_to_zero(self):
         grid = [
