@@ -260,8 +260,8 @@ def finite_tree_capacity(depth: int, target_leaves: Sequence[str], e: Exponents)
     must be binary words of length ``depth``; the empty target set has
     capacity zero.
     """
-    if depth < 0:
-        raise DomainError(f"depth must be >= 0, got {depth}")
+    if type(depth) is not int or depth < 0:
+        raise DomainError(f"depth must be an int >= 0, got {depth!r}")
     leaves = _sorted_words(target_leaves)  # strings, read once even from an iterator
     if set(map(len, leaves)) - {depth}:
         leaf = next(w for w in leaves if len(w) != depth)

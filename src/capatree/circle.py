@@ -164,8 +164,8 @@ class DyadicDensity(Record):
     _fields = ("depth", "values")
 
     def __init__(self, depth: int, values: Sequence[float]):
-        if depth < 0:
-            raise DomainError(f"depth must be >= 0, got {depth}")
+        if type(depth) is not int or depth < 0:
+            raise DomainError(f"depth must be an int >= 0, got {depth!r}")
         values = tuple(float(v) for v in values)
         if len(values) != 2 ** depth:
             raise DomainError(f"need {2 ** depth} arc values at depth {depth}, got {len(values)}")

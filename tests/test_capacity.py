@@ -171,6 +171,13 @@ class TestTruncatedTreeCapacity:
                 finite_tree_capacity(2, leaves, E_HALF_2)
         assert rel_diff(finite_tree_capacity(1, iter(["0", "1"]), E_HALF_2), truncated_tree_capacity(E_HALF_2, 1)) <= 1e-12
 
+    @pytest.mark.parametrize("depth", [True, 2.0, "2"])
+    def test_finite_problem_depth_must_be_an_int(self, depth):
+        # True would pass for 1 and return the depth-1 capacity
+        leaves = ["0" * int(depth), "1" * int(depth)]
+        with pytest.raises(DomainError, match="int"):
+            finite_tree_capacity(depth, leaves, E_HALF_2)
+
     @pytest.mark.parametrize("depth", [2.5, True, "3"])
     def test_depth_must_be_an_int(self, depth):
         # a float depth would sum a fractional number of geometric terms

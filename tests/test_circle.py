@@ -187,6 +187,12 @@ class TestDyadicDensity:
         with pytest.raises(DomainError):
             DyadicDensity(0, (-1.0,))
 
+    @pytest.mark.parametrize("depth", [True, 2.0, "2"])
+    def test_depth_must_be_an_int(self, depth):
+        # True would be stored as the depth, with its 2**True = 2 arcs
+        with pytest.raises(DomainError, match="int"):
+            DyadicDensity(depth, [1.0] * 2 ** int(depth))
+
 
 def reference_potential(f: DyadicDensity, y: float, a: Fraction):
     """The potential at 30 digits: F(s) = 2**(a-2)/pi B_{sin(pi s)**2}(a/2, 1/2) by mpmath's betainc."""

@@ -14,7 +14,7 @@ from capatree import (
     solve_capacity,
     solve_from_json,
 )
-from capatree.oracle import _TreeArrays
+from capatree.oracle import _leaf_offsets, _TreeArrays
 from conftest import NON_BINARY_WORDS, PAIRS, dense_witness, energy_eval, node_index, potential_eval
 
 E = Exponents("1/2", 2)  # weights identically 1
@@ -97,6 +97,23 @@ class TestProblemValidation:
         with pytest.raises(DomainError, match="string"):
             FiniteProblem(1, leaves, E)
 
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_sizes_must_be_ints(self, bad):
+        # True and 2.0 equal ints and "2" is no number: each is refused up front
+        leaves = ("0" * int(bad), "1" * int(bad))
+        with pytest.raises(DomainError, match="int"):
+            FiniteProblem(bad, leaves, E)
+        with pytest.raises(DomainError, match="int"):
+            FiniteProblem.from_json({"depth": bad, "target_leaves": list(leaves), "a": "1/2", "p": "2"})
+        with pytest.raises(DomainError, match="count must be >= 1"):
+            agreement_battery(count=bad)
+        with pytest.raises(DomainError, match="max_depth must be in"):
+            agreement_battery(count=1, max_depth=bad)
+
+    def test_json_depth_is_not_truncated(self):
+        with pytest.raises(DomainError, match="int"):
+            FiniteProblem.from_json({"depth": 2.7, "target_leaves": ["00"], "a": "1/2", "p": "2"})
+
     def test_duplicate_targets_collapse(self):
         prob = FiniteProblem(2, ("11", "00", "11", "01", "00"), E)
         assert prob.target_leaves == ("00", "01", "11")
@@ -175,6 +192,32 @@ class TestTreeSolve:
         expected = self.dense_solve(tree, d, free, rhs, 1e-3)
         assert np.abs(z - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
         assert not z[free == 0].any()
+
+
+class TestTreeSweeps:
+    @pytest.mark.parametrize("depth", range(10))
+    def test_path_sums_match_word_by_word(self, depth):
+        rng = np.random.default_rng(depth)
+        phi = rng.random(2 ** (depth + 1) - 1) * (rng.random(2 ** (depth + 1) - 1) < 0.7)
+        words = [format(i, f"0{d}b") if d else "" for d in range(depth + 1) for i in range(2 ** d)]
+        expected = [potential_eval(dict(zip(words, phi)), word) for word in words]
+        np.testing.assert_allclose(_TreeArrays(depth).path_sums(phi), expected, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("depth", range(10))
+    def test_subtree_sums_match_word_by_word(self, depth):
+        rng = np.random.default_rng(depth)
+        leaf_values = rng.random(2 ** depth) * (rng.random(2 ** depth) < 0.7)
+        leaves = [format(i, f"0{depth}b") if depth else "" for i in range(2 ** depth)]
+        words = [format(i, f"0{d}b") if d else "" for d in range(depth + 1) for i in range(2 ** d)]
+        expected = [sum(v for leaf, v in zip(leaves, leaf_values) if leaf.startswith(word)) for word in words]
+        np.testing.assert_allclose(_TreeArrays(depth).subtree_sums(leaf_values), expected, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("depth", [0, 1, 7, 8, 9, 16, 20])
+    def test_leaf_offsets_read_words_as_binary(self, depth):
+        rng = np.random.default_rng(depth)
+        words = [format(int(i), f"0{depth}b") if depth else "" for i in rng.integers(0, 2 ** depth, 50)]
+        words += ["0" * depth, "1" * depth]
+        assert _leaf_offsets(words, depth).tolist() == [int(w or "0", 2) for w in words]
 
 
 class TestSolveCapacity:
@@ -257,6 +300,53 @@ class TestSolveCapacity:
                 phi = dense_witness(res)
                 assert min(potential_eval(phi, leaf) for leaf in prob.target_leaves) >= 1.0 - 1e-12
                 assert energy_eval(phi, prob) == pytest.approx(res.value, rel=1e-12)
+
+
+class TestLeafAdjustedWitness:
+    """The upper bound's witness: phi with each target leaf moved to bring its potential to 1."""
+
+    @pytest.mark.parametrize("p", [Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5)], ids=str)
+    @pytest.mark.parametrize("depth, leaves", [
+        (0, ("",)),
+        (3, ("010",)),
+        (4, ("0000", "0010", "0110", "1010", "1100")),
+        (6, tuple(format(i, "06b") for i in range(0, 64, 6))),
+    ])
+    def test_witness_is_admissible_and_carries_the_value(self, p, depth, leaves):
+        for ap in (Fraction(1, 2), Fraction(1)):
+            prob = FiniteProblem(depth, leaves, Exponents(ap / p, p))
+            res = solve_capacity(prob)
+            phi = dense_witness(res)
+            assert min(potential_eval(phi, leaf) for leaf in leaves) >= 1.0 - 1e-12
+            assert energy_eval(phi, prob) == pytest.approx(res.value, rel=1e-12)
+            assert res.witness_dict() == {word: v for word, v in phi.items() if v > 0}
+            if depth == 0:  # the start, unit mass at its best multiple, is optimal: phi is 1 at the root
+                assert res.violation == 0.0
+                continue
+            # No two targets here are siblings, so a target's mass is its parent's, and
+            # phi(t) = phi(parent) * (w(parent)/w(t))**(p'-1) recovers the unadjusted phi.
+            w = prob.weight_array()
+            raw = []
+            for leaf in leaves:
+                parent = leaf[:-1]
+                leaf_value = phi[parent] * (w[node_index(parent)] / w[node_index(leaf)]) ** (1 / (p - 1))
+                raw.append(potential_eval(phi, parent) + leaf_value)
+            assert res.violation == pytest.approx(max(0.0, 1.0 - min(raw)), abs=1e-12)
+
+    def test_violation_reads_the_unadjusted_phi(self):
+        # off p = 2 the last Newton step leaves phi's least potential short of 1,
+        # which phi' hides; violation still reports it
+        prob = FiniteProblem(4, ("0000", "0010", "0110", "1010", "1100"), Exponents(Fraction(1, 3), 3))
+        assert solve_capacity(prob).violation > 0.0
+
+    def test_bracket_closes_in_two_newton_steps(self):
+        # 5 iterations are the start's evaluation and two Newton steps (a tree solve and
+        # an evaluation each); an upper bound of first order needs a third step on most rows
+        rows = agreement_battery(count=200, seed=0, max_depth=8, tol=1e-5)
+        off_two = [row for row in rows if row["p"] != "2" and row["depth"] >= 3]
+        assert sum(row["iterations"] <= 5 for row in off_two) >= 0.85 * len(off_two)
+        assert sum(row["iterations"] for row in rows) <= 660
+        assert all(row["ok"] for row in rows)
 
 
 class TestAgreementBattery:
