@@ -295,21 +295,31 @@ def sigma_closed_form(n: int, kappa: int, e: Exponents) -> LogValue:
 
 
 def _component_kernel(e: Exponents):
-    """(log2_cap, log2_cap_ratio) of one exponent pair: (n, kappa) -> log2 cap(D(n, kappa)), as in
-    ``cap_component``, and (n, kappa) -> that log2 paired with the log2 of the ratio
-    cap(D(n, kappa)) 2**(b kappa - ap n), both from one evaluation of the sums.
+    """(log2_cap, log2_cap_ratio, statistic) of one exponent pair, each a function of (n, kappa).
+
+    ``log2_cap`` is log2 cap(D(n, kappa)), as in ``cap_component``.  ``statistic``
+    is the log2 s of the branch's comparison quantity, whose limsup sorts run
+    sets: n - (p-1) log2 kappa on the critical branch, and below it the exact
+    quotient (v ap n - v b kappa) / v, v the denominator of ap, rounded once
+    (None past the double range).  ``log2_cap_ratio`` gives log2 cap and, from
+    the same sums, log2 of the ratio cap 2**-s.
 
     Every constant that does not depend on (n, kappa) is computed once, here,
     so a caller that evaluates many components builds one kernel per query.
-    The kernels do not check their arguments; each returns a finite log2 or
-    raises DomainError.  Cap's three terms are 2**x, x = q(b kappa - ap n), times
-    2**-qb G(kappa, -qb), G(inf, -q ap) and 2**-x G(n, -q ap); as (p-1)q = 1 the
-    ratio is the sum of those cofactors to the power -(p-1), so x cancels exactly.
+    The kernels do not check their arguments; the cap kernels return a finite
+    log2 or raise DomainError.  Below the critical line cap's three terms are
+    2**x, x = -q s, times 2**-qb G(kappa, -qb), G(inf, -q ap) and 2**-x G(n, -q ap);
+    as (p-1)q = 1 the ratio is the sum of those cofactors to the power -(p-1),
+    so x cancels exactly.  On the critical branch the cofactors are 1,
+    G(inf, -q)/kappa and 2**(qn) G(n, -q)/kappa, with x = log2 kappa - qn
+    formed as (E P - n Q)/P + log2(kappa / 2**E), E the bit length of kappa
+    and p-1 = P/Q, so no terms of size n cancel in floats.
     """
     q = e.q_f
     v = e.ap.denominator
     ap_num = e.ap.numerator
     vb = v - ap_num  # v * b
+    P, Q = (e.p - 1).numerator, (e.p - 1).denominator
     q_v = q / v
     qb = q * (1.0 - e.ap_f)
     run_sum = _geometric(-qb)  # G(kappa, -qb)
@@ -333,8 +343,21 @@ def _component_kernel(e: Exponents):
         run = vb * (kappa - 1) - ap_num * n
         x, rs = _times(run + vb, q_v), run_sum(kappa)
         t2 = branch_sum(n) if n else -math.inf
-        return log2_power(_times(run, q_v) + rs, x + full, t2), log2_power(rs - qb, full, t2 - x)
-    return log2_cap, log2_cap_ratio
+        cap = log2_power(_times(run, q_v) + rs, x + full, t2)
+        if vb:
+            return cap, log2_power(rs - qb, full, t2 - x)
+        E = kappa.bit_length()  # critical: rs = log2 kappa, and x + rs = log2 kappa - qn
+        x = (E * P - n * Q) / P + math.log2(kappa / (1 << E))
+        return cap, log2_power(0.0, full - rs, t2 - x)
+
+    def statistic(n: int, kappa: int) -> float | None:
+        if not vb:
+            return n - pm1 * math.log2(kappa)
+        try:
+            return (ap_num * n - vb * kappa) / v  # int / int rounds once
+        except OverflowError:
+            return None
+    return log2_cap, log2_cap_ratio, statistic
 
 
 def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:

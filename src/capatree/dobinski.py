@@ -165,12 +165,19 @@ def _coefficients(spec: SequenceSpec) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _iroot_floor(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for nonnegative integers, by integer Newton."""
+    """floor(x ** (1/k)) for nonnegative integers, by integer Newton down from a start >= the root.
+
+    The start is a float root raised by 2**-40, far above log2's rounding, and
+    checked by one exact power; 2**ceil(bits/k) takes over if the check fails.
+    """
     if x < 0 or k < 1:
         raise DomainError("iroot needs x >= 0 and k >= 1")
     if x == 0 or k == 1:
         return x
-    r = 1 << -(-x.bit_length() // k)  # upper estimate
+    shift = max(0, x.bit_length() // k - 60)  # the root is about m * 2**shift with m < 2**61
+    r = (math.floor(2.0 ** (math.log2(x >> k * shift) / k) * (1 + 2.0 ** -40)) + 1) << shift
+    if r ** k < x:
+        r = 1 << -(-x.bit_length() // k)
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
@@ -275,18 +282,10 @@ class Verdict(Record):
 
 
 def _trace(kappa: _Kappa, e: Exponents, count: int = 16) -> list[dict]:
-    """Finite-window values of the decisive statistic, for the evidence field."""
-    if e.is_critical:  # log2 of 2**n kappa**-(p-1)
-        return [{"n": n, "log2_stat": n - e.pm1_f * math.log2(kappa(n))} for n in range(1, count + 1)]
-    rows = []
-    ap, b = e.ap_f, float(1 - e.ap)
-    for n in range(1, count + 1):
-        try:
-            stat = ap * n - b * kappa(n)
-        except OverflowError:  # kappa >= 2**1024; the verdict is symbolic, so the row is null
-            stat = None
-        rows.append({"n": n, "exponent": stat})
-    return rows
+    """Finite-window values of the run-set kernel's statistic, for the evidence field (null past the double range)."""
+    statistic = _component_kernel(e)[2]
+    key = "log2_stat" if e.is_critical else "exponent"
+    return [{"n": n, key: statistic(n, kappa(n))} for n in range(1, count + 1)]
 
 
 def _decide(C: Fraction, beta: Fraction, gamma: Fraction, e: Exponents) -> tuple[Outcome, str | None, dict]:
@@ -426,6 +425,7 @@ def _remainder(kappa: _Kappa, e: Exponents):
     # f(n) = ap n - b g(n) never increase, so from any N where the increment is
     # negative, sum_{n >= N} 2**f(n) <= 2**f(N) / (1 - 2**(f(N+1) - f(N))).
     convex_from = math.ceil(1 / (2 * gamma)) if 0 < beta < 1 else 1
+    statistic = _component_kernel(e)[2]  # f(N) <= statistic(N, kappa_N - 1), rounded once
 
     def remainder(N: int) -> float | None:
         if N < convex_from:
@@ -433,11 +433,8 @@ def _remainder(kappa: _Kappa, e: Exponents):
         # kappa_n - 1 < g(n) <= kappa_n bounds f(N) and its increment from above, exactly
         k0, k1 = kappa.rule(N), kappa.rule(N + 1)
         step = ap - b * (k1 - k0 - 1)
-        if step >= 0:
-            return None
-        try:
-            f = float(ap * N - b * (k0 - 1))
-        except OverflowError:  # f(N) is beyond the double range
+        f = statistic(N, k0 - 1)
+        if step >= 0 or f is None:  # None: f(N) is beyond the double range
             return None
         return _log2_up(log2_c, f, -math.log2(-math.expm1(float(step) * _LN2)))
     return remainder
@@ -496,7 +493,7 @@ def capacity_bounds(
     if type(n_max) is not int or not (1 <= n_max <= 10_000):
         raise DomainError(f"n_max must be an int with 1 <= n_max <= 10000, got {n_max!r}")
     kappa = _Kappa(spec)
-    log2_cap, _ = _component_kernel(e)
+    log2_cap = _component_kernel(e)[0]
     best = LogValue.from_log2(max(log2_cap(n, kappa(n)) for n in range(1, n_max + 1)))
     lower = CapacityReport(best, Method.CLOSED_FORM, BoundKind.LOWER)
     if _decide(kappa.C, kappa.beta, kappa.gamma, e)[0] is not Outcome.ZERO:
@@ -511,59 +508,40 @@ def comparability_report(
 ) -> dict:
     """Ratio of component capacities to the branch comparison quantity.
 
-    The raw comparison quantity (2**n * kappa**-(p-1) on the critical
-    branch, 2**(ap*n - (1-ap)*kappa) on the subcritical one) is clamped at
-    1 before dividing: capacities never exceed 1, and the clamped quantity
-    is the two-sided comparable proxy, so the ratio stays in a fixed band.
-    Each row takes cap(D(n, kappa_n)) from one ``cap_component`` kernel built
-    for the query, and the subcritical exponent is the exact integer
-    quotient (v ap n - v (1-ap) kappa) / v, v the denominator of ap, rounded
-    once.  Where it is negative one call of the kernel's ``log2_cap_ratio``
-    gives cap's log2 and the ratio's from the same sums; the ratio keeps its
-    bits for any kappa, as no log of size kappa enters a difference.
+    The comparison quantity 2**s, s the run-set kernel's statistic
+    (2**n * kappa**-(p-1) on the critical branch, 2**(ap*n - (1-ap)*kappa) on
+    the subcritical one), is clamped at 1 before dividing: capacities never
+    exceed 1, and the clamped quantity is the two-sided comparable proxy, so
+    the ratio stays in a fixed band.  Where s >= 0 the ratio is cap itself;
+    elsewhere the kernel's ``log2_cap_ratio`` gives it factored, from the same
+    sums as cap, so no logs of size n or kappa enter a difference.
     """
     lo, hi = n_range
     if type(lo) is not int or type(hi) is not int or not (1 <= lo <= hi <= 10_000):
         raise DomainError(f"n range must be ints with 1 <= lo <= hi <= 10000, got {n_range!r}")
     rows = []
-    ratio_min, ratio_max = math.inf, -math.inf
     kappa_of = _Kappa(spec)
-    log2_cap, log2_cap_ratio = _component_kernel(e)
-    critical, pm1 = e.is_critical, e.pm1_f
-    v, ap_num = e.ap.denominator, e.ap.numerator
-    vb = v - ap_num  # v * (1-ap)
+    log2_cap, log2_cap_ratio, statistic = _component_kernel(e)
     for n in range(lo, hi + 1):
         kappa = kappa_of(n)
-        if critical or ap_num * n >= vb * kappa:  # the subcritical proxy is not negative
+        stat = statistic(n, kappa)  # None only where kappa is past the kernels' range, which then raise
+        if stat is not None and stat >= 0:
             cap_log2 = ratio_log2 = log2_cap(n, kappa)
         else:
             cap_log2, ratio_log2 = log2_cap_ratio(n, kappa)
-        log2_kappa = math.log2(kappa)
-        try:
-            if critical:
-                proxy_log2 = n - pm1 * log2_kappa
-                ratio_log2 = cap_log2 - min(0.0, proxy_log2)
-            else:
-                proxy_log2 = (ap_num * n - vb * kappa) / v  # int / int rounds once
-            ratio = 2.0 ** ratio_log2
-        except OverflowError as exc:
-            raise DomainError(
-                f"comparison exponent or ratio exceeds double range at n={n}"
-            ) from exc
-        ratio_min = min(ratio_min, ratio)
-        ratio_max = max(ratio_max, ratio)
         rows.append(
             {
                 "n": n,
                 "kappa": kappa if kappa < 2 ** 53 else None,
-                "kappa_log2": log2_kappa,
+                "kappa_log2": math.log2(kappa),
                 "cap_linear": 2.0 ** cap_log2 if abs(cap_log2) < 1020 else None,
                 "cap_log2": cap_log2,
-                "proxy_log2": proxy_log2,
-                "ratio": ratio,
+                "proxy_log2": stat,
+                "ratio": 2.0 ** ratio_log2,
             }
         )
-    return {"rows": rows, "ratio_min": ratio_min, "ratio_max": ratio_max}
+    ratios = [row["ratio"] for row in rows]
+    return {"rows": rows, "ratio_min": min(ratios), "ratio_max": max(ratios)}
 
 
 # ----------------------------------------------------------------------

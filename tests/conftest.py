@@ -163,25 +163,82 @@ def tail_sum_reference(spec, e: Exponents, start: int, count: int = 2001):
 
 
 def ratio_reference(e: Exponents, n: int, kappa: int) -> float:
-    """The subcritical comparability ratio cap(D(n, kappa)) / min(1, 2**(ap n - b kappa)), 60 digits.
+    """The comparability ratio cap(D(n, kappa)) / min(1, 2**s), 60 digits, s the branch statistic.
 
-    Where the proxy is below 1 this is the factored form
-    (2**-qb G(kappa, -qb) + G(inf, -q ap) + 2**(-q(b kappa - ap n)) G(n, -q ap))**-(p-1);
-    elsewhere it is cap itself, the term of ``tail_sum_reference``.
+    Below the critical line s = ap n - b kappa, and where 2**s < 1 the ratio is
+    (2**-qb G(kappa, -qb) + G(inf, -q ap) + 2**(-q(b kappa - ap n)) G(n, -q ap))**-(p-1).
+    On the critical branch 2**s = 2**n kappa**-(p-1), and where it is below 1 the
+    ratio is (1 + (2**(qn) G(n, -q) + G(inf, -q)) / kappa)**-(p-1).  Elsewhere
+    the ratio is cap itself, the term of ``tail_sum_reference``.
     """
     import mpmath
 
-    if e.is_critical:
-        raise DomainError("the reference ratio is for a*p < 1")
     with mpmath.workdps(60):
         A, B, pow2, geometric, exponent = _exact_powers(e)
         full = 1 / (1 - pow2(-A))
+        if e.is_critical:
+            pm1 = e.p - 1
+            if 2 ** (n * pm1.denominator) < kappa ** pm1.numerator:  # 2**s < 1, decided exactly
+                inner = 1 + (pow2(A * n) * geometric(n, A) + full) / kappa
+            else:
+                inner = geometric(n, A) + pow2(-A * n) * (kappa + full)
+            return float(mpmath.power(inner, exponent))
         x = B * kappa - A * n  # D q (b kappa - ap n), over the denominator D of _exact_powers
         if x > 0:
             inner = pow2(-B) * geometric(kappa, B) + full + pow2(-x) * geometric(n, A)
         else:
             inner = geometric(n, A) + pow2(x - B) * geometric(kappa, B) + pow2(x) * full
         return float(mpmath.power(inner, exponent))
+
+
+def log2_fraction(x: Fraction) -> float:
+    """log2 of a positive Fraction of any size, from one correctly rounded quotient near 1."""
+    shift = x.numerator.bit_length() - x.denominator.bit_length()
+    num, den = x.numerator << max(0, -shift), x.denominator << max(0, shift)
+    return shift + math.log2(num / den)
+
+
+def half_two_sweep(words, leaf: Fraction) -> Fraction:
+    """The two-child recursion at (a, p) = (1/2, 2) in exact rationals.
+
+    There ap = 1, so lambda = 1, q = 1 and a node's value is Phi_1(l + r) with
+    Phi_1(x) = x / (1 + x): every finite set's capacity is rational.  Each word
+    of ``words`` roots a subtree of normalized value ``leaf``, a missing child
+    counts 0.  A level where the two children differ adds their denominators'
+    sizes, so denominators double in size per differing level: this serves
+    small sets only, as a reference, never as an engine.
+    """
+    words = set(words)
+
+    def value(prefix: str) -> Fraction:
+        if prefix in words:
+            return leaf
+        if not any(w.startswith(prefix) for w in words):
+            return Fraction(0)
+        x = value(prefix + "0") + value(prefix + "1")
+        return x / (1 + x)
+    return value("")
+
+
+def half_two_capacity(words) -> Fraction:
+    """Exact capacity at (1/2, 2) of the cylinder set on ``words``: generators take c = 1/2."""
+    return half_two_sweep(words, Fraction(1, 2))
+
+
+def half_two_finite_tree(target_leaves) -> Fraction:
+    """Exact capacity at (1/2, 2) of a finite-tree problem: each target leaf takes 1."""
+    return half_two_sweep(target_leaves, Fraction(1))
+
+
+def half_two_component(n: int, kappa: int) -> Fraction:
+    """Exact cap(D(n, kappa)) at (1/2, 2): 2**n / (2**(n+1) + kappa)."""
+    return Fraction(2 ** n, 2 ** (n + 1) + kappa)
+
+
+def half_two_critical_ratio(n: int, kappa: int) -> Fraction:
+    """Exact comparability ratio at (1/2, 2) for kappa >= 2**n: kappa / (2**(n+1) + kappa)."""
+    assert kappa >= 2 ** n
+    return Fraction(kappa, 2 ** (n + 1) + kappa)
 
 
 def node_index(word: str) -> int:

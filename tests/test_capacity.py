@@ -22,8 +22,19 @@ from capatree import (
     sigma_closed_form,
     truncated_tree_capacity,
 )
-from capatree.capacity import BoundKind, Method, _geometric, _sweep
-from conftest import PAIRS, phi_composition_exponents, rel_diff, sigma_direct, sweep_reference
+from capatree.capacity import BoundKind, Method, _component_kernel, _geometric, _sweep
+from conftest import (
+    PAIRS,
+    half_two_capacity,
+    half_two_component,
+    half_two_critical_ratio,
+    half_two_finite_tree,
+    log2_fraction,
+    phi_composition_exponents,
+    rel_diff,
+    sigma_direct,
+    sweep_reference,
+)
 
 E_HALF_2 = Exponents("1/2", 2)
 E_THIRD_3 = Exponents("1/3", 3)
@@ -628,3 +639,56 @@ class TestCapComponent:
         # cancels the 2**n prefactor exactly, so the value stays order one
         out = cap_component(5000, 2**20, E_THIRD_3)
         assert -10 < out.value.log2 < 0
+
+
+class TestExactRationalsAtTheLogarithmicPoint:
+    """At (1/2, 2) every finite set's capacity is rational: exact references, no rounding."""
+
+    @staticmethod
+    def close(got: float, exact) -> bool:
+        ref = log2_fraction(exact)
+        return abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    def test_cylinder_sets_match_the_rational_recursion(self):
+        rng = random.Random(20261019)
+        checked = 0
+        while checked < 300:
+            words, depth = [], rng.randint(1, 12)
+
+            def grow(w):
+                if len(w) == depth or rng.random() < 0.25:
+                    if rng.random() < 0.8:
+                        words.append(w)
+                    return
+                for digit in "01":
+                    if rng.random() < 0.75:
+                        grow(w + digit)
+            grow("")
+            if not words:
+                continue
+            got = capacity_recursive(CylinderSet.from_words(words), E_HALF_2).value.log2
+            assert self.close(got, half_two_capacity(words)), words
+            checked += 1
+
+    def test_finite_tree_problems_match_the_rational_recursion(self):
+        rng = random.Random(20261020)
+        for _ in range(100):
+            depth = rng.randint(0, 10)
+            leaves = [format(i, f"0{depth}b") if depth else "" for i in range(2 ** depth)]
+            targets = rng.sample(leaves, rng.randint(1, min(len(leaves), 40)))
+            got = finite_tree_capacity(depth, targets, E_HALF_2).log2
+            assert self.close(got, half_two_finite_tree(targets)), targets
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 53, 200, 1000, 3000])
+    def test_components_and_critical_ratios_match_the_closed_forms(self, n):
+        log2_cap, log2_cap_ratio, _ = _component_kernel(E_HALF_2)
+        kappas = {1, 2, 3, 1000, 2 ** 53 + 1, 2 ** 1000 - 1, 2 ** 1000}
+        kappas |= {2 ** n - 1, 2 ** n, 2 ** n + 1, n * 2 ** n, 3 * 2 ** n + 1} - {0}
+        for kappa in sorted(kappas):
+            # cap forms -qn + log2 kappa, which loses about an ulp of n: 3.8e-14 at n = 3000
+            if n <= 1000:
+                assert self.close(cap_component(n, kappa, E_HALF_2).value.log2, half_two_component(n, kappa)), kappa
+            cap, ratio = log2_cap_ratio(n, kappa)
+            assert cap == log2_cap(n, kappa)
+            if kappa >= 2 ** n:
+                assert self.close(ratio, half_two_critical_ratio(n, kappa)), kappa

@@ -17,6 +17,14 @@ def run_cli(capsys, argv):
     return status, out
 
 
+def cli_process(argv, timeout=20):
+    """``python -m capatree.cli argv`` in a fresh interpreter, killed after ``timeout`` seconds."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "capatree.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
 def run_json(capsys, argv):
     status, out = run_cli(capsys, argv)
     return status, json.loads(out)
@@ -271,8 +279,8 @@ class TestExitCodes:
         ids=["classify", "bounds", "dimension"],
     )
     def test_kappa_past_the_double_range_gives_a_null_trace_row(self, capsys, command):
-        # kappa_16 = 2**1024 made the subcritical trace raise OverflowError
-        family = ["--family", "growth", "--C", "1", "--beta", "0", "--gamma", "64"]
+        # kappa_16 = 2**1040 puts the subcritical statistic (16 - kappa_16)/2 past the double range
+        family = ["--family", "growth", "--C", "1", "--beta", "0", "--gamma", "65"]
         exponents = [] if command[0] == "dimension" else ["--a", "1/4", "--p", "2"]
         status, out = run_cli(capsys, [*command, *exponents, *family])
         assert status == 0
@@ -281,13 +289,16 @@ class TestExitCodes:
 
     def test_huge_power_exponent_fails_fast(self):
         # beta = 1e400 is the exact integer 10**400; n**beta ran without end
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = ["classify", "--a", "1/2", "--p", "2", "--family", "power", "--C", "1", "--beta", "1e400"]
-        proc = subprocess.run([sys.executable, "-m", "capatree.cli", *argv], env=env, capture_output=True,
-                              text=True, timeout=20)
+        proc = cli_process(["classify", "--a", "1/2", "--p", "2", "--family", "power", "--C", "1", "--beta", "1e400"])
         assert proc.returncode == 2
         assert proc.stderr.startswith("capatree: error: power family needs |beta| <= 2**16")
+
+    def test_irrational_kappa_with_a_large_root_index_is_quick(self):
+        # kappa_n = n**(65535/256) 2**(257 n) is the 256-th integer root of an integer of over a million bits
+        proc = cli_process(["classify", "--a", "1/4", "--p", "2", "--family", "growth", "--C", "1",
+                            "--beta", "65535/256", "--gamma", "257"])
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"]["outcome"] == "Zero"
 
     @pytest.mark.parametrize(
         "flags, message",

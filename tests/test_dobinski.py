@@ -53,6 +53,16 @@ class TestKappaValue:
         spec = Power(Fraction(1), Fraction(1, 2))  # ceil(sqrt(n))
         assert [kappa_value(spec, n) for n in (1, 2, 4, 5, 9, 10)] == [1, 2, 2, 3, 3, 4]
 
+    @pytest.mark.parametrize("k", [2, 3, 7, 255, 256, 65280])
+    def test_integer_roots_are_exact_around_perfect_powers(self, k):
+        # the float start must stay at or above the root, or Newton returns a wrong one
+        for r in (1, 2, 3, 10, 2 ** 20 + 7, 2 ** 53 - 1, 2 ** 61 + 3, 3 ** 40):
+            if r.bit_length() * k > 300_000:
+                continue
+            for x in (r ** k - 1, r ** k, r ** k + 1):
+                got = dobinski._iroot_floor(x, k)
+                assert got ** k <= x < (got + 1) ** k, (r, x - r ** k)
+
     def test_growth_fractional_rate(self):
         spec = Growth(Fraction(1), Fraction(0), Fraction(1, 2))  # ceil(2**(n/2))
         assert [kappa_value(spec, n) for n in range(1, 6)] == [2, 2, 3, 4, 6]
@@ -250,13 +260,22 @@ class TestClassify:
         assert verdict.to_json()["outcome"] == "Positive"
 
     def test_trace_exponent_past_the_double_range_is_none(self):
-        # kappa_16 = 2**1024 has no float, but the verdict is symbolic
+        # kappa_16 = 2**1040 puts (16 - kappa_16)/2 past the double range, but the verdict is symbolic
         e = Exponents("1/4", 2)
-        verdict = classify(Growth(1, 0, 64), e)
+        verdict = classify(Growth(1, 0, 65), e)
         assert verdict.outcome is Outcome.ZERO
         rows = verdict.evidence["trace"]
         assert rows[-1] == {"n": 16, "exponent": None}
-        assert [row["exponent"] for row in rows[:15]] == [0.5 * n - 0.5 * 2 ** (64 * n) for n in range(1, 16)]
+        assert [row["exponent"] for row in rows[:15]] == [(n - 2 ** (65 * n)) / 2 for n in range(1, 16)]
+
+    def test_trace_exponent_is_the_exact_quotient_rounded_once(self):
+        # kappa_16 = 2**1024 has no float, but (16 - 2**1024)/2 has one
+        rows = classify(Growth(1, 0, 64), Exponents("1/4", 2)).evidence["trace"]
+        assert rows[-1] == {"n": 16, "exponent": (16 - 2 ** 1024) / 2}
+        e = Exponents("1/7", "5/3")  # ap = 5/21
+        rows = classify(Linear(Fraction(7, 3)), e).evidence["trace"]
+        expected = [float(Fraction(5, 21) * n - Fraction(16, 21) * math.ceil(Fraction(7, 3) * n)) for n in range(1, 17)]
+        assert [row["exponent"] for row in rows] == expected
 
 
 class TestDobinskiFull:
@@ -383,12 +402,12 @@ class TestCertifiedUpperBound:
         component_kernel = dobinski._component_kernel
 
         def counting_kernel(e):
-            kernel, log2_cap_ratio = component_kernel(e)
+            kernel, log2_cap_ratio, statistic = component_kernel(e)
 
             def log2_cap(n, kappa):
                 calls.append(n)
                 return kernel(n, kappa)
-            return log2_cap, log2_cap_ratio
+            return log2_cap, log2_cap_ratio, statistic
 
         monkeypatch.setattr(dobinski, "_component_kernel", counting_kernel)
         n_max = 30
@@ -503,7 +522,7 @@ class TestComparabilityReport:
                 spec = Custom(table, Power(C, rng.choice((Fraction(0), Fraction(1)) + fractional)))
             lo = rng.choice((1, rng.randint(1, 60), rng.randint(60, 1500), rng.randint(1000, 3000)))
             cases.append((Exponents(ap / p, p), spec, (lo, lo + rng.randint(0, 40))))
-        equal = raised = critical = factored = deep = 0
+        equal = raised = critical = factored = critical_factored = deep = 0
         for e, spec, n_range in cases:
             try:
                 expected = comparability_reference(e, n_range, spec)
@@ -516,17 +535,44 @@ class TestComparabilityReport:
             ratios = [row.pop("ratio") for row in got["rows"]]
             assert got == dict(expected, ratio_min=min(ratios), ratio_max=max(ratios)), (e, n_range, spec)
             for row, ratio in zip(got["rows"], ratios):
-                if e.is_critical:
-                    assert ratio == 2.0 ** (row["cap_log2"] - min(0.0, row["proxy_log2"])), (e, row["n"], spec)
-                    continue
                 kappa = kappa_value(spec, row["n"])
                 reference = ratio_reference(e, row["n"], kappa)
+                if e.is_critical:
+                    assert ratio == pytest.approx(reference, rel=1e-14, abs=0), (e, row["n"], spec)
+                    critical_factored += row["proxy_log2"] < 0
+                    continue
                 assert ratio == pytest.approx(reference, rel=1e-13, abs=0), (e, row["n"], spec)
                 factored += row["proxy_log2"] < 0
                 deep += kappa >= 2 ** 960
             equal += 1
             critical += e.is_critical
-        assert raised >= 10 and equal - critical >= 60 and critical >= 60 and factored >= 1000 and deep >= 50
+        assert raised >= 10 and equal - critical >= 60 and critical >= 60 and deep >= 50
+        assert factored >= 1000 and critical_factored >= 300
+
+    def test_critical_ratios_keep_their_bits_where_the_statistic_is_negative(self):
+        # rows up to n = 3000: a ratio formed as cap - proxy in log2 would lose an ulp of n
+        rng = random.Random(20261021)
+        rows = 0
+        while rows < 1000:
+            p = rng.choice((Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(5)))
+            gamma = 1 / (p - 1) + rng.choice((Fraction(0), Fraction(0), Fraction(1, 8), Fraction(1, 2)))
+            beta = rng.choice((Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)))
+            spec = rng.choice((Growth(rng.randint(1, 9), beta, gamma), Geometric(rng.randint(1, 7))))
+            e, lo = Exponents(1 / p, p), rng.randint(1, 2960)
+            for row in comparability_report(e, (lo, lo + 40), spec)["rows"]:
+                if row["proxy_log2"] < 0:
+                    reference = ratio_reference(e, row["n"], kappa_value(spec, row["n"]))
+                    assert row["ratio"] == pytest.approx(reference, rel=1e-14, abs=0), (e, row["n"], spec)
+                    rows += 1
+
+    @pytest.mark.parametrize("spec, ratio", [(Geometric(1), lambda n: Fraction(1, 3)),
+                                             (Growth(1, 1, 1), lambda n: Fraction(n, n + 2))])
+    def test_critical_ratios_are_the_exact_rationals_at_the_logarithmic_point(self, spec, ratio):
+        # kappa_n >= 2**n, so every row's ratio is kappa / (2**(n+1) + kappa)
+        for lo in (1, 400, 2960):
+            for row in comparability_report(E_HALF_2, (lo, lo + 40), spec)["rows"]:
+                assert row["proxy_log2"] <= 0
+                assert row["ratio"] == pytest.approx(float(ratio(row["n"])), rel=1e-14, abs=0), row["n"]
 
 
 class TestOnlyClassifyBuildsTheTrace:
