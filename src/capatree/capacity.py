@@ -295,14 +295,15 @@ def sigma_closed_form(n: int, kappa: int, e: Exponents) -> LogValue:
 
 
 def _component_kernel(e: Exponents):
-    """(log2_cap, log2_cap_ratio, statistic) of one exponent pair, each a function of (n, kappa).
+    """(log2_cap, component, statistic) of one exponent pair, each a function of (n, kappa).
 
     ``log2_cap`` is log2 cap(D(n, kappa)), as in ``cap_component``.  ``statistic``
     is the log2 s of the branch's comparison quantity, whose limsup sorts run
     sets: n - (p-1) log2 kappa on the critical branch, and below it the exact
     quotient (v ap n - v b kappa) / v, v the denominator of ap, rounded once
-    (None past the double range).  ``log2_cap_ratio`` gives log2 cap and, from
-    the same sums, log2 of the ratio cap 2**-s.
+    (None past the double range).  ``component``, picked here per branch, gives a
+    comparability row, (log2 kappa, s, log2 cap, log2 of cap 2**-min(0, s)),
+    forming each shared term once; s and cap have the other kernels' bits.
 
     Every constant that does not depend on (n, kappa) is computed once, here,
     so a caller that evaluates many components builds one kernel per query.
@@ -339,17 +340,6 @@ def _component_kernel(e: Exponents):
         t2 = branch_sum(n) if n else -math.inf  # G(0, .) = 0 drops out of the sum
         return log2_power(_times(run, q_v) + run_sum(kappa), _times(run + vb, q_v) + full, t2)
 
-    def log2_cap_ratio(n: int, kappa: int) -> tuple[float, float]:
-        run = vb * (kappa - 1) - ap_num * n
-        x, rs = _times(run + vb, q_v), run_sum(kappa)
-        t2 = branch_sum(n) if n else -math.inf
-        cap = log2_power(_times(run, q_v) + rs, x + full, t2)
-        if vb:
-            return cap, log2_power(rs - qb, full, t2 - x)
-        E = kappa.bit_length()  # critical: rs = log2 kappa, and x + rs = log2 kappa - qn
-        x = (E * P - n * Q) / P + math.log2(kappa / (1 << E))
-        return cap, log2_power(0.0, full - rs, t2 - x)
-
     def statistic(n: int, kappa: int) -> float | None:
         if not vb:
             return n - pm1 * math.log2(kappa)
@@ -357,7 +347,28 @@ def _component_kernel(e: Exponents):
             return (ap_num * n - vb * kappa) / v  # int / int rounds once
         except OverflowError:
             return None
-    return log2_cap, log2_cap_ratio, statistic
+
+    def subcritical(n: int, kappa: int) -> tuple:
+        run = vb * (kappa - 1) - ap_num * n
+        x, rs = _times(run + vb, q_v), run_sum(kappa)
+        t2 = branch_sum(n) if n else -math.inf
+        cap = log2_power(_times(run, q_v) + rs, x + full, t2)
+        try:
+            s = -(run + vb) / v  # (ap_num n - vb kappa) / v, as in statistic
+        except OverflowError:
+            s = None
+        return math.log2(kappa), s, cap, cap if s is not None and s >= 0 else log2_power(rs - qb, full, t2 - x)
+
+    def critical(n: int, kappa: int) -> tuple:  # v = 1, run = -n and G(kappa, 0) = log2 kappa
+        log2_kappa, x = math.log2(kappa), _times(-n, q)
+        s, t2 = n - pm1 * log2_kappa, branch_sum(n) if n else -math.inf
+        cap = log2_power(x + log2_kappa, x + full, t2)
+        if s >= 0:
+            return log2_kappa, s, cap, cap
+        E = kappa.bit_length()  # x + log2 kappa, formed without cancelling terms of size n
+        x = (E * P - n * Q) / P + math.log2(kappa / (1 << E))
+        return log2_kappa, s, cap, log2_power(0.0, full - log2_kappa, t2 - x)
+    return log2_cap, subcritical if vb else critical, statistic
 
 
 def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .capacity import (
@@ -165,15 +164,17 @@ def _coefficients(spec: SequenceSpec) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _iroot_floor(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for nonnegative integers, by integer Newton down from a start >= the root.
+    """floor(x ** (1/k)) for nonnegative integers: ``math.isqrt`` for k = 2, else integer Newton.
 
-    The start is a float root raised by 2**-40, far above log2's rounding, and
-    checked by one exact power; 2**ceil(bits/k) takes over if the check fails.
+    Newton starts from a float root raised by 2**-40, far above log2's rounding,
+    and checked by one exact power; 2**ceil(bits/k) takes over if the check fails.
     """
     if x < 0 or k < 1:
         raise DomainError("iroot needs x >= 0 and k >= 1")
     if x == 0 or k == 1:
         return x
+    if k == 2:  # exact, and far cheaper than Newton's full-size divisions
+        return math.isqrt(x)
     shift = max(0, x.bit_length() // k - 60)  # the root is about m * 2**shift with m < 2**61
     r = (math.floor(2.0 ** (math.log2(x >> k * shift) / k) * (1 + 2.0 ** -40)) + 1) << shift
     if r ** k < x:
@@ -188,67 +189,66 @@ def _iroot_floor(x: int, k: int) -> int:
 class _Kappa:
     """kappa_n of one family, normalized once so each lookup is integer arithmetic.
 
-    Table entries come first (an outer Custom's before its tail rule's);
-    every other n follows the rule ceil(C * n**beta * 2**(gamma*n)).
+    ``lookup`` takes table entries first (an outer Custom's before its tail
+    rule's), and ``rule``, ceil(C * n**beta * 2**(gamma*n)), for every other n;
+    both close over the family's integers, so a lookup reads no attributes.
     """
 
-    __slots__ = ("table", "C", "beta", "gamma", "_num", "_den", "_bn", "_bd", "_gn", "_gd")
+    __slots__ = ("table", "C", "beta", "gamma", "rule", "lookup")
 
     def __init__(self, spec: SequenceSpec):
         table: dict[int, int] = {}
         while isinstance(spec, Custom):
             table = dict(spec.table) | table
             spec = spec.tail_rule
-        self.table = table
-        self.C, self.beta, self.gamma = _coefficients(spec)
-        # plain ints for the integer path: Fraction attribute reads cost more than the arithmetic
-        self._num, self._den = self.C.numerator, self.C.denominator
-        self._bn, self._bd = self.beta.numerator, self.beta.denominator
-        self._gn, self._gd = self.gamma.numerator, self.gamma.denominator
+        self.table, get = table, table.get
+        self.C, self.beta, self.gamma = C, beta, gamma = _coefficients(spec)
+        (num, den), (bn, bd), (gn, gd) = C.as_integer_ratio(), beta.as_integer_ratio(), gamma.as_integer_ratio()
 
-    def __call__(self, n: int) -> int:
-        if n < 1:
-            raise DomainError(f"sequences are indexed from n = 1, got n={n}")
-        k = self.table.get(n)
-        return self.rule(n) if k is None else k
+        def rule(n: int) -> int:
+            """ceil(C * n**beta * 2**(gamma*n)), at least 1, as an exact integer."""
+            shift, rest = divmod(gn * n, gd)
+            a, b = num, den
+            if bd == 1 and not rest:
+                if bn >= 0:
+                    a *= n ** bn
+                else:
+                    b *= n ** -bn
+                if shift >= 0:
+                    a <<= shift
+                else:
+                    b <<= -shift
+                return max(1, -(-a // b))
+            # irrational value: x**L = a / b in integers, for L the lcm of the
+            # denominators of beta and gamma*n; ceil(x) is the integer L-th root
+            # of a // b, or one more
+            L = math.lcm(bd, gd // math.gcd(rest, gd))
+            a, b = a ** L, b ** L
+            n_exp, two_exp = bn * (L // bd), gn * n * L // gd
+            if n_exp >= 0:
+                a *= n ** n_exp
+            else:
+                b *= n ** -n_exp
+            if two_exp >= 0:
+                a <<= two_exp
+            else:
+                b <<= -two_exp
+            k = _iroot_floor(a // b, L)
+            return max(1, k if k >= 1 and k ** L * b >= a else k + 1)
 
-    def rule(self, n: int) -> int:
-        """ceil(C * n**beta * 2**(gamma*n)), at least 1, as an exact integer."""
-        shift, rest = divmod(self._gn * n, self._gd)
-        if self._bd == 1 and not rest:
-            power, num, den = self._bn, self._num, self._den
-            if power >= 0:
-                num *= n ** power
-            else:
-                den *= n ** -power
-            if shift >= 0:
-                num <<= shift
-            else:
-                den <<= -shift
-            return max(1, -(-num // den))
-        # irrational value: x**L = a / b in integers, for L the lcm of the
-        # denominators of beta and gamma*n; ceil(x) is the integer L-th root
-        # of a // b, or one more
-        L = lcm(self._bd, self._gd // gcd(rest, self._gd))
-        a, b = self._num ** L, self._den ** L
-        n_exp, two_exp = self._bn * (L // self._bd), self._gn * n * L // self._gd
-        if n_exp >= 0:
-            a *= n ** n_exp
-        else:
-            b *= n ** -n_exp
-        if two_exp >= 0:
-            a <<= two_exp
-        else:
-            b <<= -two_exp
-        k = _iroot_floor(a // b, L)
-        return max(1, k if k >= 1 and k ** L * b >= a else k + 1)
+        def lookup(n: int) -> int:
+            if n < 1:
+                raise DomainError(f"sequences are indexed from n = 1, got n={n}")
+            k = get(n)
+            return rule(n) if k is None else k
+        self.rule, self.lookup = rule, lookup
 
 
 def kappa_value(spec: SequenceSpec, n: int) -> int:
     """Exact kappa_n as an integer (arbitrary precision; never truncated)."""
     if type(n) is not int:
         raise DomainError(f"n must be an int, got {n!r}")
-    return _Kappa(spec)(n)
+    return _Kappa(spec).lookup(n)
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +285,7 @@ def _trace(kappa: _Kappa, e: Exponents, count: int = 16) -> list[dict]:
     """Finite-window values of the run-set kernel's statistic, for the evidence field (null past the double range)."""
     statistic = _component_kernel(e)[2]
     key = "log2_stat" if e.is_critical else "exponent"
-    return [{"n": n, key: statistic(n, kappa(n))} for n in range(1, count + 1)]
+    return [{"n": n, key: statistic(n, kappa.lookup(n))} for n in range(1, count + 1)]
 
 
 def _decide(C: Fraction, beta: Fraction, gamma: Fraction, e: Exponents) -> tuple[Outcome, str | None, dict]:
@@ -455,7 +455,7 @@ def _tail_upper(kappa: _Kappa, e: Exponents, start: int, log2_cap: Callable) -> 
         rem = remainder(N)
         if rem is not None and N > start and rem <= total.log2 - 40.0:
             break
-        total = total + LogValue.from_log2(log2_cap(N, kappa(N)))
+        total = total + LogValue.from_log2(log2_cap(N, kappa.lookup(N)))
     else:
         N = start + _WINDOW
         rem = remainder(N)
@@ -493,8 +493,8 @@ def capacity_bounds(
     if type(n_max) is not int or not (1 <= n_max <= 10_000):
         raise DomainError(f"n_max must be an int with 1 <= n_max <= 10000, got {n_max!r}")
     kappa = _Kappa(spec)
-    log2_cap = _component_kernel(e)[0]
-    best = LogValue.from_log2(max(log2_cap(n, kappa(n)) for n in range(1, n_max + 1)))
+    log2_cap, kappa_of = _component_kernel(e)[0], kappa.lookup
+    best = LogValue.from_log2(max(log2_cap(n, kappa_of(n)) for n in range(1, n_max + 1)))
     lower = CapacityReport(best, Method.CLOSED_FORM, BoundKind.LOWER)
     if _decide(kappa.C, kappa.beta, kappa.gamma, e)[0] is not Outcome.ZERO:
         return lower, None
@@ -512,34 +512,21 @@ def comparability_report(
     (2**n * kappa**-(p-1) on the critical branch, 2**(ap*n - (1-ap)*kappa) on
     the subcritical one), is clamped at 1 before dividing: capacities never
     exceed 1, and the clamped quantity is the two-sided comparable proxy, so
-    the ratio stays in a fixed band.  Where s >= 0 the ratio is cap itself;
-    elsewhere the kernel's ``log2_cap_ratio`` gives it factored, from the same
-    sums as cap, so no logs of size n or kappa enter a difference.
+    the ratio stays in a fixed band.  A row is one kappa lookup and one call of
+    the kernel's ``component``: the ratio is cap where s >= 0, elsewhere it is
+    factored from cap's sums, so no logs of size n or kappa enter a difference.
     """
     lo, hi = n_range
     if type(lo) is not int or type(hi) is not int or not (1 <= lo <= hi <= 10_000):
         raise DomainError(f"n range must be ints with 1 <= lo <= hi <= 10000, got {n_range!r}")
     rows = []
-    kappa_of = _Kappa(spec)
-    log2_cap, log2_cap_ratio, statistic = _component_kernel(e)
+    kappa_of, component = _Kappa(spec).lookup, _component_kernel(e)[1]
     for n in range(lo, hi + 1):
         kappa = kappa_of(n)
-        stat = statistic(n, kappa)  # None only where kappa is past the kernels' range, which then raise
-        if stat is not None and stat >= 0:
-            cap_log2 = ratio_log2 = log2_cap(n, kappa)
-        else:
-            cap_log2, ratio_log2 = log2_cap_ratio(n, kappa)
-        rows.append(
-            {
-                "n": n,
-                "kappa": kappa if kappa < 2 ** 53 else None,
-                "kappa_log2": math.log2(kappa),
-                "cap_linear": 2.0 ** cap_log2 if abs(cap_log2) < 1020 else None,
-                "cap_log2": cap_log2,
-                "proxy_log2": stat,
-                "ratio": 2.0 ** ratio_log2,
-            }
-        )
+        kappa_log2, stat, cap_log2, ratio_log2 = component(n, kappa)
+        rows.append({"n": n, "kappa": kappa if kappa < 2 ** 53 else None, "kappa_log2": kappa_log2,
+                     "cap_linear": 2.0 ** cap_log2 if abs(cap_log2) < 1020 else None, "cap_log2": cap_log2,
+                     "proxy_log2": stat, "ratio": 2.0 ** ratio_log2})
     ratios = [row["ratio"] for row in rows]
     return {"rows": rows, "ratio_min": min(ratios), "ratio_max": max(ratios)}
 

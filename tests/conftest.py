@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -239,6 +240,32 @@ def half_two_critical_ratio(n: int, kappa: int) -> Fraction:
     """Exact comparability ratio at (1/2, 2) for kappa >= 2**n: kappa / (2**(n+1) + kappa)."""
     assert kappa >= 2 ** n
     return Fraction(kappa, 2 ** (n + 1) + kappa)
+
+
+def half_two_union(kappas: Mapping[int, int]) -> Fraction:
+    """Exact U(N, M) = cap(union_{n=N..M} D(n, kappa_n)) at (1/2, 2), by a DP over (depth d, zero run r).
+
+    ``kappas`` maps every n of [N, M] to kappa_n.  A node at depth d whose
+    last r digits are zeros (and whose digit before them is a 1) can still
+    meet D(n, kappa_n) only for n in [max(N, d - r), M]; it is full (value
+    c = 1/2) once one of those n has n + kappa_n <= d, and empty once none is
+    left.  Its children are (d + 1, r + 1) and (d + 1, 0), combined by
+    Phi_1(x) = x / (1 + x) as in ``half_two_sweep``, so the value depends on
+    (d, r) alone.  Denominators still double in size per level where the two
+    children differ: this serves windows of a few levels, as a reference.
+    """
+    N, M = min(kappas), max(kappas)
+
+    @functools.cache
+    def value(d: int, r: int) -> Fraction:
+        live = range(max(N, d - r), M + 1)
+        if not live:
+            return Fraction(0)
+        if any(n <= d and n + kappas[n] <= d for n in live):
+            return Fraction(1, 2)
+        x = value(d + 1, r + 1) + value(d + 1, 0)
+        return x / (1 + x)
+    return value(0, 0)
 
 
 def node_index(word: str) -> int:

@@ -29,6 +29,7 @@ from conftest import (
     half_two_component,
     half_two_critical_ratio,
     half_two_finite_tree,
+    half_two_union,
     log2_fraction,
     phi_composition_exponents,
     rel_diff,
@@ -634,6 +635,24 @@ class TestCapComponent:
         assert out <= c
         assert out == pytest.approx(c - 2 * math.log2(2 + 2 ** -0.25), abs=1e-12)
 
+    @pytest.mark.parametrize("e", PAIRS + [E_QUARTER_2, Exponents("1/6", 3), Exponents("1/8", 5)])
+    def test_component_rows_carry_the_bits_of_cap_and_statistic(self, e):
+        # one call per comparability row; past the double range both raise alike
+        log2_cap, component, statistic = _component_kernel(e)
+        for n in (0, 1, 5, 60, 1000):
+            for kappa in (1, 2, n + 1, 3 * n + 7, 2 ** n, 2 ** 200 + 1, 2 ** 1000, 2 ** 1030):
+                try:
+                    expected = (math.log2(kappa), statistic(n, kappa), log2_cap(n, kappa))
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        component(n, kappa)
+                    continue
+                kappa_log2, stat, cap, ratio = component(n, kappa)
+                assert (kappa_log2, stat, cap) == expected, (n, kappa)
+                if stat is not None and stat >= 0:
+                    assert ratio == cap, (n, kappa)
+                assert math.isfinite(ratio) and ratio <= 0.0, (n, kappa)
+
     def test_critical_branch_saturates_for_slow_runs(self):
         # with kappa far below 2**n the branching term dominates sigma and
         # cancels the 2**n prefactor exactly, so the value stays order one
@@ -681,14 +700,39 @@ class TestExactRationalsAtTheLogarithmicPoint:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 53, 200, 1000, 3000])
     def test_components_and_critical_ratios_match_the_closed_forms(self, n):
-        log2_cap, log2_cap_ratio, _ = _component_kernel(E_HALF_2)
+        log2_cap, component, statistic = _component_kernel(E_HALF_2)
         kappas = {1, 2, 3, 1000, 2 ** 53 + 1, 2 ** 1000 - 1, 2 ** 1000}
         kappas |= {2 ** n - 1, 2 ** n, 2 ** n + 1, n * 2 ** n, 3 * 2 ** n + 1} - {0}
         for kappa in sorted(kappas):
             # cap forms -qn + log2 kappa, which loses about an ulp of n: 3.8e-14 at n = 3000
             if n <= 1000:
                 assert self.close(cap_component(n, kappa, E_HALF_2).value.log2, half_two_component(n, kappa)), kappa
-            cap, ratio = log2_cap_ratio(n, kappa)
-            assert cap == log2_cap(n, kappa)
+            kappa_log2, stat, cap, ratio = component(n, kappa)
+            assert (kappa_log2, stat, cap) == (math.log2(kappa), statistic(n, kappa), log2_cap(n, kappa)), kappa
+            if stat >= 0:
+                assert ratio == cap, kappa
             if kappa >= 2 ** n:
                 assert self.close(ratio, half_two_critical_ratio(n, kappa)), kappa
+
+    def test_unions_of_run_sets_match_the_rational_union_dp(self):
+        # U(N, M) over explicit unions of d_cylinder_set; the DP also equals the
+        # rational recursion over the same generators, exactly
+        rng = random.Random(20261022)
+        rules = {"2**n": lambda n: 2 ** n, "n+1": lambda n: n + 1, "random": lambda n: rng.randint(1, 24)}
+        checked = 0
+        for N in range(5):
+            for M in range(N, 6):
+                for name, rule in rules.items():
+                    kappas = {n: rule(n) for n in range(N, M + 1)}
+                    words = [g for n, k in kappas.items() for g in d_cylinder_set(n, k)]
+                    exact = half_two_union(kappas)
+                    assert exact == half_two_capacity(words), (N, M, name)
+                    got = capacity_recursive(CylinderSet.from_words(words), E_HALF_2).value.log2
+                    assert self.close(got, exact), (N, M, kappas)
+                    checked += 1
+        assert checked == 60
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+    def test_a_one_start_union_is_the_component(self, n):
+        for kappa in (1, 2, n + 1, 2 ** n, 2 ** n + 3, 97):
+            assert half_two_union({n: kappa}) == half_two_component(n, kappa), kappa

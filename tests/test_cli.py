@@ -300,6 +300,13 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["outcome"] == "Zero"
 
+    def test_irrational_kappa_by_square_roots_is_quick(self):
+        # kappa_n = n**(1/2) 2**(65535 n / 2) is the integer square root of an integer of up to a million bits
+        proc = cli_process(["classify", "--a", "1/4", "--p", "2", "--family", "growth", "--C", "1",
+                            "--beta", "1/2", "--gamma", "65535/2"], timeout=20)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"]["outcome"] == "Zero"
+
     @pytest.mark.parametrize(
         "flags, message",
         [

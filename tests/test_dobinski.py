@@ -62,6 +62,10 @@ class TestKappaValue:
             for x in (r ** k - 1, r ** k, r ** k + 1):
                 got = dobinski._iroot_floor(x, k)
                 assert got ** k <= x < (got + 1) ** k, (r, x - r ** k)
+        if k == 2:  # square roots of a million-bit integer: math.isqrt, exact at any size
+            r = 7 ** 178_000 + 1
+            assert r.bit_length() > 499_000
+            assert [dobinski._iroot_floor(r * r + d, 2) for d in (-1, 0, 1)] == [r - 1, r, r]
 
     def test_growth_fractional_rate(self):
         spec = Growth(Fraction(1), Fraction(0), Fraction(1, 2))  # ceil(2**(n/2))
@@ -402,12 +406,12 @@ class TestCertifiedUpperBound:
         component_kernel = dobinski._component_kernel
 
         def counting_kernel(e):
-            kernel, log2_cap_ratio, statistic = component_kernel(e)
+            kernel, component, statistic = component_kernel(e)
 
             def log2_cap(n, kappa):
                 calls.append(n)
                 return kernel(n, kappa)
-            return log2_cap, log2_cap_ratio, statistic
+            return log2_cap, component, statistic
 
         monkeypatch.setattr(dobinski, "_component_kernel", counting_kernel)
         n_max = 30
@@ -569,7 +573,7 @@ class TestComparabilityReport:
                                              (Growth(1, 1, 1), lambda n: Fraction(n, n + 2))])
     def test_critical_ratios_are_the_exact_rationals_at_the_logarithmic_point(self, spec, ratio):
         # kappa_n >= 2**n, so every row's ratio is kappa / (2**(n+1) + kappa)
-        for lo in (1, 400, 2960):
+        for lo in (1, 400, 2960, 9960):  # 9960: the rows up to the n cap of 10 000
             for row in comparability_report(E_HALF_2, (lo, lo + 40), spec)["rows"]:
                 assert row["proxy_log2"] <= 0
                 assert row["ratio"] == pytest.approx(float(ratio(row["n"])), rel=1e-14, abs=0), row["n"]
