@@ -104,22 +104,31 @@ def _geometric(t: float):
     The k-independent part is computed here once.  k is an int >= 1, or inf
     when t < 0.  A sum with t > 0 is 2**((k-1) t) G(k, -t), which callers
     factor out so that nothing overflows.  The term 2**(k t) is dropped once
-    it underflows, which gives the k = inf limit without converting k to a
-    float; a k too large for a float otherwise raises DomainError.
+    k passes cut = 1100/-t, where it underflows, which gives the k = inf
+    limit without converting k to a float.  Below a finite cut |k t| <= 1100,
+    so k t is formed directly; only a t so small that cut overflows to inf
+    keeps ``_times``' guard, and a k too large for a float raises DomainError.
     """
+    log2, expm1 = math.log2, math.expm1
     if t == 0:
         def log2_sum(k: int | float) -> float:
             if k == math.inf:
                 raise DomainError("a geometric sum with ratio 1 has no limit")
-            return math.log2(k)  # exact for an int of any size
+            return log2(k)  # exact for an int of any size
         return log2_sum
-    den = math.log2(-math.expm1(t * _LN2))
+    den = log2(-expm1(t * _LN2))
     cut = 1100 / -t  # past it 2**(k t) < 2**-1100 rounds to 0
+    if cut == math.inf:
+        def log2_sum(k: int | float) -> float:
+            if k == math.inf:
+                return -den
+            return log2(-expm1(_times(k, t) * _LN2)) - den
+        return log2_sum
 
     def log2_sum(k: int | float) -> float:
-        if k == math.inf or k > cut:
+        if k > cut:  # inf too
             return -den
-        return math.log2(-math.expm1(_times(k, t) * _LN2)) - den
+        return log2(-expm1(k * t * _LN2)) - den
     return log2_sum
 
 
@@ -327,22 +336,23 @@ def _component_kernel(e: Exponents):
     branch_sum = _geometric(-q * e.ap_f)  # G(n, -q ap)
     full = branch_sum(math.inf)
     pm1 = e.pm1_f
+    log2, isfinite, no_terms = math.log2, math.isfinite, -math.inf
 
     def log2_power(t0: float, t1: float, t2: float) -> float:  # log2 (2**t0 + 2**t1 + 2**t2)**-(p-1)
         hi = max(t0, t1, t2)
-        out = -pm1 * (hi + math.log2(2.0 ** (t0 - hi) + 2.0 ** (t1 - hi) + 2.0 ** (t2 - hi)))
-        if not math.isfinite(out):
+        out = -pm1 * (hi + log2(2.0 ** (t0 - hi) + 2.0 ** (t1 - hi) + 2.0 ** (t2 - hi)))
+        if not isfinite(out):
             raise DomainError("component capacity exceeds the double-precision log2 range")
         return out
 
     def log2_cap(n: int, kappa: int) -> float:
         run = vb * (kappa - 1) - ap_num * n  # v * (b(kappa-1) - ap n)
-        t2 = branch_sum(n) if n else -math.inf  # G(0, .) = 0 drops out of the sum
+        t2 = branch_sum(n) if n else no_terms  # G(0, .) = 0 drops out of the sum
         return log2_power(_times(run, q_v) + run_sum(kappa), _times(run + vb, q_v) + full, t2)
 
     def statistic(n: int, kappa: int) -> float | None:
         if not vb:
-            return n - pm1 * math.log2(kappa)
+            return n - pm1 * log2(kappa)
         try:
             return (ap_num * n - vb * kappa) / v  # int / int rounds once
         except OverflowError:
@@ -351,22 +361,22 @@ def _component_kernel(e: Exponents):
     def subcritical(n: int, kappa: int) -> tuple:
         run = vb * (kappa - 1) - ap_num * n
         x, rs = _times(run + vb, q_v), run_sum(kappa)
-        t2 = branch_sum(n) if n else -math.inf
+        t2 = branch_sum(n) if n else no_terms
         cap = log2_power(_times(run, q_v) + rs, x + full, t2)
         try:
             s = -(run + vb) / v  # (ap_num n - vb kappa) / v, as in statistic
         except OverflowError:
             s = None
-        return math.log2(kappa), s, cap, cap if s is not None and s >= 0 else log2_power(rs - qb, full, t2 - x)
+        return log2(kappa), s, cap, cap if s is not None and s >= 0 else log2_power(rs - qb, full, t2 - x)
 
     def critical(n: int, kappa: int) -> tuple:  # v = 1, run = -n and G(kappa, 0) = log2 kappa
-        log2_kappa, x = math.log2(kappa), _times(-n, q)
-        s, t2 = n - pm1 * log2_kappa, branch_sum(n) if n else -math.inf
+        log2_kappa, x = log2(kappa), _times(-n, q)
+        s, t2 = n - pm1 * log2_kappa, branch_sum(n) if n else no_terms
         cap = log2_power(x + log2_kappa, x + full, t2)
         if s >= 0:
             return log2_kappa, s, cap, cap
         E = kappa.bit_length()  # x + log2 kappa, formed without cancelling terms of size n
-        x = (E * P - n * Q) / P + math.log2(kappa / (1 << E))
+        x = (E * P - n * Q) / P + log2(kappa / (1 << E))
         return log2_kappa, s, cap, log2_power(0.0, full - log2_kappa, t2 - x)
     return log2_cap, subcritical if vb else critical, statistic
 

@@ -191,7 +191,9 @@ class _Kappa:
 
     ``lookup`` takes table entries first (an outer Custom's before its tail
     rule's), and ``rule``, ceil(C * n**beta * 2**(gamma*n)), for every other n;
-    both close over the family's integers, so a lookup reads no attributes.
+    a family with no table has ``rule`` itself as its lookup.  Both close over
+    the family's integers, so a lookup reads no attributes.  Neither checks n:
+    every caller passes an int n >= 1, and ``kappa_value`` checks outside input.
     """
 
     __slots__ = ("table", "C", "beta", "gamma", "rule", "lookup")
@@ -237,17 +239,21 @@ class _Kappa:
             return max(1, k if k >= 1 and k ** L * b >= a else k + 1)
 
         def lookup(n: int) -> int:
-            if n < 1:
-                raise DomainError(f"sequences are indexed from n = 1, got n={n}")
             k = get(n)
             return rule(n) if k is None else k
-        self.rule, self.lookup = rule, lookup
+        self.rule, self.lookup = rule, lookup if table else rule
 
 
 def kappa_value(spec: SequenceSpec, n: int) -> int:
-    """Exact kappa_n as an integer (arbitrary precision; never truncated)."""
+    """Exact kappa_n as an integer (arbitrary precision; never truncated).
+
+    The one entry point that takes n from outside, so the one that checks it:
+    n must be an int >= 1.  ``_Kappa``'s lookups trust their callers' ranges.
+    """
     if type(n) is not int:
         raise DomainError(f"n must be an int, got {n!r}")
+    if n < 1:
+        raise DomainError(f"sequences are indexed from n = 1, got n={n}")
     return _Kappa(spec).lookup(n)
 
 
@@ -282,10 +288,27 @@ class Verdict(Record):
 
 
 def _trace(kappa: _Kappa, e: Exponents, count: int = 16) -> list[dict]:
-    """Finite-window values of the run-set kernel's statistic, for the evidence field (null past the double range)."""
+    """Finite-window values of the run-set kernel's statistic, for the evidence field.
+
+    A subcritical row is null past the double range, where |ap n - b kappa_n|
+    >= 2**1024, and such a row is decided before kappa_n is formed: a rule row
+    whose lower bound log2 C + beta log2 n + gamma n on log2 kappa_n exceeds
+    log2 v + 1024 (v the denominator of ap) by a 64-bit margin, far above the
+    bound's rounding, has |ap n - b kappa_n| > 2**1088 - n.  Every other row
+    (table entries, rows inside the margin, critical rows) is formed as the
+    kernel forms it.
+    """
     statistic = _component_kernel(e)[2]
-    key = "log2_stat" if e.is_critical else "exponent"
-    return [{"n": n, key: statistic(n, kappa.lookup(n))} for n in range(1, count + 1)]
+    if e.is_critical:
+        return [{"n": n, "log2_stat": statistic(n, kappa.lookup(n))} for n in range(1, count + 1)]
+    log2_c, beta, gamma = LogValue.from_fraction(kappa.C).log2, float(kappa.beta), float(kappa.gamma)
+    limit = math.log2(e.ap.denominator) + 1024 + 64
+
+    def exponent(n: int) -> float | None:
+        if n not in kappa.table and log2_c + beta * math.log2(n) + gamma * n > limit:
+            return None  # the kernel's quotient would overflow
+        return statistic(n, kappa.lookup(n))
+    return [{"n": n, "exponent": exponent(n)} for n in range(1, count + 1)]
 
 
 def _decide(C: Fraction, beta: Fraction, gamma: Fraction, e: Exponents) -> tuple[Outcome, str | None, dict]:

@@ -93,7 +93,7 @@ class ApBranch(enum.Enum):
 
 
 class Exponents(Record):
-    """The parameter pair (a, p) with derived conjugate and branch flag.
+    """The parameter pair (a, p) with derived product ap, conjugate and branch flag.
 
     Both parameters are exact rationals; construction rejects a*p > 1
     (singletons would carry positive capacity there) and p <= 1.  Equality
@@ -109,16 +109,14 @@ class Exponents(Record):
             raise DomainError(f"need a > 0, got a={a}")
         if p <= 1:
             raise DomainError(f"need p > 1, got p={p}")
-        if a * p > 1:
-            raise DomainError(f"need a*p <= 1, got a*p={a * p}")
+        ap = a * p
+        if ap > 1:
+            raise DomainError(f"need a*p <= 1, got a*p={ap}")
         _set(self, "a", a)
         _set(self, "p", p)
+        _set(self, "ap", ap)
         _set(self, "p_prime", conjugate(p))
-        _set(self, "branch", ApBranch.CRITICAL if a * p == 1 else ApBranch.SUBCRITICAL)
-
-    @functools.cached_property
-    def ap(self) -> Fraction:
-        return self.a * self.p
+        _set(self, "branch", ApBranch.CRITICAL if ap == 1 else ApBranch.SUBCRITICAL)
 
     @property
     def is_critical(self) -> bool:

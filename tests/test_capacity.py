@@ -22,7 +22,7 @@ from capatree import (
     sigma_closed_form,
     truncated_tree_capacity,
 )
-from capatree.capacity import BoundKind, Method, _component_kernel, _geometric, _sweep
+from capatree.capacity import _LN2, BoundKind, Method, _component_kernel, _geometric, _sweep, _times
 from conftest import (
     PAIRS,
     half_two_capacity,
@@ -130,6 +130,20 @@ class TestGeometricSum:
     def test_outside_the_double_range_raises_domain_error(self, k, t):
         with pytest.raises(DomainError):
             _geometric(t)(k)
+
+    @pytest.mark.parametrize("t", [-1.0, -0.5, -2.75, -1100 / 2 ** 40, -1e-306])
+    def test_the_cut_keeps_the_guarded_formula(self, t):
+        # k t is formed directly only below a finite cut, where |k t| <= 1100
+        den = math.log2(-math.expm1(t * _LN2))
+        cut = 1100 / -t
+
+        def guarded(k):
+            if k == math.inf or k > cut:
+                return -den
+            return math.log2(-math.expm1(_times(k, t) * _LN2)) - den
+        ks = [math.inf, 10 ** 300] if cut == math.inf else [int(cut) - 1, int(cut), int(cut) + 1, math.inf]
+        for k in ks:
+            assert _geometric(t)(k) == guarded(k), k
 
 
 class TestFullTreeCapacity:

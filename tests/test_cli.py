@@ -298,14 +298,19 @@ class TestExitCodes:
         proc = cli_process(["classify", "--a", "1/4", "--p", "2", "--family", "growth", "--C", "1",
                             "--beta", "65535/256", "--gamma", "257"])
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["result"]["outcome"] == "Zero"
+        result = json.loads(proc.stdout)["result"]
+        assert result["outcome"] == "Zero"
+        # from n = 3 on log2 kappa_n > 1170: those rows read null, and kappa_n is not formed
+        assert [row["exponent"] is None for row in result["evidence"]] == [False] * 2 + [True] * 14
 
     def test_irrational_kappa_by_square_roots_is_quick(self):
         # kappa_n = n**(1/2) 2**(65535 n / 2) is the integer square root of an integer of up to a million bits
         proc = cli_process(["classify", "--a", "1/4", "--p", "2", "--family", "growth", "--C", "1",
                             "--beta", "1/2", "--gamma", "65535/2"], timeout=20)
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["result"]["outcome"] == "Zero"
+        result = json.loads(proc.stdout)["result"]
+        assert result["outcome"] == "Zero"
+        assert [row["exponent"] for row in result["evidence"]] == [None] * 16
 
     @pytest.mark.parametrize(
         "flags, message",

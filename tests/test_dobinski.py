@@ -75,9 +75,12 @@ class TestKappaValue:
         spec = Custom(((1, 9), (3, 4)), Linear(Fraction(2)))
         assert [kappa_value(spec, n) for n in range(1, 5)] == [9, 4, 4, 8]
 
-    def test_rejects_n_below_one(self):
-        with pytest.raises(DomainError):
-            kappa_value(Geometric(1), 0)
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("spec", [Geometric(1), Power(1, "-1/2"), Custom([(1, 4)], Linear(2))])
+    def test_rejects_n_below_one(self, spec, n):
+        # kappa_value is the one entry point that takes n from outside
+        with pytest.raises(DomainError, match=f"got n={n}$"):
+            kappa_value(spec, n)
 
     def test_always_at_least_one(self):
         spec = Power(Fraction(1, 1000), Fraction(1))
@@ -271,6 +274,24 @@ class TestClassify:
         rows = verdict.evidence["trace"]
         assert rows[-1] == {"n": 16, "exponent": None}
         assert [row["exponent"] for row in rows[:15]] == [(n - 2 ** (65 * n)) / 2 for n in range(1, 16)]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Growth(1, 0, 64), Growth(1, 0, 65), Growth(1, 0, 69), Growth(1, 0, 70), Growth(Fraction(1, 3), -3, 72),
+         Growth(2 ** 70, "5/2", 63), Growth(1, "1/2", 70), Custom([(16, 5), (3, 2 ** 2000)], Growth(1, 0, 100))],
+    )
+    def test_null_trace_rows_are_decided_before_kappa_is_formed(self, spec):
+        # rows far past the double range read null unformed; the rest match the kernel's statistic
+        e = Exponents("1/4", 2)
+        kappa, formed = dobinski._Kappa(spec), []
+        lookup = kappa.lookup
+        kappa.lookup = lambda n: formed.append(n) or lookup(n)
+        rows = dobinski._trace(kappa, e)
+        statistic = dobinski._component_kernel(e)[2]
+        reference = dobinski._Kappa(spec)
+        assert rows == [{"n": n, "exponent": statistic(n, reference.lookup(n))} for n in range(1, 17)]
+        # the limit is log2 v + 1024 + 64 = 1089, and no log2 kappa_n here is less than a unit from it
+        assert formed == [n for n in range(1, 17) if n in reference.table or reference.lookup(n) <= 2 ** 1089]
 
     def test_trace_exponent_is_the_exact_quotient_rounded_once(self):
         # kappa_16 = 2**1024 has no float, but (16 - 2**1024)/2 has one
