@@ -11,7 +11,7 @@ conditions, depending on the branch of a*p:
                          (b)  sum 2**(ap*n - (1-ap)*kappa_n) < inf  -> zero
 
 The conditions leave a gap, so `Indeterminate` is a first-class verdict.
-All symbolic families are normalized to kappa_n = ceil(C * n**beta * 2**(gamma*n)),
+Every symbolic family is a Growth, kappa_n = ceil(C * n**beta * 2**(gamma*n)),
 and a verdict comes from that (C, beta, gamma) alone, by exact rational
 comparison of growth exponents, never by numeric truncation of tails.  Only
 `classify` wraps a verdict in evidence, a 16-row trace of the decisive
@@ -42,82 +42,79 @@ _LN2 = math.log(2.0)
 # Sequence families
 # ----------------------------------------------------------------------
 
-class Geometric(Record):
-    """kappa_n = ceil(2**n / m) for a positive integer m."""
+class Growth(Record):
+    """General symbolic family kappa_n = ceil(C * n**beta * 2**(gamma*n)), such as n * 2**n.
+
+    Every rule family is a Growth: each named one below fixes the parameters
+    it lacks, so it carries its normalized C, beta and gamma, while equality,
+    hash, repr, pickling and JSON read only its ``_fields``.  |beta|, |gamma|
+    <= 2**16 with denominators <= 2**8 bound kappa_n's exact powers.
+    """
+
+    _fields = ("C", "beta", "gamma")
+    _family = "growth"
+
+    def __init__(self, C: RationalLike, beta: RationalLike, gamma: RationalLike):
+        _set(self, "C", as_fraction(C))
+        for name, value in (("beta", beta), ("gamma", gamma)):
+            value = as_fraction(value)
+            if abs(value) > 2 ** 16 or value.denominator > 2 ** 8:
+                raise DomainError(f"{self._family} family needs |{name}| <= 2**16 with denominator <= 2**8, "
+                                  f"got {name}={value}")
+            _set(self, name, value)
+        if self.C <= 0:
+            raise DomainError(f"{self._family} family needs C > 0, got {self.C}")
+
+
+class Geometric(Growth):
+    """kappa_n = ceil(2**n / m) for a positive integer m: C = 1/m, beta = 0, gamma = 1."""
 
     _fields = ("m",)
+    _family = "geometric"
 
     def __init__(self, m: int):
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise DomainError(f"geometric family needs a positive integer m, got {m}")
         _set(self, "m", m)
+        super().__init__(Fraction(1, m), 0, 1)
 
 
-def _exponent(value: RationalLike, name: str, family: str) -> Fraction:
-    """A family's beta or gamma; |value| <= 2**16 and denominator <= 2**8 bound kappa_n's exact powers."""
-    value = as_fraction(value)
-    if abs(value) > 2 ** 16 or value.denominator > 2 ** 8:
-        raise DomainError(f"{family} family needs |{name}| <= 2**16 with denominator <= 2**8, got {name}={value}")
-    return value
-
-
-class Power(Record):
-    """kappa_n = ceil(C * n**beta)."""
+class Power(Growth):
+    """kappa_n = ceil(C * n**beta): gamma = 0."""
 
     _fields = ("C", "beta")
+    _family = "power"
 
     def __init__(self, C: RationalLike, beta: RationalLike):
-        C, beta = as_fraction(C), _exponent(beta, "beta", "power")
-        if C <= 0:
-            raise DomainError(f"power family needs C > 0, got {C}")
-        _set(self, "C", C)
-        _set(self, "beta", beta)
+        super().__init__(C, beta, 0)
 
 
-class Linear(Record):
-    """kappa_n = ceil(C * n)."""
+class Linear(Growth):
+    """kappa_n = ceil(C * n): beta = 1, gamma = 0."""
 
     _fields = ("C",)
+    _family = "linear"
 
     def __init__(self, C: RationalLike):
-        C = as_fraction(C)
-        if C <= 0:
-            raise DomainError(f"linear family needs C > 0, got {C}")
-        _set(self, "C", C)
-
-
-class Growth(Record):
-    """General symbolic family kappa_n = ceil(C * n**beta * 2**(gamma*n)).
-
-    Subsumes the named families (geometric: C=1/m, beta=0, gamma=1) and
-    expresses mixed rules such as kappa_n = n * 2**n.
-    """
-
-    _fields = ("C", "beta", "gamma")
-
-    def __init__(self, C: RationalLike, beta: RationalLike, gamma: RationalLike):
-        C, beta, gamma = as_fraction(C), _exponent(beta, "beta", "growth"), _exponent(gamma, "gamma", "growth")
-        if C <= 0:
-            raise DomainError(f"growth family needs C > 0, got {C}")
-        _set(self, "C", C)
-        _set(self, "beta", beta)
-        _set(self, "gamma", gamma)
+        super().__init__(C, 1, 0)
 
 
 class Custom(Record):
     """Finitely many tabulated values with a symbolic tail rule.
 
     Classification is a tail property, so the verdict comes from the tail
-    rule alone; the table only affects pointwise kappa lookups.  Table
-    entries are (n, kappa) pairs of integral numbers, stored as ints; a
-    non-integral value, a bool or a repeated n raises DomainError.
+    rule, a Growth or a Custom family; the table only affects pointwise kappa
+    lookups.  Table entries are (n, kappa) pairs of integral numbers, stored
+    as ints; a non-integral value, a bool or a repeated n raises DomainError.
     """
 
     _fields = ("table", "tail_rule")
+    _family = "custom"
 
-    def __init__(self, table, tail_rule: Union[Geometric, Power, Linear, Growth]):
-        if tail_rule is None:
-            raise DomainError("custom family requires an explicit tail rule")
+    def __init__(self, table, tail_rule: Growth | Custom):
+        if not isinstance(tail_rule, (Growth, Custom)):
+            raise DomainError("custom family requires an explicit tail rule" if tail_rule is None
+                              else f"custom family needs a sequence family as its tail rule, got {tail_rule!r}")
         try:
             pairs = [(n, k) for n, k in table]
         except (TypeError, ValueError) as exc:
@@ -145,22 +142,17 @@ def _integral(value: object, name: str) -> int:
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-SequenceSpec = Union[Geometric, Power, Linear, Growth, Custom]
+SequenceSpec = Union[Growth, Custom]
+_FAMILIES = {cls._family: cls for cls in (Geometric, Power, Linear, Growth, Custom)}
 
 
 def _coefficients(spec: SequenceSpec) -> tuple[Fraction, Fraction, Fraction]:
     """(C, beta, gamma) of a family's rule; a Custom family gives its tail rule's."""
-    if isinstance(spec, Geometric):
-        return Fraction(1, spec.m), Fraction(0), Fraction(1)
-    if isinstance(spec, Power):
-        return spec.C, spec.beta, Fraction(0)
-    if isinstance(spec, Linear):
-        return spec.C, Fraction(1), Fraction(0)
-    if isinstance(spec, Growth):
-        return spec.C, spec.beta, spec.gamma
-    if isinstance(spec, Custom):
-        return _coefficients(spec.tail_rule)
-    raise DomainError(f"unknown sequence family: {spec!r}")
+    while isinstance(spec, Custom):
+        spec = spec.tail_rule
+    if not isinstance(spec, Growth):
+        raise DomainError(f"unknown sequence family: {spec!r}")
+    return spec.C, spec.beta, spec.gamma
 
 
 def _iroot_floor(x: int, k: int) -> int:
@@ -287,7 +279,10 @@ class Verdict(Record):
         }
 
 
-def _trace(kappa: _Kappa, e: Exponents, count: int = 16) -> list[dict]:
+_TRACE_ROWS = range(1, 17)  # the n of the evidence trace's 16 rows
+
+
+def _trace(kappa: _Kappa, e: Exponents) -> list[dict]:
     """Finite-window values of the run-set kernel's statistic, for the evidence field.
 
     A subcritical row is null past the double range, where |ap n - b kappa_n|
@@ -300,7 +295,7 @@ def _trace(kappa: _Kappa, e: Exponents, count: int = 16) -> list[dict]:
     """
     statistic = _component_kernel(e)[2]
     if e.is_critical:
-        return [{"n": n, "log2_stat": statistic(n, kappa.lookup(n))} for n in range(1, count + 1)]
+        return [{"n": n, "log2_stat": statistic(n, kappa.lookup(n))} for n in _TRACE_ROWS]
     log2_c, beta, gamma = LogValue.from_fraction(kappa.C).log2, float(kappa.beta), float(kappa.gamma)
     limit = math.log2(e.ap.denominator) + 1024 + 64
 
@@ -308,7 +303,7 @@ def _trace(kappa: _Kappa, e: Exponents, count: int = 16) -> list[dict]:
         if n not in kappa.table and log2_c + beta * math.log2(n) + gamma * n > limit:
             return None  # the kernel's quotient would overflow
         return statistic(n, kappa.lookup(n))
-    return [{"n": n, "exponent": exponent(n)} for n in range(1, count + 1)]
+    return [{"n": n, "exponent": exponent(n)} for n in _TRACE_ROWS]
 
 
 def _decide(C: Fraction, beta: Fraction, gamma: Fraction, e: Exponents) -> tuple[Outcome, str | None, dict]:
@@ -360,7 +355,7 @@ def classify(spec: SequenceSpec, e: Exponents) -> Verdict:
     evidence: dict = {
         "family": spec_to_json(spec),
         "normalized": {"C": str(kappa.C), "beta": str(kappa.beta), "gamma": str(kappa.gamma)},
-        "branch": "critical" if e.is_critical else "subcritical",
+        "branch": e.branch.value,
         "trace": _trace(kappa, e),
     }
     if isinstance(spec, Custom):
@@ -382,7 +377,7 @@ def dobinski_full(e: Exponents) -> Verdict:
         "construction": "union over m >= 1 of run sets with kappa_n = ceil(2**n/m), "
         "for runs of zeros and (by bit-flip symmetry) runs of ones",
         "component_condition": condition,
-        "branch": "critical" if e.is_critical else "subcritical",
+        "branch": e.branch.value,
         "sampled_m": [1, 2, 3],
     }
     return Verdict(outcome, condition, evidence)
@@ -617,26 +612,16 @@ def dimension_profile(
 # ----------------------------------------------------------------------
 
 def spec_to_json(spec: SequenceSpec) -> dict:
-    if isinstance(spec, Geometric):
-        return {"family": "geometric", "m": spec.m}
-    if isinstance(spec, Power):
-        return {"family": "power", "C": str(spec.C), "beta": str(spec.beta)}
-    if isinstance(spec, Linear):
-        return {"family": "linear", "C": str(spec.C)}
-    if isinstance(spec, Growth):
-        return {
-            "family": "growth",
-            "C": str(spec.C),
-            "beta": str(spec.beta),
-            "gamma": str(spec.gamma),
-        }
-    if isinstance(spec, Custom):
-        return {
-            "family": "custom",
-            "table": [list(entry) for entry in spec.table],
-            "tail_rule": spec_to_json(spec.tail_rule),
-        }
-    raise DomainError(f"unknown sequence family: {spec!r}")
+    """The family's name, then each of its ``_fields``: rationals as strings, m as an int."""
+    if not isinstance(spec, (Growth, Custom)):
+        raise DomainError(f"unknown sequence family: {spec!r}")
+
+    def encode(name: str):
+        value = getattr(spec, name)
+        if name in ("table", "tail_rule"):
+            return [list(entry) for entry in value] if name == "table" else spec_to_json(value)
+        return value if name == "m" else str(value)
+    return {"family": spec._family} | {name: encode(name) for name in spec._fields}
 
 
 def spec_from_json(data: Mapping | Sequence | str) -> SequenceSpec:
@@ -652,26 +637,21 @@ def spec_from_json(data: Mapping | Sequence | str) -> SequenceSpec:
         raise DomainError("sequence spec JSON must be an object")
     family = str(data.get("family", "")).lower()
 
-    def field(name: str):
+    def parse(name: str):
+        """Field ``name`` of the class's ``_fields``: m an integer, the table as given, a tail rule a spec."""
         if name not in data:
             raise DomainError(f"{family} sequence spec needs the field {name!r}")
-        return data[name]
-
-    def rational(name: str) -> Fraction:
-        value = field(name)
+        value = data[name]
+        if name == "m":
+            return _integral(value, "field 'm' of the geometric sequence spec")
+        if name in ("table", "tail_rule"):
+            return value if name == "table" else spec_from_json(value)
         try:
             return as_fraction(value)
         except DomainError as exc:
             raise DomainError(f"field {name!r} of the {family} sequence spec: {exc}") from exc
 
-    if family == "geometric":
-        return Geometric(_integral(field("m"), "field 'm' of the geometric sequence spec"))
-    if family == "power":
-        return Power(rational("C"), rational("beta"))
-    if family == "linear":
-        return Linear(rational("C"))
-    if family == "growth":
-        return Growth(rational("C"), rational("beta"), rational("gamma"))
-    if family == "custom":
-        return Custom(field("table"), spec_from_json(field("tail_rule")))
-    raise DomainError(f"unknown sequence family: {family!r}")
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown sequence family: {family!r}")
+    cls = _FAMILIES[family]
+    return cls(*map(parse, cls._fields))

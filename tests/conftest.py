@@ -3,9 +3,11 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from capatree import Custom, CylinderSet, DomainError, Exponents, LogValue, cap_component, kappa_value
+from capatree import (
+    Custom, CylinderSet, DomainError, Exponents, Geometric, Linear, LogValue, Power, cap_component, kappa_value,
+)
 from capatree.capacity import _LN2, _geometric, _log2_1p_exp2
-from capatree.dobinski import Growth, _coefficients, _iroot_floor
+from capatree.dobinski import _iroot_floor
 from capatree.tree import validate_word
 
 # the six (a, p) pairs of acceptance criterion 3
@@ -49,10 +51,23 @@ def sigma_direct(n: int, kappa: int, e: Exponents) -> LogValue:
     return total
 
 
+def coefficients_reference(spec) -> tuple[Fraction, Fraction, Fraction]:
+    """(C, beta, gamma) of a family's rule from the family's definition, not the package's normalization."""
+    if isinstance(spec, Custom):
+        return coefficients_reference(spec.tail_rule)
+    if isinstance(spec, Geometric):
+        return Fraction(1, spec.m), Fraction(0), Fraction(1)
+    if isinstance(spec, Power):
+        return spec.C, spec.beta, Fraction(0)
+    if isinstance(spec, Linear):
+        return spec.C, Fraction(1), Fraction(0)
+    return spec.C, spec.beta, spec.gamma  # a Growth
+
+
 def kappa_reference(spec, n: int) -> int:
     """kappa_n as the package computed it before the integer fast path.
 
-    Rebuilds the normalized family on every call and works in Fraction
+    Normalizes the family from its definition on every call, works in Fraction
     arithmetic, with an exact integer root where the value is irrational.
     """
     if n < 1:
@@ -62,13 +77,13 @@ def kappa_reference(spec, n: int) -> int:
             if tn == n:
                 return tk
         return kappa_reference(spec.tail_rule, n)
-    g = Growth(*_coefficients(spec))
-    exp2 = g.gamma * n
-    if g.beta.denominator == 1 and exp2.denominator == 1:
-        x = g.C * Fraction(n) ** int(g.beta) * Fraction(2) ** int(exp2)
+    C, beta, gamma = coefficients_reference(spec)
+    exp2 = gamma * n
+    if beta.denominator == 1 and exp2.denominator == 1:
+        x = C * Fraction(n) ** int(beta) * Fraction(2) ** int(exp2)
         return max(1, -((-x.numerator) // x.denominator))
-    L = math.lcm(g.beta.denominator, exp2.denominator)
-    xl = g.C ** L * Fraction(n) ** int(g.beta * L) * Fraction(2) ** int(exp2 * L)
+    L = math.lcm(beta.denominator, exp2.denominator)
+    xl = C ** L * Fraction(n) ** int(beta * L) * Fraction(2) ** int(exp2 * L)
     a, b = xl.numerator, xl.denominator
     k = _iroot_floor(a // b, L)
     m = k if k >= 1 and k ** L * b >= a else k + 1

@@ -46,6 +46,11 @@ class TestDigitStream:
         with pytest.raises(DomainError):
             DigitStream.from_rational("3/2")
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_digits_are_indexed_from_one(self, n):
+        with pytest.raises(DomainError, match="indexed from 1"):
+            DigitStream.from_rational("1/3").digit(n)
+
 
 class TestRunLengths:
     def test_alternating_stream_all_zero(self):

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from capatree import Exponents, Growth, cli, kappa_value
+from capatree import ConvergenceError, Exponents, Growth, cli, kappa_value
 from conftest import comparability_reference, ratio_reference
 
 
@@ -161,6 +162,15 @@ class TestOutputContract:
         assert any(line.startswith("# a=1/2") for line in lines)
         assert "cap_log2" in lines[len([l for l in lines if l.startswith('#')])]
 
+    def test_csv_null_kappa_is_an_empty_cell(self, capsys):
+        # kappa_60 = 2**60 is past 2**53, so the JSON row carries "kappa": null
+        status, out = run_cli(capsys, ["ratios", "--a", "1/2", "--p", "2", "--family", "geometric", "--m", "1",
+                                       "--n-from", "60", "--n-to", "61", "--format", "csv"])
+        assert status == 0
+        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+        assert [(row["n"], row["kappa"]) for row in rows] == [("60", ""), ("61", "")]
+        assert float(rows[0]["kappa_log2"]) == 60.0
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         status = cli.main(
@@ -273,6 +283,18 @@ class TestExitCodes:
         monkeypatch.setattr(oracle_module, "agreement_battery", fake_battery)
         assert cli.main(["oracle-check", "--seed", "1", "--count", "1"]) == 3
 
+    def test_oracle_convergence_failure_exits_three(self, capsys, monkeypatch):
+        from capatree import oracle as oracle_module
+
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceError("oracle gap 0.5 exceeds tol 1e-06")
+
+        monkeypatch.setattr(oracle_module, "solve_capacity", no_convergence)
+        assert cli.main(["oracle-check", "--seed", "1", "--count", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "capatree: oracle failure: oracle gap 0.5 exceeds tol 1e-06\n"
+
     @pytest.mark.parametrize(
         "command",
         [["classify"], ["bounds", "--n-max", "5"], ["dimension", "--ap-grid", "1/2,1", "--p-grid", "2"]],
@@ -358,6 +380,22 @@ class TestExitCodes:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_reader_closing_stdout_mid_stream_exits_one(self):
+        # the reader takes one line of a 10 000-row document, then closes the pipe
+        argv = ["ratios", "--a", "1/2", "--p", "2", "--family", "geometric", "--m", "1", "--n-to", "10000"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-m", "capatree.cli", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env, text=True)
+        try:
+            assert proc.stdout.readline() == "{\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert (proc.wait(timeout=120), stderr) == (1, "")
+        finally:
+            proc.kill()
+            proc.wait()
 
 
 def modules_after(code: str, packages: tuple[str, ...] = ("numpy", "scipy")) -> list[str]:

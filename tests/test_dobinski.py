@@ -1,6 +1,8 @@
 import functools
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +30,9 @@ from capatree import (
     spec_from_json,
     spec_to_json,
 )
-from conftest import comparability_reference, kappa_reference, ratio_reference, rel_diff, tail_sum_reference
+from conftest import (
+    coefficients_reference, comparability_reference, kappa_reference, ratio_reference, rel_diff, tail_sum_reference,
+)
 
 E_HALF_2 = Exponents("1/2", 2)
 E_THIRD_3 = Exponents("1/3", 3)
@@ -122,6 +126,22 @@ class TestFamilyValidation:
             Geometric(0)
         with pytest.raises(DomainError):
             Geometric(True)
+
+    def test_named_families_are_growths_with_their_normalized_rule(self):
+        for spec, rule in ((Geometric(4), Growth("1/4", 0, 1)), (Power("3/2", "1/2"), Growth("3/2", "1/2", 0)),
+                           (Linear(5), Growth(5, 1, 0))):
+            assert isinstance(spec, Growth)
+            assert (spec.C, spec.beta, spec.gamma) == (rule.C, rule.beta, rule.gamma)
+            assert spec != rule
+
+    @pytest.mark.parametrize("tail_rule", [5, "geometric", {"family": "geometric", "m": 1}, ((1, 2),)])
+    def test_custom_tail_rule_must_be_a_family(self, tail_rule):
+        with pytest.raises(DomainError, match=f"tail rule, got {re.escape(repr(tail_rule))}"):
+            Custom(((1, 2),), tail_rule)
+
+    def test_custom_tail_rule_none_keeps_its_message(self):
+        with pytest.raises(DomainError, match="^custom family requires an explicit tail rule$"):
+            Custom(((1, 2),), None)
 
     def test_bools_are_not_rationals(self):
         with pytest.raises(DomainError):
@@ -218,6 +238,12 @@ class TestClassify:
         verdict = classify(spec, E_HALF_2)
         assert verdict.outcome is Outcome.ZERO
         assert verdict.condition == "(ii)"
+
+    def test_critical_balanced_with_decaying_polynomial(self):
+        # kappa_n = 2**n / n at p = 2: the statistic grows like n
+        verdict = classify(Growth(1, -1, 1), E_HALF_2)
+        assert (verdict.outcome, verdict.condition) == (Outcome.POSITIVE, "(i)")
+        assert verdict.evidence["limsup"] == "+inf"
 
     def test_polynomial_families_are_positive_critical(self):
         for spec in (Linear(Fraction(5)), Power(Fraction(3), Fraction(4))):
@@ -457,7 +483,7 @@ class TestCertifiedUpperBound:
     def test_remainder_bounds_its_majorant_tail(self, spec, e, starts):
         # sum_{n >= N} of the majorant, in floats over 20 000 terms: a lower
         # bound for the full majorant tail, which the closed form must exceed
-        C, beta, gamma = map(float, dobinski._coefficients(spec))
+        C, beta, gamma = map(float, coefficients_reference(spec))
         pm1, ap = float(e.p - 1), float(e.ap)
         log2_c = full_tree_capacity(e).value.log2
 
@@ -477,6 +503,25 @@ class TestCertifiedUpperBound:
             total = top + math.log2(math.fsum(2.0 ** (x - top) for x in logs))
             rem = remainder(N)
             assert rem is not None and rem >= total - 1e-12, (N, rem, total)
+
+    @pytest.mark.parametrize(
+        "spec, e, n_max, none_at",
+        [
+            # critical: rho_N = 2**(-1/8) (1 + 1/N)**8 stays >= 1 up to N = 91
+            (Growth(1, -8, Fraction(9, 8)), E_HALF_2, 10, range(1, 92)),
+            # subcritical: g is convex only from 1/(2 gamma) = 4, and the increment is negative from 5
+            (Growth(4, Fraction(1, 2), Fraction(1, 8)), Exponents("1/4", 2), 1, range(1, 5)),
+        ],
+        ids=["critical", "subcritical"],
+    )
+    def test_remainder_without_a_closed_form_yet_still_gives_an_upper(self, spec, e, n_max, none_at):
+        remainder = dobinski._remainder(dobinski._Kappa(spec), e)
+        assert [N for N in range(1, 200) if remainder(N) is None] == list(none_at)
+        assert classify(spec, e).outcome is Outcome.ZERO
+        _, upper = capacity_bounds(spec, e, n_max)
+        assert upper is not None
+        with mpmath.workdps(50):
+            assert mpmath.log(tail_sum_reference(spec, e, n_max), 2) <= mpmath.mpf(upper.value.log2)
 
     def test_zero_family_without_a_decaying_majorant_in_the_window_gets_none(self):
         # f(n) = ap n - b n**(11/10) only starts to fall near n = 22 000
@@ -693,9 +738,35 @@ class TestSpecJson:
     def test_literal_schema(self):
         assert spec_from_json({"family": "geometric", "m": 3}) == Geometric(3)
 
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (Geometric(3), '{"family": "geometric", "m": 3}'),
+            (Power(Fraction(1, 2), 2), '{"family": "power", "C": "1/2", "beta": "2"}'),
+            (Linear(Fraction(7, 3)), '{"family": "linear", "C": "7/3"}'),
+            (Growth(1, Fraction(-1, 2), 1), '{"family": "growth", "C": "1", "beta": "-1/2", "gamma": "1"}'),
+            (Custom(((1, 2), (4, 9)), Custom(((2, 3),), Linear(1))),
+             '{"family": "custom", "table": [[1, 2], [4, 9]], "tail_rule": '
+             '{"family": "custom", "table": [[2, 3]], "tail_rule": {"family": "linear", "C": "1"}}}'),
+        ],
+    )
+    def test_json_keys_values_and_order(self, spec, text):
+        assert json.dumps(spec_to_json(spec)) == text
+        assert spec_from_json(text) == spec
+
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             spec_from_json({"family": "fibonacci"})
+
+    @pytest.mark.parametrize("data", [[{"family": "geometric", "m": 1}], "[1]", "3", 3, None])
+    def test_non_object_is_rejected(self, data):
+        with pytest.raises(DomainError, match="must be an object"):
+            spec_from_json(data)
+
+    @pytest.mark.parametrize("spec", [5, None, {"family": "geometric", "m": 1}, Exponents("1/2", 2)])
+    def test_non_family_has_no_json(self, spec):
+        with pytest.raises(DomainError, match="unknown sequence family"):
+            spec_to_json(spec)
 
     @pytest.mark.parametrize(
         "data, field",

@@ -50,6 +50,12 @@ class TestExponents:
         with pytest.raises(DomainError):
             Exponents("3/4", 2)
 
+    @pytest.mark.parametrize("a, p, message", [(0, 2, "a > 0"), ("-1/2", 2, "a > 0"), ("1/2", 1, "p > 1"),
+                                               ("1/2", "1/2", "p > 1")])
+    def test_rejects_a_at_most_zero_and_p_at_most_one(self, a, p, message):
+        with pytest.raises(DomainError, match=message):
+            Exponents(a, p)
+
     @given(
         num=st.integers(min_value=1, max_value=10**6),
         den=st.integers(min_value=1, max_value=10**6),

@@ -26,6 +26,11 @@ class TestCylinderSet:
         with pytest.raises(DomainError):
             CylinderSet(("0", "01"))
 
+    @pytest.mark.parametrize("data", ['{"0": 1}', '"0"', "7", {"0": 1}, 7])
+    def test_from_json_rejects_a_non_array(self, data):
+        with pytest.raises(DomainError, match="array"):
+            CylinderSet.from_json(data)
+
     def test_rejects_bad_alphabet(self):
         with pytest.raises(DomainError):
             CylinderSet.from_words({"0a1"})
