@@ -30,8 +30,7 @@ _EXPORTS = {
         ("errors", "ConvergenceError DomainError DyadicTangentPole"),
         ("exponents", "ApBranch Exponents LogValue as_fraction conjugate rel_error"),
         ("tree", "CylinderSet d_cylinder_set"),
-        ("oracle", "FiniteProblem OracleResult agreement_battery emulated_infinite_problem solve_capacity "
-                   "solve_from_json"),
+        ("oracle", "FiniteProblem OracleResult agreement_battery emulated_infinite_problem solve_capacity"),
     )
     for name in names.split()
 }

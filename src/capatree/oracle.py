@@ -96,26 +96,6 @@ class FiniteProblem(Record):
             w[_node_indices(list(self.weights))] = list(self.weights.values())
         return w
 
-    def to_json(self) -> dict:
-        out = {
-            "depth": self.depth,
-            "target_leaves": list(self.target_leaves),
-            "a": str(self.exponents.a),
-            "p": str(self.exponents.p),
-        }
-        if self.weights:
-            out["weights"] = {k: float(v) for k, v in self.weights.items()}
-        return out
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "FiniteProblem":
-        return cls(
-            depth=data["depth"],
-            target_leaves=tuple(data["target_leaves"]),
-            exponents=Exponents(data["a"], data["p"]),
-            weights=data.get("weights"),
-        )
-
 
 class OracleResult(Record):
     """The solve's bracket and witness; unlike the other records it is mutable and unhashable."""
@@ -134,20 +114,6 @@ class OracleResult(Record):
         self.violation = violation
         self.iterations = iterations
         self.depth = depth
-
-    def witness_dict(self) -> dict[str, float]:
-        """The positive values, keyed by word: node i holds the word bin(i + 1) without its "0b1"."""
-        return {bin(i + 1)[3:]: float(self.witness[i]) for i in np.flatnonzero(self.witness > 0).tolist()}
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": self.witness_dict(),
-            "lower": self.lower,
-            "gap": self.gap,
-            "violation": self.violation,
-            "iterations": self.iterations,
-        }
 
 
 class _TreeArrays:
@@ -313,11 +279,6 @@ def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
         iterations=iterations,
         depth=problem.depth,
     )
-
-
-def solve_from_json(data: Mapping, tol: float = 1e-5) -> dict:
-    """JSON-in / JSON-out wrapper around :func:`solve_capacity`."""
-    return solve_capacity(FiniteProblem.from_json(data), tol=tol).to_json()
 
 
 # ----------------------------------------------------------------------

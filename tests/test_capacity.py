@@ -549,6 +549,14 @@ class TestOracleCrossChecks:
             weight = 2.0 ** (-n * float(1 - E_THIRD_3.ap)) * weight_below
             assert prob.weights == dict.fromkeys(leaves, weight)
 
+    def test_empty_and_too_deep_sets_are_rejected(self):
+        from capatree import emulated_infinite_problem
+
+        with pytest.raises(DomainError, match="empty set"):
+            emulated_infinite_problem(CylinderSet.empty(), E_THIRD_3)
+        with pytest.raises(DomainError, match="depth 21"):
+            emulated_infinite_problem(CylinderSet.from_words(["0" * 21]), E_THIRD_3)
+
 
 class TestSigma:
     def test_critical_values(self):

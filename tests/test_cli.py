@@ -448,8 +448,7 @@ ROOT_EXPORTS = {
     "errors": "ConvergenceError DomainError DyadicTangentPole",
     "exponents": "ApBranch Exponents LogValue as_fraction conjugate rel_error",
     "tree": "CylinderSet d_cylinder_set",
-    "oracle": "FiniteProblem OracleResult agreement_battery emulated_infinite_problem solve_capacity "
-              "solve_from_json",
+    "oracle": "FiniteProblem OracleResult agreement_battery emulated_infinite_problem solve_capacity",
 }
 
 

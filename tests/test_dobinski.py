@@ -685,6 +685,22 @@ def test_integer_arguments_must_be_ints(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: classify(spec, E_HALF_2),
+        lambda spec: capacity_bounds(spec, E_HALF_2, 10),
+        lambda spec: comparability_report(E_HALF_2, (1, 5), spec),
+        lambda spec: dimension_profile(spec, [(Fraction(1, 2), Fraction(2))]),
+        lambda spec: kappa_value(spec, 3),
+    ],
+    ids=["classify", "capacity_bounds", "comparability_report", "dimension_profile", "kappa_value"],
+)
+def test_a_spec_that_is_no_family_is_rejected(call):
+    with pytest.raises(DomainError, match="unknown sequence family: 5"):
+        call(5)
+
+
 class TestDimensionProfile:
     def test_geometric_brackets_to_zero(self):
         grid = [

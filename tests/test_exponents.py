@@ -159,3 +159,24 @@ class TestLogValue:
     def test_from_fraction_handles_big_integers(self):
         v = LogValue.from_fraction(Fraction(2**4000, 3))
         assert v.log2 == pytest.approx(4000 - math.log2(3), rel=1e-15)
+
+    def test_from_fraction_of_zero_and_negative(self):
+        assert LogValue.from_fraction(Fraction(0)).is_zero
+        with pytest.raises(DomainError, match="nonnegative"):
+            LogValue.from_fraction(Fraction(-1))
+
+    def test_to_float_saturates_past_the_double_range(self):
+        assert LogValue.from_log2(2000.0).to_float() == math.inf
+        assert LogValue.from_log2(-2000.0).to_float() == 0.0
+
+
+class TestRelError:
+    def test_zero_against_zero_and_against_one(self):
+        assert rel_error(LogValue.zero(), LogValue.zero()) == 0.0
+        assert rel_error(LogValue.zero(), LogValue.one()) == math.inf
+        assert rel_error(LogValue.one(), LogValue.zero()) == math.inf
+
+    def test_logs_more_than_sixty_apart(self):
+        assert rel_error(LogValue.from_log2(61.0), LogValue.one()) == math.inf
+        assert rel_error(LogValue.from_log2(-61.0), LogValue.one()) == math.inf
+        assert rel_error(LogValue.from_log2(60.0), LogValue.one()) == pytest.approx(2.0 ** 60, rel=1e-12)
