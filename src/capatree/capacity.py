@@ -31,7 +31,9 @@ truncated tree and the whole boundary have
 
     truncated(N) = G(N+1, -apq)**-(p-1),   c = G(inf, -apq)**-(p-1),
 
-and S_k = lambda**q * G(k, q log2 lambda); sigma is two such sums.
+and S_k = lambda**q * G(k, q log2 lambda); sigma is two such sums.  The
+constants and closed forms of one pair (a, p) live in one cached kernel,
+built on its first use and read by every later call at that pair.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import enum
 import functools
 import math
 from itertools import chain, repeat
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, LogValue, Record, _set, rel_error
@@ -145,20 +147,122 @@ def phi_apply(r: LogValue, x: LogValue, e: Exponents) -> LogValue:
     return LogValue.from_log2(x.log2 - e.pm1_f * _log2_1p_exp2(t))
 
 
-@functools.cache
+class _Kernel:
+    """The closed forms of one exponent pair; ``_kernel(e)`` builds one per pair, once.
+
+    ``c`` is the full-tree report, and ``branch_sum`` and ``run_sum`` are
+    k -> log2 G(k, -q ap) and log2 G(k, -qb), b = 1-ap.  ``lift(v, k)`` is the
+    log2 value k one-child levels above a node of log2 value v (``_sweep``);
+    the chain indices log2 S_k it fills on first use serve every later sweep
+    at the pair, each formed by the same float operations.
+
+    ``log2_cap(n, kappa)`` is log2 cap(D(n, kappa)), as in ``cap_component``.
+    ``statistic`` is the log2 s of the branch's comparison quantity, whose
+    limsup sorts run sets: n - (p-1) log2 kappa on the critical branch, and
+    below it the exact quotient (v ap n - v b kappa) / v, v the denominator of
+    ap, rounded once (None past the double range).  ``rows(ns, kappas)``
+    yields the comparability row (n, kappa, log2 kappa, s, log2 cap, log2 of
+    cap 2**-min(0, s)) of each (n, kappa) pair of the two iterables in one
+    loop, forming each shared term once; s and cap have the other closures'
+    bits.
+
+    The closures do not check their arguments; the cap closures return a
+    finite log2 or raise DomainError.  Below the critical line cap's three
+    terms are 2**x, x = -q s, times 2**-qb G(kappa, -qb), G(inf, -q ap) and
+    2**-x G(n, -q ap); as (p-1)q = 1 the ratio is the sum of those cofactors
+    to the power -(p-1), so x cancels exactly.  On the critical branch the
+    cofactors are 1, G(inf, -q)/kappa and 2**(qn) G(n, -q)/kappa, with
+    x = log2 kappa - qn formed as (E P - n Q)/P + log2(kappa / 2**E), E the
+    bit length of kappa and p-1 = P/Q, so no terms of size n cancel in floats.
+    """
+
+    __slots__ = ("c", "branch_sum", "run_sum", "lift", "log2_cap", "statistic", "rows")
+
+    def __init__(self, e: Exponents):
+        q, pm1, log2_lambda = e.q_f, e.pm1_f, e.ap_f - 1.0
+        v, ap_num = e.ap.denominator, e.ap.numerator
+        vb = v - ap_num  # v * b
+        P, Q = (e.p - 1).numerator, (e.p - 1).denominator
+        q_v, qb, qs = q / v, q * (1.0 - e.ap_f), q * log2_lambda  # qs = log2 lambda**q
+        self.run_sum = run_sum = _geometric(-qb)  # G(kappa, -qb)
+        self.branch_sum = branch_sum = _geometric(-q * e.ap_f)  # G(n, -q ap)
+        full = branch_sum(math.inf)
+        index_sum, log2_index = _geometric(qs), {}  # k -> log2 S_k = qs + log2 G(k, qs), filled on first use
+        log2, isfinite, no_terms = math.log2, math.isfinite, -math.inf
+
+        value = LogValue.from_log2(-pm1 * full)  # c = G(inf, -apq)**-(p-1); one application of the map checks it
+        image = phi_apply(LogValue.one(), LogValue.from_log2(value.log2 + e.ap_f), e)
+        if rel_error(image, value) > 1e-10:
+            raise ConvergenceError(f"closed form is not a fixed point for {e}: {value!r} maps to {image!r}")
+        self.c = CapacityReport(value, Method.FIXED_POINT, BoundKind.EXACT)
+
+        def lift(y: float, k: int) -> float:
+            if k == 0:
+                return y
+            index = log2_index.get(k)
+            if index is None:
+                index = log2_index[k] = qs + index_sum(k)
+            return k * log2_lambda + y - pm1 * _log2_1p_exp2(index + q * y)
+
+        def log2_power(t0: float, t1: float, t2: float) -> float:  # log2 (2**t0 + 2**t1 + 2**t2)**-(p-1)
+            hi = max(t0, t1, t2)
+            out = -pm1 * (hi + log2(2.0 ** (t0 - hi) + 2.0 ** (t1 - hi) + 2.0 ** (t2 - hi)))
+            if not isfinite(out):
+                raise DomainError("component capacity exceeds the double-precision log2 range")
+            return out
+
+        def log2_cap(n: int, kappa: int) -> float:
+            run = vb * (kappa - 1) - ap_num * n  # v * (b(kappa-1) - ap n)
+            t2 = branch_sum(n) if n else no_terms  # G(0, .) = 0 drops out of the sum
+            return log2_power(_times(run, q_v) + run_sum(kappa), _times(run + vb, q_v) + full, t2)
+
+        def statistic(n: int, kappa: int) -> float | None:
+            if not vb:
+                return n - pm1 * log2(kappa)
+            try:
+                return (ap_num * n - vb * kappa) / v  # int / int rounds once
+            except OverflowError:
+                return None
+
+        def subcritical(ns: Iterable[int], kappas: Iterable[int]) -> Iterator[tuple]:
+            for n, kappa in zip(ns, kappas):
+                run = vb * (kappa - 1) - ap_num * n
+                x, rs = _times(run + vb, q_v), run_sum(kappa)
+                t2 = branch_sum(n) if n else no_terms
+                cap = log2_power(_times(run, q_v) + rs, x + full, t2)
+                try:
+                    s = -(run + vb) / v  # (ap_num n - vb kappa) / v, as in statistic
+                except OverflowError:
+                    s = None
+                ratio = cap if s is not None and s >= 0 else log2_power(rs - qb, full, t2 - x)
+                yield n, kappa, log2(kappa), s, cap, ratio
+
+        def critical(ns: Iterable[int], kappas: Iterable[int]) -> Iterator[tuple]:
+            for n, kappa in zip(ns, kappas):  # v = 1, run = -n and G(kappa, 0) = log2 kappa
+                log2_kappa, x = log2(kappa), _times(-n, q)
+                s, t2 = n - pm1 * log2_kappa, branch_sum(n) if n else no_terms
+                cap = log2_power(x + log2_kappa, x + full, t2)
+                if s >= 0:
+                    yield n, kappa, log2_kappa, s, cap, cap
+                    continue
+                E = kappa.bit_length()  # x + log2 kappa, formed without cancelling terms of size n
+                x = (E * P - n * Q) / P + log2(kappa / (1 << E))
+                yield n, kappa, log2_kappa, s, cap, log2_power(0.0, full - log2_kappa, t2 - x)
+        self.lift, self.log2_cap, self.statistic = lift, log2_cap, statistic
+        self.rows = subcritical if vb else critical
+
+
+_kernel = functools.cache(_Kernel)  # one kernel per exponent pair, for the life of the process
+
+
 def full_tree_capacity(e: Exponents) -> CapacityReport:
     """Capacity of the whole boundary: the positive fixed point of c = Phi_1(2**ap c).
 
     Solving the fixed-point equation gives c = G(inf, -apq)**-(p-1)
-    (module docstring); one application of the map checks it.
+    (module docstring); the pair's kernel forms it once, and one
+    application of the map checks it.
     """
-    value = LogValue.from_log2(-e.pm1_f * _geometric(-e.ap_f * e.q_f)(math.inf))
-    image = phi_apply(LogValue.one(), LogValue.from_log2(value.log2 + e.ap_f), e)
-    if rel_error(image, value) > 1e-10:
-        raise ConvergenceError(
-            f"closed form is not a fixed point for {e}: {value!r} maps to {image!r}"
-        )
-    return CapacityReport(value, Method.FIXED_POINT, BoundKind.EXACT)
+    return _kernel(e).c
 
 
 def truncated_tree_capacity(e: Exponents, depth: int) -> LogValue:
@@ -172,7 +276,7 @@ def truncated_tree_capacity(e: Exponents, depth: int) -> LogValue:
     """
     if type(depth) is not int or depth < 0:
         raise DomainError(f"depth must be an int >= 0, got {depth!r}")
-    return LogValue.from_log2(-e.pm1_f * _geometric(-e.ap_f * e.q_f)(depth + 1))
+    return LogValue.from_log2(-e.pm1_f * _kernel(e).branch_sum(depth + 1))
 
 
 def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValue:
@@ -184,7 +288,8 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
     one-child nodes above a value y therefore lifts it to
     lambda**k * Phi_{S_k}(y) with S_k = sum_{j=1..k} lambda**(jq), q = p'-1
     (module docstring), so only the edges of the compressed trie cost a
-    Phi evaluation.
+    Phi evaluation.  ``lift`` is the pair's kernel's, so a chain index that
+    an earlier sweep formed is reused.
 
     The trie is never materialised.  Its branch nodes sit where neighbouring
     generators in sorted order join, so one pass with a stack builds it as
@@ -206,22 +311,7 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
     generators = cyl.generators
     if not generators:
         return LogValue.zero()
-    s = e.ap_f - 1.0  # log2 lambda
-    q = e.q_f
-    pm1 = e.pm1_f
-    qs = q * s  # log2 lambda**q
-    log2_sum = _geometric(qs)
-    log2_index = {}  # chain length k -> log2 S_k = qs + log2 G(k, qs), filled on first use
-
-    def lift(v: float, k: int) -> float:
-        """log2 of the value k one-child levels above a node of log2 value v."""
-        if k == 0:
-            return v
-        index = log2_index.get(k)
-        if index is None:
-            index = log2_index[k] = qs + log2_sum(k)
-        return k * s + v - pm1 * _log2_1p_exp2(index + q * v)
-
+    lift = _kernel(e).lift
     top = leaf = generator_value.log2
     first, rest = generators[0], generators[1:]
     top_join, top_depth, top_key = -1, len(first), int(first or "0", 2)  # the root "" has key 0
@@ -295,90 +385,11 @@ def sigma_closed_form(n: int, kappa: int, e: Exponents) -> LogValue:
     (b = 0) this is (2**(nq) - 1)/(1 - 2**-q) + kappa.
     """
     _check_run_set(n, kappa)
-    q = e.q_f
-    qb = q * (1.0 - e.ap_f)
-    run = LogValue.from_log2(_times(n + kappa - 1, qb) + _geometric(-qb)(kappa))
+    kernel, q = _kernel(e), e.q_f
+    run = LogValue.from_log2(_times(n + kappa - 1, q * (1.0 - e.ap_f)) + kernel.run_sum(kappa))
     if n == 0:
         return run
-    return LogValue.from_log2(_times(n, q) + _geometric(-q * e.ap_f)(n)) + run
-
-
-def _component_kernel(e: Exponents):
-    """(log2_cap, component, statistic) of one exponent pair, each a function of (n, kappa).
-
-    ``log2_cap`` is log2 cap(D(n, kappa)), as in ``cap_component``.  ``statistic``
-    is the log2 s of the branch's comparison quantity, whose limsup sorts run
-    sets: n - (p-1) log2 kappa on the critical branch, and below it the exact
-    quotient (v ap n - v b kappa) / v, v the denominator of ap, rounded once
-    (None past the double range).  ``component``, picked here per branch, gives a
-    comparability row, (log2 kappa, s, log2 cap, log2 of cap 2**-min(0, s)),
-    forming each shared term once; s and cap have the other kernels' bits.
-
-    Every constant that does not depend on (n, kappa) is computed once, here,
-    so a caller that evaluates many components builds one kernel per query.
-    The kernels do not check their arguments; the cap kernels return a finite
-    log2 or raise DomainError.  Below the critical line cap's three terms are
-    2**x, x = -q s, times 2**-qb G(kappa, -qb), G(inf, -q ap) and 2**-x G(n, -q ap);
-    as (p-1)q = 1 the ratio is the sum of those cofactors to the power -(p-1),
-    so x cancels exactly.  On the critical branch the cofactors are 1,
-    G(inf, -q)/kappa and 2**(qn) G(n, -q)/kappa, with x = log2 kappa - qn
-    formed as (E P - n Q)/P + log2(kappa / 2**E), E the bit length of kappa
-    and p-1 = P/Q, so no terms of size n cancel in floats.
-    """
-    q = e.q_f
-    v = e.ap.denominator
-    ap_num = e.ap.numerator
-    vb = v - ap_num  # v * b
-    P, Q = (e.p - 1).numerator, (e.p - 1).denominator
-    q_v = q / v
-    qb = q * (1.0 - e.ap_f)
-    run_sum = _geometric(-qb)  # G(kappa, -qb)
-    branch_sum = _geometric(-q * e.ap_f)  # G(n, -q ap)
-    full = branch_sum(math.inf)
-    pm1 = e.pm1_f
-    log2, isfinite, no_terms = math.log2, math.isfinite, -math.inf
-
-    def log2_power(t0: float, t1: float, t2: float) -> float:  # log2 (2**t0 + 2**t1 + 2**t2)**-(p-1)
-        hi = max(t0, t1, t2)
-        out = -pm1 * (hi + log2(2.0 ** (t0 - hi) + 2.0 ** (t1 - hi) + 2.0 ** (t2 - hi)))
-        if not isfinite(out):
-            raise DomainError("component capacity exceeds the double-precision log2 range")
-        return out
-
-    def log2_cap(n: int, kappa: int) -> float:
-        run = vb * (kappa - 1) - ap_num * n  # v * (b(kappa-1) - ap n)
-        t2 = branch_sum(n) if n else no_terms  # G(0, .) = 0 drops out of the sum
-        return log2_power(_times(run, q_v) + run_sum(kappa), _times(run + vb, q_v) + full, t2)
-
-    def statistic(n: int, kappa: int) -> float | None:
-        if not vb:
-            return n - pm1 * log2(kappa)
-        try:
-            return (ap_num * n - vb * kappa) / v  # int / int rounds once
-        except OverflowError:
-            return None
-
-    def subcritical(n: int, kappa: int) -> tuple:
-        run = vb * (kappa - 1) - ap_num * n
-        x, rs = _times(run + vb, q_v), run_sum(kappa)
-        t2 = branch_sum(n) if n else no_terms
-        cap = log2_power(_times(run, q_v) + rs, x + full, t2)
-        try:
-            s = -(run + vb) / v  # (ap_num n - vb kappa) / v, as in statistic
-        except OverflowError:
-            s = None
-        return log2(kappa), s, cap, cap if s is not None and s >= 0 else log2_power(rs - qb, full, t2 - x)
-
-    def critical(n: int, kappa: int) -> tuple:  # v = 1, run = -n and G(kappa, 0) = log2 kappa
-        log2_kappa, x = log2(kappa), _times(-n, q)
-        s, t2 = n - pm1 * log2_kappa, branch_sum(n) if n else no_terms
-        cap = log2_power(x + log2_kappa, x + full, t2)
-        if s >= 0:
-            return log2_kappa, s, cap, cap
-        E = kappa.bit_length()  # x + log2 kappa, formed without cancelling terms of size n
-        x = (E * P - n * Q) / P + log2(kappa / (1 << E))
-        return log2_kappa, s, cap, log2_power(0.0, full - log2_kappa, t2 - x)
-    return log2_cap, subcritical if vb else critical, statistic
+    return LogValue.from_log2(_times(n, q) + kernel.branch_sum(n)) + run
 
 
 def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:
@@ -395,10 +406,10 @@ def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:
 
     as c**-q = G(inf, -q ap).  Both exponents are formed as exact integers
     over the denominator of ap, so no terms of size n cancel in floats.
-    The formula lives in ``_component_kernel``; callers that evaluate many
-    components of one exponent pair build that kernel once.  Exactness is
+    The formula lives in the pair's kernel (``_kernel``), which is built
+    once per pair and read by every later call.  Exactness is
     checked against the explicit recursion in the test suite.
     """
     _check_run_set(n, kappa)
-    value = LogValue.from_log2(_component_kernel(e)[0](n, kappa))
+    value = LogValue.from_log2(_kernel(e).log2_cap(n, kappa))
     return CapacityReport(value, Method.CLOSED_FORM, BoundKind.EXACT)

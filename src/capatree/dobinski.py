@@ -21,16 +21,16 @@ statistic included; the other callers decide without building it.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .capacity import (
     BoundKind,
     CapacityReport,
     Method,
-    _component_kernel,
-    full_tree_capacity,
+    _kernel,
 )
 from .errors import DomainError
 from .exponents import Exponents, LogValue, RationalLike, Record, _set, as_fraction
@@ -183,12 +183,16 @@ class _Kappa:
 
     ``lookup`` takes table entries first (an outer Custom's before its tail
     rule's), and ``rule``, ceil(C * n**beta * 2**(gamma*n)), for every other n;
-    a family with no table has ``rule`` itself as its lookup.  Both close over
-    the family's integers, so a lookup reads no attributes.  Neither checks n:
-    every caller passes an int n >= 1, and ``kappa_value`` checks outside input.
+    a family with no table has ``rule`` itself as its lookup.  ``values(ns)``
+    iterates the lookups over ns, forming each kappa_n only when it is reached:
+    for a rule with integer beta and gamma and no table, one generator over
+    the exact integer expression of ``rule``, else ``lookup`` mapped.  All
+    close over the family's integers, so a lookup reads no attributes.  None
+    checks n: every caller passes ints n >= 1, and ``kappa_value`` checks
+    outside input.
     """
 
-    __slots__ = ("table", "C", "beta", "gamma", "rule", "lookup")
+    __slots__ = ("table", "C", "beta", "gamma", "rule", "lookup", "values")
 
     def __init__(self, spec: SequenceSpec):
         table: dict[int, int] = {}
@@ -198,26 +202,18 @@ class _Kappa:
         self.table, get = table, table.get
         self.C, self.beta, self.gamma = C, beta, gamma = _coefficients(spec)
         (num, den), (bn, bd), (gn, gd) = C.as_integer_ratio(), beta.as_integer_ratio(), gamma.as_integer_ratio()
+        pa, pb, ga, gb = max(bn, 0), max(-bn, 0), max(gn, 0), max(-gn, 0)  # n's and 2's powers above and below
 
         def rule(n: int) -> int:
-            """ceil(C * n**beta * 2**(gamma*n)), at least 1, as an exact integer."""
-            shift, rest = divmod(gn * n, gd)
-            a, b = num, den
+            """ceil(C * n**beta * 2**(gamma*n)) as an exact integer, at least 1 as C > 0."""
+            rest = gn * n % gd
             if bd == 1 and not rest:
-                if bn >= 0:
-                    a *= n ** bn
-                else:
-                    b *= n ** -bn
-                if shift >= 0:
-                    a <<= shift
-                else:
-                    b <<= -shift
-                return max(1, -(-a // b))
+                return -(-(num * n ** pa << ga * n // gd) // (den * n ** pb << gb * n // gd))
             # irrational value: x**L = a / b in integers, for L the lcm of the
             # denominators of beta and gamma*n; ceil(x) is the integer L-th root
             # of a // b, or one more
             L = math.lcm(bd, gd // math.gcd(rest, gd))
-            a, b = a ** L, b ** L
+            a, b = num ** L, den ** L
             n_exp, two_exp = bn * (L // bd), gn * n * L // gd
             if n_exp >= 0:
                 a *= n ** n_exp
@@ -228,12 +224,16 @@ class _Kappa:
             else:
                 b <<= -two_exp
             k = _iroot_floor(a // b, L)
-            return max(1, k if k >= 1 and k ** L * b >= a else k + 1)
+            return k if k >= 1 and k ** L * b >= a else k + 1
 
         def lookup(n: int) -> int:
             k = get(n)
             return rule(n) if k is None else k
         self.rule, self.lookup = rule, lookup if table else rule
+        if bd == gd == 1 and not table:  # rule's integer branch, for every n
+            self.values = lambda ns: (-(-(num * n ** pa << ga * n) // (den * n ** pb << gb * n)) for n in ns)
+        else:
+            self.values = functools.partial(map, self.lookup)
 
 
 def kappa_value(spec: SequenceSpec, n: int) -> int:
@@ -293,7 +293,7 @@ def _trace(kappa: _Kappa, e: Exponents) -> list[dict]:
     (table entries, rows inside the margin, critical rows) is formed as the
     kernel forms it.
     """
-    statistic = _component_kernel(e)[2]
+    statistic = _kernel(e).statistic
     if e.is_critical:
         return [{"n": n, "log2_stat": statistic(n, kappa.lookup(n))} for n in _TRACE_ROWS]
     log2_c, beta, gamma = LogValue.from_fraction(kappa.C).log2, float(kappa.beta), float(kappa.gamma)
@@ -428,7 +428,8 @@ def _remainder(kappa: _Kappa, e: Exponents):
         return remainder
 
     ap, b = e.ap, 1 - e.ap
-    log2_c = full_tree_capacity(e).value.log2
+    kernel = _kernel(e)
+    log2_c = kernel.c.value.log2
     if gamma == 0 and beta == 1:
         # f(n) = ap n - b C n is linear: a geometric series of ratio 2**(ap - bC) < 1
         slope = ap - b * C
@@ -443,7 +444,7 @@ def _remainder(kappa: _Kappa, e: Exponents):
     # f(n) = ap n - b g(n) never increase, so from any N where the increment is
     # negative, sum_{n >= N} 2**f(n) <= 2**f(N) / (1 - 2**(f(N+1) - f(N))).
     convex_from = math.ceil(1 / (2 * gamma)) if 0 < beta < 1 else 1
-    statistic = _component_kernel(e)[2]  # f(N) <= statistic(N, kappa_N - 1), rounded once
+    statistic = kernel.statistic  # f(N) <= statistic(N, kappa_N - 1), rounded once
 
     def remainder(N: int) -> float | None:
         if N < convex_from:
@@ -458,16 +459,16 @@ def _remainder(kappa: _Kappa, e: Exponents):
     return remainder
 
 
-def _tail_upper(kappa: _Kappa, e: Exponents, start: int, log2_cap: Callable) -> LogValue | None:
+def _tail_upper(kappa: _Kappa, e: Exponents, start: int) -> LogValue | None:
     """Proven upper bound on sum_{n >= start} cap(D(n, kappa_n)) for a Zero family.
 
     Sums the exact terms n = start .. N-1 and adds the closed-form remainder
     R(N).  The window closes once R(N) <= 2**-40 times the partial sum, or
     after ``_WINDOW`` terms; None when R has no closed form by then.  Table
     entries at or past N are added exactly (R already bounds the rule there,
-    and a table entry only adds a term).  Terms come from the query's kernel.
+    and a table entry only adds a term).  Terms come from the pair's kernel.
     """
-    remainder = _remainder(kappa, e)
+    remainder, log2_cap = _remainder(kappa, e), _kernel(e).log2_cap
     total = LogValue.zero()
     for N in range(start, start + _WINDOW):
         rem = remainder(N)
@@ -510,13 +511,12 @@ def capacity_bounds(
     """
     if type(n_max) is not int or not (1 <= n_max <= 10_000):
         raise DomainError(f"n_max must be an int with 1 <= n_max <= 10000, got {n_max!r}")
-    kappa = _Kappa(spec)
-    log2_cap, kappa_of = _component_kernel(e)[0], kappa.lookup
-    best = LogValue.from_log2(max(log2_cap(n, kappa_of(n)) for n in range(1, n_max + 1)))
+    kappa, ns = _Kappa(spec), range(1, n_max + 1)
+    best = LogValue.from_log2(max(map(_kernel(e).log2_cap, ns, kappa.values(ns))))
     lower = CapacityReport(best, Method.CLOSED_FORM, BoundKind.LOWER)
     if _decide(kappa.C, kappa.beta, kappa.gamma, e)[0] is not Outcome.ZERO:
         return lower, None
-    tail = _tail_upper(kappa, e, n_max, log2_cap)
+    tail = _tail_upper(kappa, e, n_max)
     upper = None if tail is None else CapacityReport(tail, Method.CLOSED_FORM, BoundKind.UPPER)
     return lower, upper
 
@@ -530,21 +530,19 @@ def comparability_report(
     (2**n * kappa**-(p-1) on the critical branch, 2**(ap*n - (1-ap)*kappa) on
     the subcritical one), is clamped at 1 before dividing: capacities never
     exceed 1, and the clamped quantity is the two-sided comparable proxy, so
-    the ratio stays in a fixed band.  A row is one kappa lookup and one call of
-    the kernel's ``component``: the ratio is cap where s >= 0, elsewhere it is
-    factored from cap's sums, so no logs of size n or kappa enter a difference.
+    the ratio stays in a fixed band.  The kappas of the range come from one
+    range lookup and the rows from one pass of the pair's kernel: the ratio is
+    cap where s >= 0, elsewhere it is factored from cap's sums, so no logs of
+    size n or kappa enter a difference.
     """
     lo, hi = n_range
     if type(lo) is not int or type(hi) is not int or not (1 <= lo <= hi <= 10_000):
         raise DomainError(f"n range must be ints with 1 <= lo <= hi <= 10000, got {n_range!r}")
-    rows = []
-    kappa_of, component = _Kappa(spec).lookup, _component_kernel(e)[1]
-    for n in range(lo, hi + 1):
-        kappa = kappa_of(n)
-        kappa_log2, stat, cap_log2, ratio_log2 = component(n, kappa)
-        rows.append({"n": n, "kappa": kappa if kappa < 2 ** 53 else None, "kappa_log2": kappa_log2,
-                     "cap_linear": 2.0 ** cap_log2 if abs(cap_log2) < 1020 else None, "cap_log2": cap_log2,
-                     "proxy_log2": stat, "ratio": 2.0 ** ratio_log2})
+    ns = range(lo, hi + 1)
+    rows = [{"n": n, "kappa": kappa if kappa < 2 ** 53 else None, "kappa_log2": kappa_log2,
+             "cap_linear": 2.0 ** cap_log2 if abs(cap_log2) < 1020 else None, "cap_log2": cap_log2,
+             "proxy_log2": stat, "ratio": 2.0 ** ratio_log2}
+            for n, kappa, kappa_log2, stat, cap_log2, ratio_log2 in _kernel(e).rows(ns, _Kappa(spec).values(ns))]
     ratios = [row["ratio"] for row in rows]
     return {"rows": rows, "ratio_min": min(ratios), "ratio_max": max(ratios)}
 

@@ -97,7 +97,8 @@ class Exponents(Record):
 
     Both parameters are exact rationals; construction rejects a*p > 1
     (singletons would carry positive capacity there) and p <= 1.  Equality
-    and the hash use a and p, which fix everything else.
+    and the hash use a and p, which fix everything else; the hash is formed
+    once, here, as every cache keyed by a pair hashes it on each lookup.
     """
 
     _fields = ("a", "p")
@@ -117,6 +118,10 @@ class Exponents(Record):
         _set(self, "ap", ap)
         _set(self, "p_prime", conjugate(p))
         _set(self, "branch", ApBranch.CRITICAL if ap == 1 else ApBranch.SUBCRITICAL)
+        _set(self, "_hash", hash((a, p)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_critical(self) -> bool:

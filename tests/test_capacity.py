@@ -22,7 +22,7 @@ from capatree import (
     sigma_closed_form,
     truncated_tree_capacity,
 )
-from capatree.capacity import _LN2, BoundKind, Method, _component_kernel, _geometric, _sweep, _times
+from capatree.capacity import _LN2, BoundKind, Method, _geometric, _kernel, _sweep, _times
 from conftest import (
     PAIRS,
     half_two_capacity,
@@ -166,6 +166,29 @@ class TestFullTreeCapacity:
             c = full_tree_capacity(e).value
             image = phi_apply(LogValue.one(), LogValue.from_log2(c.log2 + e.ap_f), e)
             assert rel_diff(image, c) <= 1e-12
+
+
+class TestKernel:
+    def test_equal_pairs_share_one_kernel(self):
+        e, f = Exponents("1/2", 2), Exponents(Fraction(1, 2), 2)
+        assert e is not f and e == f and hash(e) == hash(f) == hash((Fraction(1, 2), Fraction(2)))
+        assert _kernel(e) is _kernel(f)
+        assert full_tree_capacity(e) is full_tree_capacity(f) is _kernel(e).c
+        assert _kernel(Exponents("1/3", 3)) is not _kernel(e)
+
+    @pytest.mark.parametrize("e", PAIRS + [E_QUARTER_2, Exponents("1/6", 3), Exponents("1/8", 5)])
+    def test_range_rows_carry_the_bits_of_cap_and_statistic(self, e):
+        # one pass over a whole range gives every row the bits of the per-component closures
+        kernel = _kernel(e)
+        rng = random.Random(20261027)
+        ns = [0, 1, 2, 5, 60, 999, 1000, 4000] + sorted(rng.sample(range(3, 3000), 100))
+        kappas = [rng.choice((1, n + 1, 2 ** min(n, 900), 2 ** (n // 3) + 5, rng.randint(1, 2 ** 60))) for n in ns]
+        rows = list(kernel.rows(ns, kappas))
+        assert [row[:2] for row in rows] == list(zip(ns, kappas))
+        for n, kappa, kappa_log2, stat, cap, ratio in rows:
+            assert (kappa_log2, stat, cap) == (math.log2(kappa), kernel.statistic(n, kappa), kernel.log2_cap(n, kappa))
+            assert ratio == next(kernel.rows([n], [kappa]))[5], (n, kappa)
+            assert math.isfinite(ratio) and ratio <= 0.0, (n, kappa)
 
 
 class TestTruncatedTreeCapacity:
@@ -442,6 +465,22 @@ class TestSweepEngine:
         assert capacity_recursive(cyl, E_THIRD_3).value.log2 == sweep_reference(cyl, c, E_THIRD_3).log2
         assert _sweep(cyl, one, E_THIRD_3).log2 == sweep_reference(cyl, one, E_THIRD_3).log2
 
+    @pytest.mark.parametrize("e", [Exponents("2/7", "7/3"), Exponents("3/7", "7/3")])
+    def test_bit_identical_whatever_was_swept_before_at_the_pair(self, e):
+        """Every sweep at a pair shares its kernel's chain-index table; what filled it changes no bit."""
+        rng = random.Random(20261026)
+        one = LogValue.one()
+        sets = [
+            CylinderSet.from_words("".join(rng.choices("01", k=rng.randint(0, 60))) for _ in range(rng.randint(1, 30)))
+            for _ in range(40)
+        ]
+        expected = [sweep_reference(cyl, one, e).log2 for cyl in sets]
+        for order in (range(40), range(39, -1, -1), rng.sample(range(40), 40)):
+            for i in order:
+                assert _sweep(sets[i], one, e).log2 == expected[i], (i, sets[i])
+            c = full_tree_capacity(e).value
+            assert capacity_recursive(sets[order[0]], e).value.log2 == sweep_reference(sets[order[0]], c, e).log2
+
     def test_memory_is_linear_in_the_digits(self):
         # padding every word to the deepest one would hold 8192 100000-digit keys
         words = ["1" * 100_000] + [format(i, "014b") for i in range(2 ** 13)]
@@ -659,17 +698,19 @@ class TestCapComponent:
 
     @pytest.mark.parametrize("e", PAIRS + [E_QUARTER_2, Exponents("1/6", 3), Exponents("1/8", 5)])
     def test_component_rows_carry_the_bits_of_cap_and_statistic(self, e):
-        # one call per comparability row; past the double range both raise alike
-        log2_cap, component, statistic = _component_kernel(e)
+        # one-row ranges of the comparability rows; past the double range both raise alike
+        kernel = _kernel(e)
+        log2_cap, statistic = kernel.log2_cap, kernel.statistic
         for n in (0, 1, 5, 60, 1000):
             for kappa in (1, 2, n + 1, 3 * n + 7, 2 ** n, 2 ** 200 + 1, 2 ** 1000, 2 ** 1030):
                 try:
                     expected = (math.log2(kappa), statistic(n, kappa), log2_cap(n, kappa))
                 except DomainError:
                     with pytest.raises(DomainError):
-                        component(n, kappa)
+                        list(kernel.rows([n], [kappa]))
                     continue
-                kappa_log2, stat, cap, ratio = component(n, kappa)
+                ((row_n, row_kappa, kappa_log2, stat, cap, ratio),) = kernel.rows([n], [kappa])
+                assert (row_n, row_kappa) == (n, kappa)
                 assert (kappa_log2, stat, cap) == expected, (n, kappa)
                 if stat is not None and stat >= 0:
                     assert ratio == cap, (n, kappa)
@@ -722,14 +763,15 @@ class TestExactRationalsAtTheLogarithmicPoint:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 53, 200, 1000, 3000])
     def test_components_and_critical_ratios_match_the_closed_forms(self, n):
-        log2_cap, component, statistic = _component_kernel(E_HALF_2)
+        kernel = _kernel(E_HALF_2)
+        log2_cap, statistic = kernel.log2_cap, kernel.statistic
         kappas = {1, 2, 3, 1000, 2 ** 53 + 1, 2 ** 1000 - 1, 2 ** 1000}
         kappas |= {2 ** n - 1, 2 ** n, 2 ** n + 1, n * 2 ** n, 3 * 2 ** n + 1} - {0}
         for kappa in sorted(kappas):
             # cap forms -qn + log2 kappa, which loses about an ulp of n: 3.8e-14 at n = 3000
             if n <= 1000:
                 assert self.close(cap_component(n, kappa, E_HALF_2).value.log2, half_two_component(n, kappa)), kappa
-            kappa_log2, stat, cap, ratio = component(n, kappa)
+            ((_, _, kappa_log2, stat, cap, ratio),) = kernel.rows([n], [kappa])
             assert (kappa_log2, stat, cap) == (math.log2(kappa), statistic(n, kappa), log2_cap(n, kappa)), kappa
             if stat >= 0:
                 assert ratio == cap, kappa

@@ -113,6 +113,25 @@ class TestKappaValue:
                     for n in rng.sample(range(1, 2001), 12) + [1999, 2000]:
                         assert kappa_value(spec, n) == kappa_reference(spec, n), (spec, n)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Geometric(1), Linear(Fraction(7, 3)), Power(Fraction(1, 3), -2), Power(2, Fraction(1, 2)),
+            Growth(Fraction(5, 7), 3, -1), Growth(Fraction(9, 2), -2, -3), Growth(2, Fraction(-1, 2), Fraction(1, 4)),
+            Growth(1, Fraction(-5, 3), Fraction(-2, 7)), Custom([(1, 3)], Growth(1, Fraction(-3, 2), Fraction(3, 2))),
+            Custom([(2, 5), (9, 1)], Custom([(2, 7), (3, 4)], Geometric(2))),
+        ],
+    )
+    def test_range_lookup_is_the_per_n_lookup(self, spec):
+        kappa = dobinski._Kappa(spec)
+        for ns in (range(1, 301), range(1990, 2011), [7, 3, 3, 1000, 2]):
+            assert list(kappa.values(ns)) == [kappa.lookup(n) for n in ns], ns
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 1000])
+    def test_geometric_range_lookup_is_exact_to_ten_thousand(self, m):
+        kappa, ns = dobinski._Kappa(Geometric(m)), range(1, 10_001)
+        assert list(kappa.values(ns)) == [kappa.lookup(n) for n in ns] == [-(-(2 ** n) // m) for n in ns]
+
     def test_nested_custom_tables(self):
         inner = Custom(((2, 7), (3, 8)), Linear(Fraction(1)))
         spec = Custom(((3, 5),), inner)
@@ -313,7 +332,7 @@ class TestClassify:
         lookup = kappa.lookup
         kappa.lookup = lambda n: formed.append(n) or lookup(n)
         rows = dobinski._trace(kappa, e)
-        statistic = dobinski._component_kernel(e)[2]
+        statistic = dobinski._kernel(e).statistic
         reference = dobinski._Kappa(spec)
         assert rows == [{"n": n, "exponent": statistic(n, reference.lookup(n))} for n in range(1, 17)]
         # the limit is log2 v + 1024 + 64 = 1089, and no log2 kappa_n here is less than a unit from it
@@ -449,23 +468,21 @@ class TestCertifiedUpperBound:
         ],
     )
     def test_divergent_families_stop_at_the_verdict(self, spec, e, monkeypatch):
+        # count the pair's evaluated components; monkeypatch restores the cached kernel's own log2_cap
         calls = []
-        component_kernel = dobinski._component_kernel
+        kernel = dobinski._kernel(e)
+        log2_cap = kernel.log2_cap
 
-        def counting_kernel(e):
-            kernel, component, statistic = component_kernel(e)
+        def counting_log2_cap(n, kappa):
+            calls.append(n)
+            return log2_cap(n, kappa)
 
-            def log2_cap(n, kappa):
-                calls.append(n)
-                return kernel(n, kappa)
-            return log2_cap, component, statistic
-
-        monkeypatch.setattr(dobinski, "_component_kernel", counting_kernel)
+        monkeypatch.setattr(kernel, "log2_cap", counting_log2_cap)
         n_max = 30
         assert classify(spec, e).outcome is not Outcome.ZERO
         lower, upper = capacity_bounds(spec, e, n_max)
         assert upper is None
-        assert len(calls) <= n_max
+        assert 0 < len(calls) <= n_max
 
     @pytest.mark.parametrize(
         "spec, e, starts",
