@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, LogValue, Record, _set, rel_error
-from .tree import CylinderSet, _check_run_set, _sorted_words
+from .tree import CylinderSet, _check_run_set, _leaves
 
 _LN2 = math.log(2.0)
 
@@ -230,11 +230,8 @@ class _Kernel:
                 x, rs = _times(run + vb, q_v), run_sum(kappa)
                 t2 = branch_sum(n) if n else no_terms
                 cap = log2_power(_times(run, q_v) + rs, x + full, t2)
-                try:
-                    s = -(run + vb) / v  # (ap_num n - vb kappa) / v, as in statistic
-                except OverflowError:
-                    s = None
-                ratio = cap if s is not None and s >= 0 else log2_power(rs - qb, full, t2 - x)
+                s = -(run + vb) / v  # (ap_num n - vb kappa) / v, as in statistic; finite, as x is
+                ratio = cap if s >= 0 else log2_power(rs - qb, full, t2 - x)
                 yield n, kappa, log2(kappa), s, cap, ratio
 
         def critical(ns: Iterable[int], kappas: Iterable[int]) -> Iterator[tuple]:
@@ -279,9 +276,11 @@ def truncated_tree_capacity(e: Exponents, depth: int) -> LogValue:
     return LogValue.from_log2(-e.pm1_f * _kernel(e).branch_sum(depth + 1))
 
 
-def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValue:
-    """Bottom-up two-child recursion, walked over the compressed trie of ``cyl``.
+def _sweep(generators: Sequence[str], generator_value: LogValue, e: Exponents) -> LogValue:
+    """Bottom-up two-child recursion, walked over the compressed trie of ``generators``.
 
+    ``generators`` is a sorted antichain of words, such as a
+    ``CylinderSet``'s generators or a finite problem's checked leaves.
     Every generator takes the normalized value ``generator_value``, a
     missing sibling contributes zero, and a node's value is
     Phi_1(lambda * (left + right)) with lambda = 2**(ap-1).  A chain of k
@@ -308,7 +307,6 @@ def _sweep(cyl: CylinderSet, generator_value: LogValue, e: Exponents) -> LogValu
     dict local to the call computes each distinct branch once, by the same
     float operations, so the result is bit-identical.
     """
-    generators = cyl.generators
     if not generators:
         return LogValue.zero()
     lift = _kernel(e).lift
@@ -348,7 +346,7 @@ def capacity_recursive(cyl: CylinderSet, e: Exponents) -> CapacityReport:
     Generators root full shifted subtrees, so their normalized value is the
     full-tree constant.  The empty set has capacity zero.
     """
-    value = _sweep(cyl, full_tree_capacity(e).value, e)
+    value = _sweep(cyl.generators, full_tree_capacity(e).value, e)
     return CapacityReport(value, Method.RECURSION, BoundKind.EXACT)
 
 
@@ -361,11 +359,7 @@ def finite_tree_capacity(depth: int, target_leaves: Sequence[str], e: Exponents)
     """
     if type(depth) is not int or depth < 0:
         raise DomainError(f"depth must be an int >= 0, got {depth!r}")
-    leaves = _sorted_words(target_leaves)  # strings, read once even from an iterator
-    if set(map(len, leaves)) - {depth}:
-        leaf = next(w for w in leaves if len(w) != depth)
-        raise DomainError(f"target {leaf!r} does not have length {depth}")
-    return _sweep(CylinderSet.from_words(leaves), LogValue.one(), e)
+    return _sweep(_leaves(target_leaves, depth), LogValue.one(), e)
 
 
 # ----------------------------------------------------------------------

@@ -22,18 +22,15 @@ from .exponents import Exponents, as_fraction
 SCHEMA = "capatree/1"
 
 
-def _exponents(args) -> Exponents:
-    return Exponents(as_fraction(args.a), as_fraction(args.p))
-
-
 def _family(args):
     """The family flags given, read as a sequence spec; a missing or bad field is named."""
     from .dobinski import spec_from_json
 
     names = ("family", "m", "C", "beta", "gamma", "table", "tail_rule")
     data = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    if "table" in data:
-        data["table"] = json.loads(data["table"])
+    for name in ("table", "tail_rule"):  # the JSON-valued flags
+        if name in data:
+            data[name] = json.loads(data[name])
     return spec_from_json(data)
 
 
@@ -52,17 +49,20 @@ def _cmd_cap_cylinder(args):
     from .capacity import capacity_recursive
     from .tree import CylinderSet
 
-    e = _exponents(args)
-    cyl = CylinderSet.from_json(args.set)
+    e = Exponents(args.a, args.p)
+    words = json.loads(args.set)
+    if not isinstance(words, list):
+        raise DomainError("cylinder set JSON must be an array of bit strings")
+    cyl = CylinderSet.from_words(words)
     report = _report_json(capacity_recursive(cyl, e))
     rows = [report | {"generators": " ".join(cyl.generators)}]
-    return report | {"generators": cyl.to_json()}, rows, 0
+    return report | {"generators": list(cyl.generators)}, rows, 0
 
 
 def _cmd_cap_component(args):
     from .capacity import cap_component
 
-    e = _exponents(args)
+    e = Exponents(args.a, args.p)
     report = _report_json(cap_component(args.n, args.kappa, e))
     result = report | {"n": args.n, "kappa": args.kappa}
     return result, [result], 0
@@ -71,7 +71,7 @@ def _cmd_cap_component(args):
 def _cmd_classify(args):
     from . import dobinski
 
-    e = _exponents(args)
+    e = Exponents(args.a, args.p)
     if args.family == "dobinski":
         verdict = dobinski.dobinski_full(e)
     else:
@@ -84,7 +84,7 @@ def _cmd_classify(args):
 def _cmd_bounds(args):
     from . import dobinski
 
-    e = _exponents(args)
+    e = Exponents(args.a, args.p)
     lower, upper = dobinski.capacity_bounds(_family(args), e, args.n_max)
     result = {
         "lower": _report_json(lower),
@@ -101,7 +101,7 @@ def _cmd_bounds(args):
 def _cmd_ratios(args):
     from . import dobinski
 
-    e = _exponents(args)
+    e = Exponents(args.a, args.p)
     report = dobinski.comparability_report(e, (args.n_from, args.n_to), _family(args))
     return report, report["rows"], 0
 
@@ -143,8 +143,8 @@ def _cmd_oracle_check(args):
 def _cmd_circle_capacity(args):
     from . import circle
 
-    e = _exponents(args)
-    integral, err = circle.kernel_integral(e.a, args.tol)
+    e = Exponents(args.a, args.p)
+    integral, err = circle.kernel_integral(e.a)
     value = integral ** (-e.p_f)
     result = {
         "value": value,
@@ -157,7 +157,7 @@ def _cmd_circle_capacity(args):
 def _cmd_product_identity(args):
     from . import circle
 
-    lhs, rhs = circle.product_identity(as_fraction(args.x), args.N)
+    lhs, rhs = circle.product_identity(args.x, args.N)
     result = {"lhs_partial": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs)}
     return result, [result], 0
 
@@ -165,7 +165,7 @@ def _cmd_product_identity(args):
 def _cmd_run_lengths(args):
     from . import circle
 
-    stream = circle.DigitStream.from_rational(as_fraction(args.x))
+    stream = circle.DigitStream.from_rational(args.x)
     entries = [rl.to_json() for rl in circle.run_lengths(stream, args.N)]
     score = circle.membership_score(stream, args.N)
     result = {
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("circle-capacity", help="Riesz capacity of the whole circle (quad_error: rounding bound)")
     _add_exponent_args(s)
-    s.add_argument("--tol", type=float, default=1e-10, help="unused: the closed form is exact to rounding")
     s.set_defaults(fn=_cmd_circle_capacity)
 
     s = sub.add_parser("product-identity", help="tangent product vs squared-sine closed form")
@@ -324,7 +323,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result, rows, status = args.fn(args)
-    except (DomainError, ValueError, json.JSONDecodeError) as exc:
+    except (DomainError, ValueError) as exc:
         print(f"capatree: error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

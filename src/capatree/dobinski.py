@@ -24,7 +24,7 @@ import enum
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .capacity import (
     BoundKind,
@@ -622,15 +622,8 @@ def spec_to_json(spec: SequenceSpec) -> dict:
     return {"family": spec._family} | {name: encode(name) for name in spec._fields}
 
 
-def spec_from_json(data: Mapping | Sequence | str) -> SequenceSpec:
-    """Parse a sequence spec; a missing or malformed field raises DomainError naming it."""
-    import json as _json
-
-    if isinstance(data, str):
-        try:
-            data = _json.loads(data)
-        except ValueError as exc:
-            raise DomainError(f"sequence spec is not valid JSON: {exc}") from exc
+def spec_from_json(data: Mapping) -> SequenceSpec:
+    """Read a decoded sequence spec; a missing or malformed field raises DomainError naming it."""
     if not isinstance(data, Mapping):
         raise DomainError("sequence spec JSON must be an object")
     family = str(data.get("family", "")).lower()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .capacity import finite_tree_capacity, full_tree_capacity
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, Record, _set
-from .tree import _sorted_words, _validate_words
+from .tree import _leaves, _validate_words
 
 MAX_DEPTH = 20
 
@@ -60,15 +60,9 @@ class FiniteProblem(Record):
                  weights: Mapping[str, float] | None = None):
         if type(depth) is not int or not (0 <= depth <= MAX_DEPTH):
             raise DomainError(f"depth must be an int in [0, {MAX_DEPTH}], got {depth!r}")
-        if not target_leaves:
+        leaves = _leaves(target_leaves, depth)
+        if not leaves:
             raise DomainError("target leaf set must be nonempty")
-        leaves = _sorted_words(target_leaves)
-        if any(map(operator.eq, leaves, islice(leaves, 1, None))):  # duplicates are neighbours
-            leaves = list(dict.fromkeys(leaves))
-        leaves = tuple(leaves)
-        if set(map(len, leaves)) != {depth}:
-            leaf = next(w for w in leaves if len(w) != depth)
-            raise DomainError(f"target {leaf!r} does not have length {depth}")
         if weights is not None:
             weights = dict(weights)
             _validate_words(list(weights))

@@ -3,11 +3,11 @@
 Words are plain strings over {'0','1'}; the empty string is the root.
 A finite union of boundary cylinders is kept canonical as a sorted
 antichain of generator words (no generator is a prefix of another).
+The target leaves of a finite problem are checked here, once.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -30,6 +30,18 @@ def _sorted_words(words: Iterable[str]) -> list[str]:
     out = list(words)
     _validate_words(out)
     return sorted(out)
+
+
+def _leaves(words: Iterable[str], depth: int) -> tuple[str, ...]:
+    """The target leaves of a depth-``depth`` finite problem: validated, sorted, without repeats."""
+    leaves = _sorted_words(words)
+    if any(map(str.__eq__, leaves, islice(leaves, 1, None))):  # repeats are neighbours; scan before hashing every word
+        leaves = list(dict.fromkeys(leaves))
+    leaves = tuple(leaves)
+    if set(map(len, leaves)) - {depth}:
+        leaf = next(w for w in leaves if len(w) != depth)
+        raise DomainError(f"target {leaf!r} does not have length {depth}")
+    return leaves
 
 
 def _validate_words(words: Sequence[str]) -> None:
@@ -118,18 +130,6 @@ class CylinderSet(Record):
             for i in range(1, len(g) + 1):
                 nodes.add(g[:i])
         return nodes
-
-    # -- JSON wire format: an array of bit strings ----------------------
-    def to_json(self) -> list[str]:
-        return list(self.generators)
-
-    @classmethod
-    def from_json(cls, data: Sequence[str] | str) -> "CylinderSet":
-        if isinstance(data, str):
-            data = json.loads(data)
-        if not isinstance(data, (list, tuple)):
-            raise DomainError("cylinder set JSON must be an array of bit strings")
-        return cls.from_words(data)
 
 
 def _check_run_set(n: int, kappa: int) -> None:

@@ -420,7 +420,7 @@ class TestSweepEngine:
             if len(depths) == 1:
                 got = finite_tree_capacity(depths.pop(), cyl.generators, e)
             else:
-                got = _sweep(cyl, one, e)
+                got = _sweep(cyl.generators, one, e)
             assert got.log2 == sweep_reference(cyl, one, e).log2, (words, e)
         assert singles >= 250 and roots >= 40 and deepest == 12
 
@@ -456,14 +456,14 @@ class TestSweepEngine:
             assert cyl == canonical, (kind, words)
             c = full_tree_capacity(e).value
             assert capacity_recursive(cyl, e).value.log2 == sweep_reference(canonical, c, e).log2, (kind, e)
-            assert _sweep(cyl, one, e).log2 == sweep_reference(canonical, one, e).log2, (kind, e)
+            assert _sweep(cyl.generators, one, e).log2 == sweep_reference(canonical, one, e).log2, (kind, e)
             if kind == "flipped":
                 assert capacity_recursive(cyl.bit_flip(), e) == capacity_recursive(cyl, e)
         # a chain of 100 000 levels next to a generator at depth 1
         cyl = CylinderSet.from_words(["0" * 100_000 + "1", "1"])
         c = full_tree_capacity(E_THIRD_3).value
         assert capacity_recursive(cyl, E_THIRD_3).value.log2 == sweep_reference(cyl, c, E_THIRD_3).log2
-        assert _sweep(cyl, one, E_THIRD_3).log2 == sweep_reference(cyl, one, E_THIRD_3).log2
+        assert _sweep(cyl.generators, one, E_THIRD_3).log2 == sweep_reference(cyl, one, E_THIRD_3).log2
 
     @pytest.mark.parametrize("e", [Exponents("2/7", "7/3"), Exponents("3/7", "7/3")])
     def test_bit_identical_whatever_was_swept_before_at_the_pair(self, e):
@@ -477,7 +477,7 @@ class TestSweepEngine:
         expected = [sweep_reference(cyl, one, e).log2 for cyl in sets]
         for order in (range(40), range(39, -1, -1), rng.sample(range(40), 40)):
             for i in order:
-                assert _sweep(sets[i], one, e).log2 == expected[i], (i, sets[i])
+                assert _sweep(sets[i].generators, one, e).log2 == expected[i], (i, sets[i])
             c = full_tree_capacity(e).value
             assert capacity_recursive(sets[order[0]], e).value.log2 == sweep_reference(sets[order[0]], c, e).log2
 

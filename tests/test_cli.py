@@ -62,6 +62,13 @@ class TestSubcommands:
         assert doc["result"]["value_linear"] == pytest.approx(1 / 3, rel=1e-12)
         assert doc["result"]["method"] == "recursion"
 
+    def test_cap_cylinder_generators_round_trip(self, capsys):
+        argv = ["cap-cylinder", "--a", "1/2", "--p", "2", "--set", '["1", "000", "01", "0110"]']
+        _, doc = run_json(capsys, argv)
+        assert doc["result"]["generators"] == ["000", "01", "1"]
+        _, again = run_json(capsys, argv[:-1] + [json.dumps(doc["result"]["generators"])])
+        assert again["result"] == doc["result"]
+
     def test_bounds(self, capsys):
         status, doc = run_json(
             capsys,
@@ -121,6 +128,14 @@ class TestSubcommands:
         assert status == 0
         assert doc["result"]["value"] == pytest.approx(0.71777, rel=1e-4)
         assert doc["result"]["quad_error"] < 1e-8
+
+    def test_circle_capacity_has_no_tolerance_flag(self, capsys):
+        # the closed form is exact to rounding, so there is nothing to tune
+        _, doc = run_json(capsys, ["circle-capacity", "--a", "1/2", "--p", "2"])
+        assert doc["config"] == {"command": "circle-capacity", "a": "1/2", "p": "2"}
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["circle-capacity", "--a", "1/2", "--p", "2", "--tol", "1e-8"])
+        assert exc.value.code == 2
 
     def test_product_identity(self, capsys):
         status, doc = run_json(capsys, ["product-identity", "--x", "1/3", "--N", "32"])
@@ -245,12 +260,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("capatree: error:") and "10000" in err
 
-    @pytest.mark.parametrize("word, shown", [("10", "10"), ("1.5", "1.5"), ("true", "True"), ("null", "None")])
+    @pytest.mark.parametrize("word, shown", [("10", "10"), ("1", "1"), ("1.5", "1.5"), ("true", "True"), ("null", "None")])
     def test_non_string_cylinder_word_is_an_error(self, capsys, word, shown):
         argv = ["cap-cylinder", "--a", "1/2", "--p", "2", "--set", f'["0", {word}]']
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("capatree: error:") and err.rstrip().endswith(f"got {shown}")
+
+    @pytest.mark.parametrize("text", ['{"0": 1}', '"0"', "7"])
+    def test_cylinder_set_must_be_a_json_array(self, capsys, text):
+        assert cli.main(["cap-cylinder", "--a", "1/2", "--p", "2", "--set", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "capatree: error: cylinder set JSON must be an array of bit strings\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["cap-cylinder", "--a", "1/2", "--p", "2", "--set", '["0", '],
+            ["classify", "--a", "1/2", "--p", "2", "--family", "custom", "--table", "[[2, 3]",
+             "--tail-rule", '{"family": "geometric", "m": 1}'],
+            ["classify", "--a", "1/2", "--p", "2", "--family", "custom", "--table", "[[2, 3]]",
+             "--tail-rule", '{"family": "geometric", "m": '],
+        ],
+        ids=["set", "table", "tail-rule"],
+    )
+    def test_malformed_json_flag_is_an_error(self, capsys, flags):
+        assert cli.main(flags) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("capatree: error: Expecting")
 
     def test_empty_dimension_grid_is_an_error(self, capsys):
         argv = ["dimension", "--family", "geometric", "--m", "1", "--ap-grid", ",", "--p-grid", "2"]

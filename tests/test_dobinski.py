@@ -576,6 +576,15 @@ class TestComparabilityReport:
         with pytest.raises(DomainError):
             comparability_report(E_HALF_2, (1, 20_000), Geometric(1))
 
+    def test_subcritical_rows_stop_where_kappa_leaves_the_double_range(self):
+        # kappa_n = 2**(64 n): at n = 16 the run term v b kappa is past the float range
+        e, spec = Exponents("1/4", 2), Growth(1, 0, 64)
+        with pytest.raises(DomainError, match="^exponent exceeds the double-precision log2 range$"):
+            comparability_report(e, (1, 16), spec)
+        rows = comparability_report(e, (1, 15), spec)["rows"]
+        assert [row["n"] for row in rows] == list(range(1, 16))
+        assert rows[-1]["kappa_log2"] == 960.0 and rows[-1]["proxy_log2"] < 0
+
     def test_matches_reference_on_random_cases(self):
         """Rows equal the per-row reference, and failures agree in type.
 
@@ -785,7 +794,7 @@ class TestSpecJson:
     )
     def test_json_keys_values_and_order(self, spec, text):
         assert json.dumps(spec_to_json(spec)) == text
-        assert spec_from_json(text) == spec
+        assert spec_from_json(json.loads(text)) == spec
 
     def test_unknown_family(self):
         with pytest.raises(DomainError):
@@ -829,5 +838,6 @@ class TestSpecJson:
             spec_from_json(data)
 
     def test_malformed_json_text(self):
-        with pytest.raises(DomainError):
+        # text is not decoded here (the command line decodes its JSON flags): it is not an object
+        with pytest.raises(DomainError, match="must be an object"):
             spec_from_json('{"family": "geometric", "m": ')

@@ -105,6 +105,29 @@ class TestProblemValidation:
         prob = FiniteProblem(2, ("11", "00", "11", "01", "00"), E)
         assert prob.target_leaves == ("00", "01", "11")
 
+    @pytest.mark.parametrize(
+        "leaves, message",
+        [
+            (("00", "011", "1"), "target '011' does not have length 2"),
+            ("0101", "expected an iterable of words, got the string '0101'"),
+            (("00", "0x"), "got '0x'"),
+        ],
+        ids=["wrong-length", "bare-string", "non-binary"],
+    )
+    def test_recursion_and_oracle_refuse_leaves_with_one_message(self, leaves, message):
+        errors = []
+        for build in (finite_tree_capacity, FiniteProblem):
+            with pytest.raises(DomainError, match=re.escape(message)) as caught:
+                build(2, leaves, E)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+    def test_recursion_and_oracle_agree_on_repeated_leaves(self):
+        repeated = ("11", "00", "11", "01", "00")
+        prob = FiniteProblem(2, repeated, E)
+        assert finite_tree_capacity(2, repeated, E) == finite_tree_capacity(2, prob.target_leaves, E)
+        assert finite_tree_capacity(2, iter(repeated), E) == finite_tree_capacity(2, ("00", "01", "11"), E)
+
     def test_weight_array_matches_word_by_word(self):
         rng = np.random.default_rng(7)
         words = {format(int(i), f"0{d}b") if d else "" for d in range(7) for i in rng.integers(0, 2 ** d, 5)}
