@@ -30,8 +30,9 @@ class TestProblemValidation:
             FiniteProblem(2, ("0",), E)
 
     def test_nonempty_targets(self):
-        with pytest.raises(DomainError):
-            FiniteProblem(2, (), E)
+        for leaves in ((), iter(())):  # an empty iterator is found empty once read
+            with pytest.raises(DomainError, match="nonempty"):
+                FiniteProblem(2, leaves, E)
 
     def test_depth_cap(self):
         with pytest.raises(DomainError):
