@@ -20,14 +20,14 @@ from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, as_fraction
 
 SCHEMA = "capatree/1"
+_FAMILY_FIELDS = ("m", "C", "beta", "gamma", "table", "tail_rule")  # one flag each, --tail-rule for tail_rule
 
 
 def _family(args):
-    """The family flags given, read as a sequence spec; a missing or bad field is named."""
+    """The family flags given, read as a sequence spec; a missing, bad or unused field is named."""
     from .dobinski import spec_from_json
 
-    names = ("family", "m", "C", "beta", "gamma", "table", "tail_rule")
-    data = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    data = {name: getattr(args, name) for name in ("family", *_FAMILY_FIELDS) if getattr(args, name) is not None}
     for name in ("table", "tail_rule"):  # the JSON-valued flags
         if name in data:
             data[name] = json.loads(data[name])
@@ -73,6 +73,8 @@ def _cmd_classify(args):
 
     e = Exponents(args.a, args.p)
     if args.family == "dobinski":
+        if given := [f"--{name.replace('_', '-')}" for name in _FAMILY_FIELDS if getattr(args, name) is not None]:
+            raise DomainError(f"the dobinski family takes no family flags, got {', '.join(given)}")
         verdict = dobinski.dobinski_full(e)
     else:
         verdict = dobinski.classify(_family(args), e)
@@ -199,11 +201,6 @@ def _add_family_args(sub, allow_dobinski: bool = False):
     sub.add_argument("--tail-rule", dest="tail_rule", help="custom family tail rule as JSON")
 
 
-def _add_output_args(sub):
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--output", help="write to this path instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capatree",
@@ -273,18 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_run_lengths)
 
     for s in sub.choices.values():
-        _add_output_args(s)
+        s.add_argument("--format", choices=["json", "csv"], default="json")
+        s.add_argument("--output", help="write to this path instead of stdout")
     return parser
 
 
 def _resolved_config(args) -> dict:
     skip = {"fn", "command", "format", "output"}
-    config = {"command": args.command}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        config[key] = value
-    return config
+    given = {key: value for key, value in sorted(vars(args).items()) if key not in skip and value is not None}
+    return {"command": args.command} | given
 
 
 def _emit_json(config: dict, result: dict) -> str:

@@ -623,7 +623,7 @@ def spec_to_json(spec: SequenceSpec) -> dict:
 
 
 def spec_from_json(data: Mapping) -> SequenceSpec:
-    """Read a decoded sequence spec; a missing or malformed field raises DomainError naming it."""
+    """Read a decoded sequence spec; a missing, malformed or stray field raises DomainError naming it."""
     if not isinstance(data, Mapping):
         raise DomainError("sequence spec JSON must be an object")
     family = str(data.get("family", "")).lower()
@@ -645,4 +645,6 @@ def spec_from_json(data: Mapping) -> SequenceSpec:
     if family not in _FAMILIES:
         raise DomainError(f"unknown sequence family: {family!r}")
     cls = _FAMILIES[family]
+    if stray := [key for key in data if key != "family" and key not in cls._fields]:
+        raise DomainError(f"{family} sequence spec takes no field {', '.join(map(repr, stray))}")
     return cls(*map(parse, cls._fields))

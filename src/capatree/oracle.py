@@ -13,6 +13,7 @@ capped at 20, where the dense heap arrays hold 2M doubles each.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -27,12 +28,6 @@ from .exponents import Exponents, Record, _set
 from .tree import _leaves, _validate_words
 
 MAX_DEPTH = 20
-
-
-def _node_indices(words: Sequence[str]) -> np.ndarray:
-    """Heap indices of many words, one int() call each: int("1" + w, 2) - 1 = 2**|w| - 1 + int(w, 2)."""
-    prefixed = map(operator.add, repeat("1"), words)
-    return np.fromiter(map(int, prefixed, repeat(2)), np.int64, len(words)) - 1
 
 
 _BYTE_PLACES = np.array([1, 1 << 8, 1 << 16])  # a leaf offset has at most MAX_DEPTH = 20 bits
@@ -86,8 +81,9 @@ class FiniteProblem(Record):
     def weight_array(self) -> np.ndarray:
         one_minus_ap, levels = float(1 - self.exponents.ap), range(self.depth + 1)
         w = np.array([2.0 ** (-d * one_minus_ap) for d in levels]).repeat([2 ** d for d in levels])
-        if self.weights:
-            w[_node_indices(list(self.weights))] = list(self.weights.values())
+        if self.weights:  # heap indices, one int() call each: int("1" + x, 2) - 1 = 2**|x| - 1 + int(x, 2)
+            nodes = map(int, map(operator.add, repeat("1"), self.weights), repeat(2))
+            w[np.fromiter(nodes, np.int64, len(self.weights)) - 1] = list(self.weights.values())
         return w
 
 
@@ -101,63 +97,60 @@ class OracleResult(Record):
 
     def __init__(self, value: float, witness: np.ndarray, lower: float, gap: float, violation: float,
                  iterations: int, depth: int):
-        self.value = value
-        self.witness = witness
-        self.lower = lower
-        self.gap = gap
-        self.violation = violation
-        self.iterations = iterations
-        self.depth = depth
+        self.value, self.witness, self.lower, self.gap = value, witness, lower, gap
+        self.violation, self.iterations, self.depth = violation, iterations, depth
 
 
-class _TreeArrays:
-    """Vectorized sweeps over a dense heap layout: path sums, subtree sums, tree solves."""
+@functools.cache
+def _levels(depth: int) -> tuple[tuple[int, int], ...]:
+    """Heap index bounds [a, b) of each level 0..depth of the dense layout."""
+    return tuple((2 ** d - 1, 2 ** (d + 1) - 1) for d in range(depth + 1))
 
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.levels = [(2 ** d - 1, 2 ** (d + 1) - 1) for d in range(depth + 1)]
 
-    def path_sums(self, phi: np.ndarray) -> np.ndarray:
-        out = phi.copy()
-        for (pa, pb), (a, b) in zip(self.levels, self.levels[1:]):
-            children = out[a:b].reshape(-1, 2)  # a view: one row per parent
-            children += out[pa:pb, None]
-        return out
+def _leaf_potentials(phi: np.ndarray, depth: int) -> np.ndarray:
+    """Sum of ``phi`` (one entry per node) along each leaf's root path, one level at a time."""
+    acc = phi[:1]
+    for a, b in _levels(depth)[1:]:
+        acc = acc.repeat(2) + phi[a:b]
+    return acc
 
-    def subtree_sums(self, leaf_values: np.ndarray) -> np.ndarray:
-        out = np.empty(2 ** (self.depth + 1) - 1)
-        out[self.levels[-1][0] :] = leaf_values
-        for (pa, pb), (a, b) in zip(self.levels[-2::-1], self.levels[:0:-1]):
-            np.add(out[a:b:2], out[a + 1 : b : 2], out=out[pa:pb])
-        return out
 
-    def solve(self, d: np.ndarray, free: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
-        """Solve (H + ridge*I) z = rhs on the free leaves; z is zero elsewhere.
+def _subtree_sums(leaf_values: np.ndarray, depth: int) -> np.ndarray:
+    """Sum of ``leaf_values`` below each node, one entry per node."""
+    levels = _levels(depth)
+    out = np.empty(2 ** (depth + 1) - 1)
+    out[levels[-1][0] :] = leaf_values
+    for (pa, pb), (a, b) in zip(levels[-2::-1], levels[:0:-1]):
+        np.add(out[a:b:2], out[a + 1 : b : 2], out=out[pa:pb])
+    return out
 
-        H_ij sums ``d`` (one entry per node) over the common ancestors of
-        leaves i and j, so on the subtree of x it is d_x plus the block
-        diagonal of the children's.  Sherman-Morrison gives, bottom up, S_x =
-        1'H_x^-1 1 and T_x = 1'H_x^-1 rhs from the children's sums S_B, T_B as
-        S_B/(1 + d_x S_B) and T_B/(1 + d_x S_B); top down, each subtree solves
-        its children with rhs shifted by its parent's shift plus d_x times its
-        own T at that shift, which is (shift + d_x T_B)/(1 + d_x S_B).
-        """
-        a, b = self.levels[-1]
-        st = np.empty((2, b - a))  # S and T of each subtree, one row each
-        inverse = np.divide(free, d[a:b] + ridge, out=st[0])
-        np.multiply(rhs, inverse, out=st[1])
-        sums = []  # 1 + d_x S_B and d_x T_B per level, leaves excluded, one row per parent
-        for a, b in reversed(self.levels[:-1]):
-            st = st[:, ::2] + st[:, 1::2]
-            dst = d[a:b] * st
-            dst[0] += 1.0
-            st /= dst[0]
-            sums.append(dst.reshape(2, -1, min(2, b - a)))
-        shift = np.zeros((1, 1))  # a column: each parent's shift, broadcast to its children
-        while sums:  # top down, each level freed once used
-            den, dt = sums.pop()
-            shift = ((shift + dt) / den).reshape(-1, 1)
-        return ((rhs.reshape(len(shift), -1) - shift) * inverse.reshape(len(shift), -1)).ravel()
+
+def _tree_solve(d: np.ndarray, free: np.ndarray, rhs: np.ndarray, ridge: float, depth: int) -> np.ndarray:
+    """Solve (H + ridge*I) z = rhs on the free leaves; z is zero elsewhere.
+
+    H_ij sums ``d`` (one entry per node) over the common ancestors of
+    leaves i and j, so on the subtree of x it is d_x plus the block
+    diagonal of the children's.  Sherman-Morrison gives, bottom up, S_x =
+    1'H_x^-1 1 and T_x = 1'H_x^-1 rhs from the children's sums S_B, T_B as
+    S_B/(1 + d_x S_B) and T_B/(1 + d_x S_B); top down, each subtree solves
+    its children with rhs shifted by its parent's shift plus d_x times its
+    own T at that shift, which is (shift + d_x T_B)/(1 + d_x S_B).
+    """
+    inverse = free / (d[2 ** depth - 1 :] + ridge)
+    s, t = inverse, rhs * inverse  # S and T of each subtree
+    sums = []  # 1 + d_x S_B and d_x T_B per level, leaves excluded
+    for a, b in reversed(_levels(depth)[:-1]):
+        s, t, dx = s[::2] + s[1::2], t[::2] + t[1::2], d[a:b]
+        den, dt = dx * s, dx * t
+        den += 1.0
+        s /= den
+        t /= den
+        sums.append((den, dt))
+    shift = 0.0  # each node's shift, repeated to its children
+    while sums:  # top down, each level freed once used
+        den, dt = sums.pop()
+        shift = ((shift + dt) / den).repeat(2)
+    return (rhs - shift) * inverse
 
 
 def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
@@ -183,7 +176,9 @@ def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
     From uniform mass times its best multiple, projected Newton steps on the
     targets with mass or potential below 1 close the gap.  Each step solves
     the Newton system exactly with one tree solve, then halves until g
-    rises.  An evaluation and a tree solve cost two tree sweeps each;
+    rises.  An evaluation sweeps mass up and potential down to the leaves
+    (the first takes the start's unit-mass sweep times its multiple); a step
+    sweeps curvature down for its ridge and solves once, up and down.
     ``iterations`` counts evaluations plus tree solves: at most 3 at p = 2,
     where a step is exact, and typically 5 otherwise at tol 1e-5, 7 at 1e-8.
     Raises ConvergenceError when the gap is still open after 30 steps.
@@ -192,25 +187,23 @@ def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
         raise DomainError(f"tol must lie in [1e-8, 1e-3], got {tol}")
     p = problem.exponents.p_f
     q = 1.0 / (p - 1.0)  # p' - 1
-    tree = _TreeArrays(problem.depth)
+    depth = problem.depth
     w = problem.weight_array()
     scale = float(w.max())
-    targets = _leaf_offsets(problem.target_leaves, problem.depth)
-    target_nodes = targets + (2 ** problem.depth - 1)
+    targets = _leaf_offsets(problem.target_leaves, depth)
+    target_nodes = targets + (2 ** depth - 1)
     target_weight = w[target_nodes] / scale
     phi_coeff = (p * w / scale) ** -q  # normalized so the result scales exactly with the weights
     del w  # of the dense arrays, only those the Newton steps read stay alive
-    leaf_mass = np.zeros(2 ** problem.depth)
+    leaf_mass = np.zeros(2 ** depth)
     iterations, lower, upper, best = 0, 0.0, math.inf, None
 
-    def evaluate(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """-g(mu), its gradient, M and phi; records the bracket mu certifies."""
+    def evaluate(mu: np.ndarray, mass: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """-g(mu), its gradient and phi, given mu's M; records the bracket mu certifies."""
         nonlocal iterations, lower, upper, best
         iterations += 1
-        leaf_mass[targets] = mu
-        mass = tree.subtree_sums(leaf_mass)
         phi = phi_coeff * mass ** q
-        grad = tree.path_sums(phi)[target_nodes] - 1.0
+        grad = _leaf_potentials(phi, depth)[targets] - 1.0
         s, total = float(phi @ mass), float(mu.sum())
         lower = max(lower, total ** p / (p * s ** (p - 1.0)))
         # phi' differs from phi only on the target leaves, where w*phi**p = phi*mu/p
@@ -219,27 +212,31 @@ def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
         energy = (s - float(leaf @ mu)) / p + float(target_weight @ adjusted ** p)
         if energy < upper:
             upper, best = energy, (phi, adjusted, float(grad.min()))
-        return s / (q + 1.0) - total, grad, mass, phi
+        return s / (q + 1.0) - total, grad, phi
 
     def closed() -> bool:
         return upper - lower <= tol * lower
 
-    # uniform mass times its best multiple (|mu|/s)**(p-1), with s at unit mass
+    # uniform mass times its best multiple (|mu|/s)**(p-1), with s at unit
+    # mass; M is linear in mu, so the unit sweep times that multiple is the start's M
     leaf_mass[targets] = 1.0
-    s = float(phi_coeff @ tree.subtree_sums(leaf_mass) ** (q + 1.0))
-    mu = np.full(len(targets), (len(targets) / s) ** (p - 1.0))
-    value, grad, mass, phi = evaluate(mu)
+    unit = _subtree_sums(leaf_mass, depth)
+    multiple = (len(targets) / float(phi_coeff @ unit ** (q + 1.0))) ** (p - 1.0)
+    mu, mass = np.full(len(targets), multiple), unit * multiple
+    del unit  # at depth 20 it holds 2M doubles
+    value, grad, phi = evaluate(mu, mass)
     for _newton_step in range(30):
         if closed():
             break
         free = (mu > 0) | (grad < 0)
         empty = free & (mu == 0)
         curvature = np.divide(q * phi, mass, out=np.zeros_like(phi), where=mass > 0)
-        # A massless target's curvature is 0 for p < 2 and infinite for p > 2;
-        # give it the secant curvature of its own term c*t**q at the t where
-        # that term alone cancels the gradient, t = (-grad/c)**(1/q).
-        nodes = target_nodes[empty]
-        curvature[nodes] = phi_coeff[nodes] ** (1.0 / q) * (-grad[empty]) ** (1.0 - 1.0 / q)
+        if empty.any():
+            # A massless target's curvature is 0 for p < 2 and infinite for p > 2;
+            # give it the secant curvature of its own term c*t**q at the t where
+            # that term alone cancels the gradient, t = (-grad/c)**(1/q).
+            nodes = target_nodes[empty]
+            curvature[nodes] = phi_coeff[nodes] ** (1.0 / q) * (-grad[empty]) ** (1.0 - 1.0 / q)
         free_leaves, rhs = np.zeros(len(leaf_mass)), np.zeros(len(leaf_mass))
         free_leaves[targets], rhs[targets] = free, np.where(free, -grad, 0.0)
         # For p < 2 a nearly massless target has nearly no curvature: H is
@@ -247,15 +244,17 @@ def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
         # ridge of 1e-11 times H's largest diagonal entry damps both.  On
         # random weighted problems at tol 1e-8, 1e-12 to 1e-10 closed every
         # one; 1e-13 and 1e-9 left a few open.
-        ridge = 1e-11 * float(tree.path_sums(curvature)[target_nodes[free]].max())
+        ridge = 1e-11 * float(_leaf_potentials(curvature, depth)[targets[free]].max())
         iterations += 1
-        step = tree.solve(curvature, free_leaves, rhs, ridge)[targets]
+        step = _tree_solve(curvature, free_leaves, rhs, ridge, depth)[targets]
         del curvature, free_leaves, rhs  # freed before the halving evaluations allocate theirs
         # halve until g rises: the quadratic model sees neither the bound
         # mu >= 0 nor how fast the curvature changes away from p = 2
         for _halving in range(30):
             trial = np.maximum(mu + step, 0.0)
-            trial_value, grad, mass, phi = evaluate(trial)
+            leaf_mass[targets] = trial
+            mass = _subtree_sums(leaf_mass, depth)
+            trial_value, grad, phi = evaluate(trial, mass)
             if trial_value <= value:
                 break
             step /= 2
@@ -271,7 +270,7 @@ def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
         witness=witness,
         violation=max(0.0, -least_grad),
         iterations=iterations,
-        depth=problem.depth,
+        depth=depth,
     )
 
 

@@ -289,6 +289,29 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("capatree: error: Expecting")
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--family", "geometric", "--m", "1", "--beta", "7"], "'beta'"),
+            (["--family", "geometric", "--m", "1", "--tail-rule", '{"family": "linear", "C": "1"}'], "'tail_rule'"),
+            (["--family", "linear", "--C", "1", "--m", "2"], "'m'"),
+            (["--family", "power", "--C", "1", "--beta", "2", "--gamma", "1"], "'gamma'"),
+            (["--family", "custom", "--table", "[[1, 2]]", "--C", "1",
+              "--tail-rule", '{"family": "linear", "C": "1"}'], "'C'"),
+            (["--family", "custom", "--table", "[[1, 2]]",
+              "--tail-rule", '{"family": "linear", "C": "1", "beta": "2"}'], "'beta'"),
+            (["--family", "dobinski", "--m", "1"], "--m"),
+            (["--family", "dobinski", "--tail-rule", '{"family": "linear", "C": "1"}'], "--tail-rule"),
+            (["--family", "dobinski", "--C", "1", "--gamma", "1"], "--C, --gamma"),
+        ],
+        ids=["geometric-beta", "geometric-tail-rule", "linear-m", "power-gamma", "custom-C",
+             "tail-rule-beta", "dobinski-m", "dobinski-tail-rule", "dobinski-two"],
+    )
+    def test_family_flags_the_family_does_not_use_are_errors(self, capsys, flags, named):
+        assert cli.main(["classify", "--a", "1/2", "--p", "2", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("capatree: error:") and named in err
+
     def test_empty_dimension_grid_is_an_error(self, capsys):
         argv = ["dimension", "--family", "geometric", "--m", "1", "--ap-grid", ",", "--p-grid", "2"]
         assert cli.main(argv) == 2

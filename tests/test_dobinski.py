@@ -800,6 +800,21 @@ class TestSpecJson:
         with pytest.raises(DomainError):
             spec_from_json({"family": "fibonacci"})
 
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ({"family": "geometric", "m": 1, "beta": "7"}, "'beta'"),
+            ({"family": "linear", "C": "1", "tail_rule": {"family": "linear", "C": "1"}}, "'tail_rule'"),
+            ({"family": "power", "C": "1", "beta": "2", "gamma": "0", "m": 3}, "'gamma', 'm'"),
+            ({"family": "custom", "table": [[1, 2]], "tail_rule": {"family": "linear", "C": "1", "beta": "2"}}, "'beta'"),
+            ({"family": "growth", "C": "1", "beta": "0", "gamma": "1", "Gamma": "1"}, "'Gamma'"),
+        ],
+        ids=["geometric", "linear", "power", "nested-tail-rule", "case"],
+    )
+    def test_stray_fields_are_named(self, data, named):
+        with pytest.raises(DomainError, match=f"takes no field {named}$"):
+            spec_from_json(data)
+
     @pytest.mark.parametrize("data", [[{"family": "geometric", "m": 1}], "[1]", "3", 3, None])
     def test_non_object_is_rejected(self, data):
         with pytest.raises(DomainError, match="must be an object"):

@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from capatree import (
     finite_tree_capacity,
     solve_capacity,
 )
-from capatree.oracle import _leaf_offsets, _TreeArrays
+from capatree.oracle import _leaf_offsets, _leaf_potentials, _subtree_sums, _tree_solve
 from conftest import NON_BINARY_WORDS, PAIRS, dense_witness, energy_eval, node_index, potential_eval
 
 E = Exponents("1/2", 2)  # weights identically 1
@@ -172,11 +173,11 @@ class TestEvaluators:
 
 class TestTreeSolve:
     @staticmethod
-    def dense_solve(tree, d, free, rhs, ridge):
+    def dense_solve(depth, d, free, rhs, ridge):
         """(H + ridge*I) z = rhs on the free leaves, H_ij = sum of d over common ancestors."""
-        leaf_start = 2 ** tree.depth - 1
+        leaf_start = 2 ** depth - 1
         ancestors = []
-        for i in range(2 ** tree.depth):
+        for i in range(2 ** depth):
             x, path = leaf_start + i, set()
             while True:
                 path.add(x)
@@ -186,33 +187,32 @@ class TestTreeSolve:
             ancestors.append(path)
         idx = np.flatnonzero(free)
         h = np.array([[sum(d[x] for x in ancestors[i] & ancestors[j]) for j in idx] for i in idx])
-        z = np.zeros(2 ** tree.depth)
+        z = np.zeros(2 ** depth)
         z[idx] = np.linalg.solve(h + ridge * np.eye(len(idx)), rhs[idx])
         return z
 
-    @pytest.mark.parametrize("depth", [0, 1, 2, 5, 7])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5, 7, 8])
     def test_matches_dense_solve(self, depth):
         rng = np.random.default_rng(depth)
-        tree = _TreeArrays(depth)
         n_nodes = 2 ** (depth + 1) - 1
         d = rng.random(n_nodes) * (rng.random(n_nodes) < 0.8)  # some massless nodes
         free = (rng.random(2 ** depth) < 0.7).astype(float)
         free[0] = 1.0
         rhs = rng.standard_normal(2 ** depth) * free
-        z = tree.solve(d, free, rhs, 1e-3)
-        expected = self.dense_solve(tree, d, free, rhs, 1e-3)
+        z = _tree_solve(d, free, rhs, 1e-3, depth)
+        expected = self.dense_solve(depth, d, free, rhs, 1e-3)
         assert np.abs(z - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
         assert not z[free == 0].any()
 
 
 class TestTreeSweeps:
     @pytest.mark.parametrize("depth", range(10))
-    def test_path_sums_match_word_by_word(self, depth):
+    def test_leaf_potentials_match_word_by_word(self, depth):
         rng = np.random.default_rng(depth)
         phi = rng.random(2 ** (depth + 1) - 1) * (rng.random(2 ** (depth + 1) - 1) < 0.7)
         words = [format(i, f"0{d}b") if d else "" for d in range(depth + 1) for i in range(2 ** d)]
-        expected = [potential_eval(dict(zip(words, phi)), word) for word in words]
-        np.testing.assert_allclose(_TreeArrays(depth).path_sums(phi), expected, rtol=1e-14, atol=0)
+        expected = [potential_eval(dict(zip(words, phi)), leaf) for leaf in words[2 ** depth - 1 :]]
+        np.testing.assert_allclose(_leaf_potentials(phi, depth), expected, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("depth", range(10))
     def test_subtree_sums_match_word_by_word(self, depth):
@@ -221,7 +221,7 @@ class TestTreeSweeps:
         leaves = [format(i, f"0{depth}b") if depth else "" for i in range(2 ** depth)]
         words = [format(i, f"0{d}b") if d else "" for d in range(depth + 1) for i in range(2 ** d)]
         expected = [sum(v for leaf, v in zip(leaves, leaf_values) if leaf.startswith(word)) for word in words]
-        np.testing.assert_allclose(_TreeArrays(depth).subtree_sums(leaf_values), expected, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(_subtree_sums(leaf_values, depth), expected, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("depth", [0, 1, 7, 8, 9, 16, 20])
     def test_leaf_offsets_read_words_as_binary(self, depth):
@@ -261,6 +261,14 @@ class TestSolveCapacity:
         v1 = solve_capacity(base).value
         v2 = solve_capacity(doubled).value
         assert abs(v2 - 2 * v1) <= 1e-8 * abs(v2)
+
+    def test_default_weights_given_explicitly_change_nothing(self):
+        e = Exponents("1/4", 2)  # ap = 1/2: the default weight 2**(-|x|/2) varies with depth
+        leaves = tuple(format(i, "06b") for i in range(0, 64, 5))
+        words = [format(i, f"0{d}b") if d else "" for d in range(7) for i in range(2 ** d)]
+        weighted = FiniteProblem(6, leaves, e, weights={w: 2.0 ** (-len(w) * 0.5) for w in words})
+        plain, given = solve_capacity(FiniteProblem(6, leaves, e)), solve_capacity(weighted)
+        assert (given.value, given.lower, given.iterations) == (plain.value, plain.lower, plain.iterations)
 
     def test_tolerance_domain(self):
         with pytest.raises(DomainError):
@@ -359,6 +367,11 @@ class TestLeafAdjustedWitness:
 
 
 class TestAgreementBattery:
+    def test_newton_path_is_pinned(self):
+        # evaluations plus tree solves per problem: a change that moves the Newton path moves this histogram
+        rows = agreement_battery(count=200, seed=0)
+        assert Counter(row["iterations"] for row in rows) == {1: 63, 3: 57, 5: 73, 7: 7}
+
     def test_small_battery_agrees(self):
         rows = agreement_battery(count=12, seed=7, max_depth=6)
         assert all(row["ok"] for row in rows)
