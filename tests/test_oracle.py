@@ -364,14 +364,11 @@ class TestLeafAdjustedWitness:
         assert sum(row["iterations"] <= 5 for row in off_two) >= 0.85 * len(off_two)
         assert sum(row["iterations"] for row in rows) <= 660
         assert all(row["ok"] for row in rows)
+        # the Newton path itself is pinned: a change to the solver's arithmetic that moves it shows here
+        assert Counter(row["iterations"] for row in rows) == {1: 63, 3: 57, 5: 73, 7: 7}
 
 
 class TestAgreementBattery:
-    def test_newton_path_is_pinned(self):
-        # evaluations plus tree solves per problem: a change that moves the Newton path moves this histogram
-        rows = agreement_battery(count=200, seed=0)
-        assert Counter(row["iterations"] for row in rows) == {1: 63, 3: 57, 5: 73, 7: 7}
-
     def test_small_battery_agrees(self):
         rows = agreement_battery(count=12, seed=7, max_depth=6)
         assert all(row["ok"] for row in rows)
