@@ -19,8 +19,9 @@ So the capacity of a finite union of cylinders costs at most one Phi
 evaluation per edge of the compressed trie of its generators (branch nodes
 and generators only), walked bottom-up in one pass over the sorted
 generators, whose loop computes each branch's depth as the join of two
-neighbours; a repeated branch reuses its value.  The capacity of a run
-set D(n, kappa) collapses further, to one Phi at an index sigma.
+neighbours; a repeated branch reuses its value, and a dense set of one
+depth enters 8 leaves at a time, from a table.  The capacity of a run set
+D(n, kappa) collapses further, to one Phi at an index sigma.
 
 Every closed form here is one geometric sum
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConvergenceError, DomainError
@@ -154,7 +155,10 @@ class _Kernel:
     k -> log2 G(k, -q ap) and log2 G(k, -qb), b = 1-ap.  ``lift(v, k)`` is the
     log2 value k one-child levels above a node of log2 value v (``_sweep``);
     the chain indices log2 S_k it fills on first use serve every later sweep
-    at the pair, each formed by the same float operations.
+    at the pair, each formed by the same float operations.  ``blocks(v)``,
+    for generators of log2 value v (c or 1), gives per 8-leaf mask (bit r
+    for leaf r) the depth below the block's root of its top node and that
+    node's log2 value, all 255 built on the first call by ``_walk`` itself.
 
     ``log2_cap(n, kappa)`` is log2 cap(D(n, kappa)), as in ``cap_component``.
     ``statistic`` is the log2 s of the branch's comparison quantity, whose
@@ -176,7 +180,7 @@ class _Kernel:
     bit length of kappa and p-1 = P/Q, so no terms of size n cancel in floats.
     """
 
-    __slots__ = ("c", "branch_sum", "run_sum", "lift", "log2_cap", "statistic", "rows")
+    __slots__ = ("c", "branch_sum", "run_sum", "lift", "blocks", "log2_cap", "statistic", "rows")
 
     def __init__(self, e: Exponents):
         q, pm1, log2_lambda = e.q_f, e.pm1_f, e.ap_f - 1.0
@@ -245,7 +249,14 @@ class _Kernel:
                 E = kappa.bit_length()  # x + log2 kappa, formed without cancelling terms of size n
                 x = (E * P - n * Q) / P + log2(kappa / (1 << E))
                 yield n, kappa, log2_kappa, s, cap, log2_power(0.0, full - log2_kappa, t2 - x)
-        self.lift, self.log2_cap, self.statistic = lift, log2_cap, statistic
+        tables = {}  # generator log2 value -> (tops, values), filled on first use
+
+        def blocks(leaf: float) -> tuple[tuple, tuple]:
+            if leaf not in tables:  # mask 0, an empty block, is never read
+                tables[leaf] = tuple(zip((None, None), *(
+                    _walk(((3, r, 3, leaf) for r in range(8) if mask >> r & 1), lift) for mask in range(1, 256))))
+            return tables[leaf]
+        self.lift, self.log2_cap, self.statistic, self.blocks = lift, log2_cap, statistic, blocks
         self.rows = subcritical if vb else critical
 
 
@@ -279,48 +290,71 @@ def truncated_tree_capacity(e: Exponents, depth: int) -> LogValue:
 def _sweep(generators: Sequence[str], generator_value: LogValue, e: Exponents) -> LogValue:
     """Bottom-up two-child recursion, walked over the compressed trie of ``generators``.
 
-    ``generators`` is a sorted antichain of words, such as a
-    ``CylinderSet``'s generators or a finite problem's checked leaves.
-    Every generator takes the normalized value ``generator_value``, a
-    missing sibling contributes zero, and a node's value is
-    Phi_1(lambda * (left + right)) with lambda = 2**(ap-1).  A chain of k
-    one-child nodes above a value y therefore lifts it to
-    lambda**k * Phi_{S_k}(y) with S_k = sum_{j=1..k} lambda**(jq), q = p'-1
-    (module docstring), so only the edges of the compressed trie cost a
-    Phi evaluation.  ``lift`` is the pair's kernel's, so a chain index that
-    an earlier sweep formed is reused.
+    ``generators`` is a sorted antichain of words, such as a ``CylinderSet``'s
+    generators or a finite problem's checked leaves.  Each takes the normalized
+    value ``generator_value``, a missing sibling contributes zero, and a node's
+    value is Phi_1(lambda * (left + right)) with lambda = 2**(ap-1).
 
-    The trie is never materialised.  Its branch nodes sit where neighbouring
-    generators in sorted order join, so one pass with a stack builds it as
-    the Cartesian tree of those join depths.  Each entry is (join, depth,
-    log2 value) for a finished subtree whose root lies at ``depth`` and
-    which meets the entry below it at a branch of depth ``join``; the top
-    entry is kept in locals and pushed when the next generator arrives.  A
-    generator's join with the previous one is m minus the bit length of the
-    XOR of their first m = min(len) digits read as binary integers, so keys
-    are read one at a time and no word is padded (time and memory linear in
-    the digits).  A branch closes once the next join is shallower than it:
-    its two subtrees are lifted to depth join+1, added, and lifted one more
-    level; a sentinel join of -1 closes the rest.  Values are positive, so
-    the loop runs on log2 floats.  Every generator takes the same value, so
-    a branch's value depends only on its two (value, chain length) pairs; a
-    dict local to the call computes each distinct branch once, by the same
-    float operations, so the result is bit-identical.
+    A generator enters the walk with its length and value, unless all have
+    one length L >= 4 and there is one per 4 words of that length or more.
+    Then they mark a bytearray of 2**L ASCII digits, read as one base-2
+    integer whose bit i is leaf i.  Its little-endian bytes are the masks of
+    the 8-leaf blocks; each nonempty block enters as one entry keyed at
+    depth L-3, with its top node's depth and value from ``_Kernel.blocks``.
+    The walk closes a block's branches before any above it, so that table,
+    filled by the same walk on the block's leaves, moves no bit.  At
+    L = 6 to 16 this path measured 5-15% faster than the plain walk with two
+    leaves in every block, 30-40% faster with four, and 30-45% slower with
+    one in every block, where random sets of one per 8 words break even; its
+    bitmap, integer and masks take under 5 bytes per generator.
     """
     if not generators:
         return LogValue.zero()
-    lift = _kernel(e).lift
-    top = leaf = generator_value.log2
-    first, rest = generators[0], generators[1:]
-    top_join, top_depth, top_key = -1, len(first), int(first or "0", 2)  # the root "" has key 0
-    branches = {}  # (left, kl, right, kr) -> log2 value of the branch
-    stack = []
-    # (depth, key) of each further generator; the sentinel joins every word at -1
-    for depth, key in chain(zip(map(len, rest), map(int, rest, repeat(2))), ((-1, 0),)):
-        # the top is the previous generator; the two words share exactly their first join digits
-        join = (depth - (key ^ top_key >> (top_depth - depth)).bit_length() if depth <= top_depth
-                else top_depth - (top_key ^ key >> (depth - top_depth)).bit_length())
-        top_key = key
+    kernel, leaf, n, size = _kernel(e), generator_value.log2, len(generators), len(generators[0])
+    if n == 1:  # the root "" has no integer key
+        return LogValue.from_log2(kernel.lift(leaf, size))
+    sizes = list(map(len, generators))
+    if 4 <= size < (n << 2).bit_length() and sizes.count(size) == n:  # 2**size <= 4n, without forming 2**size
+        marks = bytearray(b"0") * (1 << size)
+        for key in map(int, generators, repeat(2)):
+            marks[~key] = 49  # ord("1"); bit i of the integer is leaf i
+        masks = int(marks, 2).to_bytes(1 << size >> 3, "little")
+        nonempty = masks.replace(b"\0", b"")
+        (tops, values), base = kernel.blocks(leaf), size - 3
+        entries = zip(repeat(base), compress(count(), masks),
+                      map(base.__add__, map(tops.__getitem__, nonempty)), map(values.__getitem__, nonempty))
+    else:
+        entries = zip(sizes, map(int, generators, repeat(2)), sizes, repeat(leaf))
+    depth, v = _walk(entries, kernel.lift)
+    return LogValue.from_log2(kernel.lift(v, depth))
+
+
+def _walk(entries: Iterable[tuple[int, int, int, float]], lift) -> tuple[int, float]:
+    """(depth, log2 value) of the top node of the compressed trie that ``entries`` span.
+
+    An entry (key depth, key, depth, log2 value) is a finished subtree, in
+    sorted order of keys: the first ``key depth`` digits of its words read
+    as a binary integer.  Its top node lies at ``depth``.  The trie is never
+    materialised: its branches sit where neighbouring keys join, so one pass
+    with a stack of (join, depth, log2 value) builds it as the Cartesian
+    tree of the join depths, the top entry kept in locals.  Two keys join at
+    m minus the bit length of the XOR of their first m = min key depth
+    digits, so nothing is padded (time and memory linear in the digits).  A
+    branch closes once the next join is shallower: its two subtrees are
+    lifted to depth join+1, added, and lifted one more level; a sentinel
+    join of -1 closes the rest.  ``lift`` is the kernel's, whose chain
+    indices every walk at the pair shares.  A branch's value depends only on
+    its two (log2 value, chain length) pairs, so a dict local to the call
+    computes each distinct branch once, by the same float operations.
+    """
+    entries = iter(entries)
+    top_key_depth, top_key, top_depth, top = next(entries)
+    top_join, stack, branches = -1, [], {}  # branches: (left, kl, right, kr) -> log2 value
+    for key_depth, key, depth, value in chain(entries, ((-1, 0, -1, 0.0),)):  # the sentinel joins every key at -1
+        # the two keys share exactly their first join digits
+        join = (key_depth - (key ^ top_key >> (top_key_depth - key_depth)).bit_length() if key_depth <= top_key_depth
+                else top_key_depth - (top_key ^ key >> (key_depth - top_key_depth)).bit_length())
+        top_key_depth, top_key = key_depth, key
         while top_join > join:
             # close the branch at depth b where the top subtree meets the one below it
             b = top_join
@@ -329,15 +363,14 @@ def _sweep(generators: Sequence[str], generator_value: LogValue, e: Exponents) -
             branch = (left, kl, top, kr)
             w = branches.get(branch)
             if w is None:
-                u = lift(left, kl)
-                v = lift(top, kr)
+                u, v = lift(left, kl), lift(top, kr)
                 hi, lo = (u, v) if u >= v else (v, u)
                 w = branches[branch] = lift(hi + math.log1p(2.0 ** (lo - hi)) / _LN2, 1)
             top_depth, top = b, w
         stack.append((top_join, top_depth, top))
-        top_join, top_depth, top = join, depth, leaf
+        top_join, top_depth, top = join, depth, value
     ((_, depth, v),) = stack
-    return LogValue.from_log2(lift(v, depth))
+    return depth, v
 
 
 def capacity_recursive(cyl: CylinderSet, e: Exponents) -> CapacityReport:

@@ -145,7 +145,7 @@ def d_cylinder_set(n: int, kappa: int) -> CylinderSet:
     boundary points whose digits n+1 .. n+kappa all vanish.
     """
     _check_run_set(n, kappa)
-    if (n + kappa) * 2 ** n > 2 ** 15:
+    if n >= 15 or (n + kappa) * 2 ** n > 2 ** 15:  # n >= 15 always fails: test it before forming 2**n
         raise DomainError("explicit cylinder set too large; use the closed form")
     zeros = "0" * kappa
     return CylinderSet.from_words(

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ from capatree import (
     sigma_closed_form,
     truncated_tree_capacity,
 )
+from capatree import capacity
 from capatree.capacity import _LN2, BoundKind, Method, _geometric, _kernel, _sweep, _times
 from conftest import (
     PAIRS,
@@ -40,6 +42,8 @@ from conftest import (
 E_HALF_2 = Exponents("1/2", 2)
 E_THIRD_3 = Exponents("1/3", 3)
 E_QUARTER_2 = Exponents("1/4", 2)
+# the pairs of the bit-identity tests of the sweep
+SWEEP_PAIRS = PAIRS + [Exponents("1/8", 2), Exponents("3/10", "5/2"), Exponents("1/5", 5)]
 
 
 def lv(x: float) -> LogValue:
@@ -197,11 +201,13 @@ class TestTruncatedTreeCapacity:
         assert truncated_tree_capacity(E_HALF_2, 1).to_float() == pytest.approx(2 / 3, rel=1e-14)
         assert truncated_tree_capacity(E_HALF_2, 3).to_float() == pytest.approx(8 / 15, rel=1e-14)
 
-    def test_matches_explicit_leaf_problem(self):
-        for depth in range(5):
+    @pytest.mark.parametrize("e", PAIRS, ids=str)
+    def test_matches_explicit_leaf_problem(self, e):
+        # full trees are the densest sets the sweep's block table gets
+        for depth in range(17):
             leaves = ["".join(b) for b in itertools.product("01", repeat=depth)]
-            via_leaves = finite_tree_capacity(depth, leaves, E_HALF_2)
-            assert rel_diff(via_leaves, truncated_tree_capacity(E_HALF_2, depth)) <= 1e-12
+            via_leaves = finite_tree_capacity(depth, leaves, e)
+            assert rel_diff(via_leaves, truncated_tree_capacity(e, depth)) <= 1e-12, depth
 
     @pytest.mark.parametrize("leaves", [["2x"], ["0a", "01"]])
     def test_finite_problem_rejects_non_binary_targets(self, leaves):
@@ -393,7 +399,7 @@ class TestSweepEngine:
     def test_bit_identical_to_the_reference_sweep(self):
         """Neighbour LCPs from maps and reuse of repeated branches change no bit."""
         rng = random.Random(20261018)
-        exps = PAIRS + [Exponents("1/8", 2), Exponents("3/10", "5/2"), Exponents("1/5", 5)]
+        exps = SWEEP_PAIRS
         one = LogValue.one()
         singles = roots = deepest = 0
         for i in range(1000):
@@ -465,17 +471,45 @@ class TestSweepEngine:
         assert capacity_recursive(cyl, E_THIRD_3).value.log2 == sweep_reference(cyl, c, E_THIRD_3).log2
         assert _sweep(cyl.generators, one, E_THIRD_3).log2 == sweep_reference(cyl, one, E_THIRD_3).log2
 
+    @pytest.mark.parametrize("e", SWEEP_PAIRS, ids=str)
+    def test_bit_identical_on_both_sides_of_the_block_table_bound(self, e):
+        """Sets of one depth L take the 8-leaf block table from L = 4 and one generator per 4 words."""
+        rng = random.Random(20261020)
+        c, one = full_tree_capacity(e).value, LogValue.one()
+        for depth in (3, 4, 5, 8, 12, 14):
+            size, bound, blocks = 2**depth, 2 ** (depth - 2), range(2 ** (depth - 3))
+            start = 8 * rng.choice(blocks)
+            for leaves in (
+                rng.sample(range(size), bound),  # at the bound
+                rng.sample(range(size), bound - 1),  # one below it
+                range(size),  # the full tree
+                range(start, start + 8),  # one full block
+                rng.sample(range(start, start + 8), rng.randint(1, 7)),  # one partial block
+                [8 * b + rng.randrange(8) for b in blocks],  # one leaf in every block
+                [8 * b + r for b in blocks for r in rng.sample(range(8), 2)],  # two in every block, at the bound
+            ):
+                cyl = CylinderSet(format(i, f"0{depth}b") for i in leaves)
+                assert capacity_recursive(cyl, e).value.log2 == sweep_reference(cyl, c, e).log2, (depth, cyl)
+                assert finite_tree_capacity(depth, cyl.generators, e).log2 == sweep_reference(cyl, one, e).log2, (depth, cyl)
+
     @pytest.mark.parametrize("e", [Exponents("2/7", "7/3"), Exponents("3/7", "7/3")])
-    def test_bit_identical_whatever_was_swept_before_at_the_pair(self, e):
-        """Every sweep at a pair shares its kernel's chain-index table; what filled it changes no bit."""
+    def test_bit_identical_whatever_was_swept_before_at_the_pair(self, e, monkeypatch):
+        """Every sweep at a pair shares its kernel's chain-index and block tables; what filled them changes no bit."""
         rng = random.Random(20261026)
         one = LogValue.one()
         sets = [
             CylinderSet.from_words("".join(rng.choices("01", k=rng.randint(0, 60))) for _ in range(rng.randint(1, 30)))
             for _ in range(40)
         ]
+        # dense sets of one depth, which read the block tables
+        for depth in rng.choices(range(4, 11), k=12):
+            count = rng.randint(2 ** (depth - 2), 2**depth)
+            sets.append(CylinderSet(format(i, f"0{depth}b") for i in sorted(rng.sample(range(2**depth), count))))
         expected = [sweep_reference(cyl, one, e).log2 for cyl in sets]
-        for order in (range(40), range(39, -1, -1), rng.sample(range(40), 40)):
+        n = len(sets)
+        for order in (range(n), range(n - 1, -1, -1), rng.sample(range(n), n)):
+            # a fresh kernel per order, so its tables fill after a different run of sweeps
+            monkeypatch.setattr(capacity, "_kernel", functools.cache(capacity._Kernel))
             for i in order:
                 assert _sweep(sets[i].generators, one, e).log2 == expected[i], (i, sets[i])
             c = full_tree_capacity(e).value
@@ -493,6 +527,25 @@ class TestSweepEngine:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
         assert value.log2 == sweep_reference(cyl, full_tree_capacity(E_THIRD_3).value, E_THIRD_3).log2
+
+    def test_block_table_memory_is_linear_in_the_generators(self):
+        # one byte per word of length L, at most 4 per generator, beside a list of lengths (8 per
+        # generator) and the branch memo; a list of 2**L Python objects would take over 32
+        rng = random.Random(20261027)
+        full = tuple(format(i, "018b") for i in range(2**18))
+        at_bound = tuple(format(8 * b + r, "018b") for b in range(2**15) for r in sorted(rng.sample(range(8), 2)))
+        one = LogValue.one()
+        _sweep(full[:8], one, E_THIRD_3)  # build the block table first
+        for leaves in (full, at_bound):
+            tracemalloc.start()
+            try:
+                value = _sweep(leaves, one, E_THIRD_3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * len(leaves), (len(leaves), peak)
+            if leaves is full:
+                assert rel_diff(value, truncated_tree_capacity(E_THIRD_3, 18)) <= 1e-12
 
     def test_deep_comb(self):
         # "1", "01", "001", ...: a chain of 3000 branch nodes, each with one

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -120,6 +121,25 @@ class TestRunSetGenerators:
     def test_size_guard(self):
         with pytest.raises(DomainError):
             d_cylinder_set(12, 10)
+
+    def test_size_guard_edges(self):
+        # the largest sets the guard admits, and the smallest n it refuses for every kappa
+        assert len(d_cylinder_set(11, 5)) == 2 ** 11
+        assert len(d_cylinder_set(0, 2 ** 15)) == 1
+        for n, kappa in ((11, 6), (12, 1), (15, 1), (0, 2 ** 15 + 1)):
+            with pytest.raises(DomainError, match="too large"):
+                d_cylinder_set(n, kappa)
+
+    def test_huge_n_fails_fast(self):
+        # (n + kappa) * 2**n at n = 10**8 would be a 12.5 MB integer
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="too large"):
+                d_cylinder_set(10**8, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_validates_arguments(self):
         with pytest.raises(DomainError):
