@@ -304,7 +304,7 @@ def _sweep(generators: Sequence[str], generator_value: LogValue, e: Exponents) -
     The walk closes a block's branches before any above it, so that table,
     filled by the same walk on the block's leaves, moves no bit.  At
     L = 6 to 16 this path measured 5-15% faster than the plain walk with two
-    leaves in every block, 30-40% faster with four, and 30-45% slower with
+    leaves in every block, 30-45% faster with four, and 30-45% slower with
     one in every block, where random sets of one per 8 words break even; its
     bitmap, integer and masks take under 5 bytes per generator.
     """
@@ -363,7 +363,8 @@ def _walk(entries: Iterable[tuple[int, int, int, float]], lift) -> tuple[int, fl
             branch = (left, kl, top, kr)
             w = branches.get(branch)
             if w is None:
-                u, v = lift(left, kl), lift(top, kr)
+                u = lift(left, kl)
+                v = lift(top, kr)
                 hi, lo = (u, v) if u >= v else (v, u)
                 w = branches[branch] = lift(hi + math.log1p(2.0 ** (lo - hi)) / _LN2, 1)
             top_depth, top = b, w

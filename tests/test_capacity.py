@@ -201,13 +201,13 @@ class TestTruncatedTreeCapacity:
         assert truncated_tree_capacity(E_HALF_2, 1).to_float() == pytest.approx(2 / 3, rel=1e-14)
         assert truncated_tree_capacity(E_HALF_2, 3).to_float() == pytest.approx(8 / 15, rel=1e-14)
 
-    @pytest.mark.parametrize("e", PAIRS, ids=str)
-    def test_matches_explicit_leaf_problem(self, e):
+    def test_matches_explicit_leaf_problem(self):
         # full trees are the densest sets the sweep's block table gets
         for depth in range(17):
             leaves = ["".join(b) for b in itertools.product("01", repeat=depth)]
-            via_leaves = finite_tree_capacity(depth, leaves, e)
-            assert rel_diff(via_leaves, truncated_tree_capacity(e, depth)) <= 1e-12, depth
+            for e in PAIRS:
+                via_leaves = finite_tree_capacity(depth, leaves, e)
+                assert rel_diff(via_leaves, truncated_tree_capacity(e, depth)) <= 1e-12, (depth, e)
 
     @pytest.mark.parametrize("leaves", [["2x"], ["0a", "01"]])
     def test_finite_problem_rejects_non_binary_targets(self, leaves):
@@ -530,12 +530,12 @@ class TestSweepEngine:
 
     def test_block_table_memory_is_linear_in_the_generators(self):
         # one byte per word of length L, at most 4 per generator, beside a list of lengths (8 per
-        # generator) and the branch memo; a list of 2**L Python objects would take over 32
+        # generator) and the branch memo; a list of 2**L Python objects would take 32 or more
         rng = random.Random(20261027)
         full = tuple(format(i, "018b") for i in range(2**18))
         at_bound = tuple(format(8 * b + r, "018b") for b in range(2**15) for r in sorted(rng.sample(range(8), 2)))
         one = LogValue.one()
-        _sweep(full[:8], one, E_THIRD_3)  # build the block table first
+        _sweep(tuple(format(i, "04b") for i in range(4)), one, E_THIRD_3)  # builds the block table first
         for leaves in (full, at_bound):
             tracemalloc.start()
             try:
