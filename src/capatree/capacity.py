@@ -19,8 +19,8 @@ So the capacity of a finite union of cylinders costs at most one Phi
 evaluation per edge of the compressed trie of its generators (branch nodes
 and generators only), walked bottom-up in one pass over the sorted
 generators, whose loop computes each branch's depth as the join of two
-neighbours; a repeated branch reuses its value, and a dense set of one
-depth enters 8 leaves at a time, from a table.  The capacity of a run set
+neighbours; each branch is computed where it closes, and a dense set of
+one depth enters 8 leaves at a time, from a table.  The capacity of a run set
 D(n, kappa) collapses further, to one Phi at an index sigma.
 
 Every closed form here is one geometric sum
@@ -343,13 +343,11 @@ def _walk(entries: Iterable[tuple[int, int, int, float]], lift) -> tuple[int, fl
     branch closes once the next join is shallower: its two subtrees are
     lifted to depth join+1, added, and lifted one more level; a sentinel
     join of -1 closes the rest.  ``lift`` is the kernel's, whose chain
-    indices every walk at the pair shares.  A branch's value depends only on
-    its two (log2 value, chain length) pairs, so a dict local to the call
-    computes each distinct branch once, by the same float operations.
+    indices every walk at the pair shares; the stack is the walk's only state.
     """
     entries = iter(entries)
     top_key_depth, top_key, top_depth, top = next(entries)
-    top_join, stack, branches = -1, [], {}  # branches: (left, kl, right, kr) -> log2 value
+    top_join, stack = -1, []
     for key_depth, key, depth, value in chain(entries, ((-1, 0, -1, 0.0),)):  # the sentinel joins every key at -1
         # the two keys share exactly their first join digits
         join = (key_depth - (key ^ top_key >> (top_key_depth - key_depth)).bit_length() if key_depth <= top_key_depth
@@ -359,15 +357,10 @@ def _walk(entries: Iterable[tuple[int, int, int, float]], lift) -> tuple[int, fl
             # close the branch at depth b where the top subtree meets the one below it
             b = top_join
             top_join, left_depth, left = stack.pop()
-            kl, kr = left_depth - b - 1, top_depth - b - 1
-            branch = (left, kl, top, kr)
-            w = branches.get(branch)
-            if w is None:
-                u = lift(left, kl)
-                v = lift(top, kr)
-                hi, lo = (u, v) if u >= v else (v, u)
-                w = branches[branch] = lift(hi + math.log1p(2.0 ** (lo - hi)) / _LN2, 1)
-            top_depth, top = b, w
+            u = lift(left, left_depth - b - 1)
+            v = lift(top, top_depth - b - 1)
+            hi, lo = (u, v) if u >= v else (v, u)
+            top_depth, top = b, lift(hi + math.log1p(2.0 ** (lo - hi)) / _LN2, 1)
         stack.append((top_join, top_depth, top))
         top_join, top_depth, top = join, depth, value
     ((_, depth, v),) = stack

@@ -21,6 +21,9 @@ from .errors import DomainError, DyadicTangentPole
 from .exponents import Exponents, RationalLike, Record, _set, as_fraction
 
 
+_DIGIT_BUDGET = 2**16  # digits one DigitStream may hold: the cycle of 1/q can be q - 1 digits long
+
+
 def _is_dyadic(x: Fraction) -> bool:
     den = x.denominator
     return den & (den - 1) == 0
@@ -31,6 +34,8 @@ class DigitStream(Record):
 
     The digits are the ``preamble`` followed by the ``cycle`` repeated for
     ever; a dyadic rational's cycle is (0,).  Digits are indexed from 1.
+    ``from_rational`` raises DomainError past ``_DIGIT_BUDGET`` digits
+    (preamble and one cycle), as its time and memory grow with them.
     """
 
     _fields = ("preamble", "cycle", "dyadic", "value")
@@ -48,18 +53,18 @@ class DigitStream(Record):
         if not (0 <= x <= 1):
             raise DomainError(f"need x in [0, 1], got {x}")
         x = x % 1  # 1 wraps to 0 on the circle
-        digits: list[int] = []
-        seen: dict[int, int] = {}
-        rem = x.numerator
-        den = x.denominator
-        while rem and rem not in seen:
-            seen[rem] = len(digits)
+        rem, den, digits, cycle_rem = x.numerator, x.denominator, bytearray(), None
+        start = (den & -den).bit_length() - 1  # den = 2**start * odd: the cycle starts after digit start
+        while rem and rem != cycle_rem:
+            if len(digits) == _DIGIT_BUDGET:
+                raise DomainError(f"x has more than {_DIGIT_BUDGET} binary digits before its cycle ends")
+            if len(digits) == start:
+                cycle_rem = rem
             rem *= 2
             digits.append(rem // den)
             rem %= den
         if rem == 0:  # only a dyadic rational's division terminates
             return cls(tuple(digits), (0,), True, x)
-        start = seen[rem]
         return cls(tuple(digits[:start]), tuple(digits[start:]), False, x)
 
     def digit(self, n: int) -> int:
@@ -167,8 +172,8 @@ class DyadicDensity(Record):
         if type(depth) is not int or depth < 0:
             raise DomainError(f"depth must be an int >= 0, got {depth!r}")
         values = tuple(float(v) for v in values)
-        if len(values) != 2 ** depth:
-            raise DomainError(f"need {2 ** depth} arc values at depth {depth}, got {len(values)}")
+        if len(values).bit_length() != depth + 1 or len(values) & (len(values) - 1):  # != 2**depth, unformed
+            raise DomainError(f"need 2**{depth} arc values at depth {depth}, got {len(values)}")
         if any(v < 0 or not math.isfinite(v) for v in values):
             raise DomainError("density values must be finite and nonnegative")
         _set(self, "depth", depth)

@@ -96,7 +96,8 @@ class Exponents(Record):
     """The parameter pair (a, p) with derived product ap, conjugate and branch flag.
 
     Both parameters are exact rationals; construction rejects a*p > 1
-    (singletons would carry positive capacity there) and p <= 1.  Equality
+    (singletons would carry positive capacity there), p <= 1, and pairs past
+    the double range, read from bit lengths without forming a float.  Equality
     and the hash use a and p, which fix everything else; the hash is formed
     once, here, as every cache keyed by a pair hashes it on each lookup.
     """
@@ -113,6 +114,8 @@ class Exponents(Record):
         ap = a * p
         if ap > 1:
             raise DomainError(f"need a*p <= 1, got a*p={ap}")
+        if max(p.numerator, p.denominator, ap.denominator).bit_length() > 1023:  # p, p-1, p'-1, q/den(ap): finite floats
+            raise DomainError("need p's numerator and denominator and a*p's denominator below 2**1023 (double range)")
         _set(self, "a", a)
         _set(self, "p", p)
         _set(self, "ap", ap)

@@ -88,7 +88,8 @@ class FiniteProblem(Record):
 
 
 class OracleResult(Record):
-    """The solve's bracket and witness; unlike the other records it is mutable and unhashable."""
+    """The solve's bracket and witness; unlike the other records it is mutable and unhashable,
+    and its equality compares the witness arrays by value."""
 
     _fields = ("value", "witness", "lower", "gap", "violation", "iterations", "depth")
     __setattr__ = object.__setattr__
@@ -99,6 +100,11 @@ class OracleResult(Record):
                  iterations: int, depth: int):
         self.value, self.witness, self.lower, self.gap = value, witness, lower, gap
         self.violation, self.iterations, self.depth = violation, iterations, depth
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(x is y or np.array_equal(x, y) for x, y in zip(self._values(self), self._values(other)))
 
 
 @functools.cache

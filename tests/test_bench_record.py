@@ -19,10 +19,11 @@ def bench_record(monkeypatch):
     return module
 
 
-def write_record(directory: Path, sha: str, seed: int, items_per_s: float, setup_samples, starts, trace=0, **metrics):
+def write_record(directory: Path, sha: str, seed: int, items_per_s: float, setup_samples, starts, trace=0, src=None,
+                 **metrics):
     record = {
         "workload": "limsup_bounds",
-        "environment": {"git_sha": sha, "seed": seed, "src_sha256": f"src-{sha}", "nproc": 2, "python": "3.11.7"},
+        "environment": {"git_sha": sha, "seed": seed, "src_sha256": src or f"src-{sha}", "nproc": 2, "python": "3.11.7"},
         "metrics": {"items_per_s": items_per_s, **metrics},
         "fail_ratio": 0.0,
         "setup_samples_s": setup_samples,
@@ -109,3 +110,24 @@ def test_counts_pair_wins_in_the_order_the_dirs_are_given(bench_record, tmp_path
     assert (pairs["base"], pairs["other"]) == ("bbb", "aaa")
     # pairs now (15, 20), (25, 30), (30, 10): aaa wins the first two
     assert pairs["workloads"]["limsup_bounds"]["items_per_s"] == {"won": 2, "lost": 1, "tied": 0}
+
+
+def test_one_commit_measured_from_two_sources_is_an_error(bench_record, tmp_path):
+    # an uncommitted change measured in the parent's checkout carries the parent's git_sha
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    write_record(parent, "aaa", 7, 1.0, [1.0], [1.0])
+    write_record(change, "aaa", 7, 2.0, [1.0], [1.0], src="src-edited")
+    out = tmp_path / "out.json"
+
+    with pytest.raises(SystemExit) as info:
+        bench_record.main(str(out), str(parent), str(change))
+
+    message = str(info.value.code)
+    assert "aaa" in message and "src-aaa" in message and "src-edited" in message
+    assert not out.exists()
+    # the same source in both directories is one commit's runs, as before
+    write_record(change, "aaa", 7, 2.0, [1.0], [1.0])
+    bench_record.main(str(out), str(parent), str(change))
+    assert json.loads(out.read_text())["workloads"]["limsup_bounds"]["items_per_s"]["aaa"]["runs"] == 2

@@ -397,7 +397,7 @@ class TestSweepEngine:
         assert capacity_recursive(cyl.bit_flip(), e) == capacity_recursive(cyl, e)
 
     def test_bit_identical_to_the_reference_sweep(self):
-        """Neighbour LCPs from maps and reuse of repeated branches change no bit."""
+        """Neighbour LCPs from maps and the 8-leaf block table change no bit."""
         rng = random.Random(20261018)
         exps = SWEEP_PAIRS
         one = LogValue.one()
@@ -530,7 +530,7 @@ class TestSweepEngine:
 
     def test_block_table_memory_is_linear_in_the_generators(self):
         # one byte per word of length L, at most 4 per generator, beside a list of lengths (8 per
-        # generator) and the branch memo; a list of 2**L Python objects would take 32 or more
+        # generator); a list of 2**L Python objects would take 32 or more
         rng = random.Random(20261027)
         full = tuple(format(i, "018b") for i in range(2**18))
         at_bound = tuple(format(8 * b + r, "018b") for b in range(2**15) for r in sorted(rng.sample(range(8), 2)))
@@ -546,6 +546,24 @@ class TestSweepEngine:
             assert peak < 32 * len(leaves), (len(leaves), peak)
             if leaves is full:
                 assert rel_diff(value, truncated_tree_capacity(E_THIRD_3, 18)) <= 1e-12
+
+    def test_walk_memory_is_the_lengths_list_and_the_stack(self):
+        # off the block path the sweep holds one list of lengths (8 bytes per generator) and the
+        # walk's stack, whose height is at most the depth; nothing else grows with the generators
+        rng = random.Random(20261030)
+        antichain = CylinderSet.from_words(
+            "".join(rng.choices("01", k=rng.randint(30, 40))) for _ in range(2**15)).generators
+        sparse = tuple(format(i, "018b") for i in sorted(rng.sample(range(2**18), 2**15)))  # one per 8 words
+        one = LogValue.one()
+        for leaves in (antichain, sparse):
+            _sweep(leaves[:2], one, E_THIRD_3)  # builds the pair's kernel first
+            tracemalloc.start()
+            try:
+                _sweep(leaves, one, E_THIRD_3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * len(leaves), (len(leaves), peak)
 
     def test_deep_comb(self):
         # "1", "01", "001", ...: a chain of 3000 branch nodes, each with one

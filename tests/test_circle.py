@@ -1,6 +1,8 @@
 import functools
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from operator import attrgetter
 
@@ -20,6 +22,7 @@ from capatree import (
     riesz_potential,
     run_lengths,
 )
+from capatree import circle
 from conftest import run_lengths_reference
 
 
@@ -45,6 +48,27 @@ class TestDigitStream:
     def test_rejects_outside_unit_interval(self):
         with pytest.raises(DomainError):
             DigitStream.from_rational("3/2")
+
+    def test_long_cycles_stop_at_the_digit_budget(self):
+        # 2 has order 200002 mod the prime 200003: about three budgets of digits before the cycle ends
+        assert circle._DIGIT_BUDGET < 200002 < 4 * circle._DIGIT_BUDGET
+        start = time.process_time()
+        with pytest.raises(DomainError, match="binary digits"):
+            DigitStream.from_rational("1/200003")
+        assert time.process_time() - start < 0.1
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="binary digits"):
+                DigitStream.from_rational("1/200003")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_the_budget_admits_the_longest_stream_in_use(self):
+        s = DigitStream.from_rational(Fraction(12345, 2**20 * 10069))
+        assert len(s.preamble) == 20 and len(s.preamble) + len(s.cycle) <= circle._DIGIT_BUDGET
+        assert len(DigitStream.from_rational(Fraction(1, 3 * 2**65000)).preamble) == 65000
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_digits_are_indexed_from_one(self, n):
@@ -191,6 +215,17 @@ class TestDyadicDensity:
             DyadicDensity(1, (1.0,))
         with pytest.raises(DomainError):
             DyadicDensity(0, (-1.0,))
+
+    @pytest.mark.parametrize("depth", [15_000, 10**8])
+    def test_a_deep_depth_fails_without_forming_its_arc_count(self, depth):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"2\\*\\*{depth} arc values"):
+                DyadicDensity(depth, [1.0, 2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("depth", [True, 2.0, "2"])
     def test_depth_must_be_an_int(self, depth):

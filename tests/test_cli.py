@@ -255,6 +255,23 @@ class TestExitCodes:
         assert status == 0
         assert doc["result"]["score"] == 0.5
 
+    @pytest.mark.parametrize("pair", [["--a", "1/2", "--p", "1." + "0" * 400 + "1"], ["--a", "1e-400", "--p", "1e400"],
+                                      ["--a", "1e-400", "--p", "2"]], ids=["p'", "p", "ap"])
+    @pytest.mark.parametrize("command", [["cap-component", "--n", "3", "--kappa", "2"], ["cap-cylinder", "--set", '["01"]'],
+                                         ["classify", "--family", "geometric", "--m", "2"],
+                                         ["bounds", "--family", "geometric", "--m", "2", "--n-max", "5"],
+                                         ["ratios", "--family", "geometric", "--m", "2", "--n-to", "4"]],
+                             ids=lambda argv: argv[0])
+    def test_pair_past_the_double_range_is_an_error(self, capsys, command, pair):
+        assert cli.main(command + pair) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capatree: error:") and "double range" in err
+
+    def test_run_lengths_of_a_cycle_past_the_digit_budget(self, capsys):
+        assert cli.main(["run-lengths", "--x", "1/200003", "--N", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capatree: error:") and "binary digits" in err
+
     def test_run_lengths_count_is_capped(self, capsys):
         assert cli.main(["run-lengths", "--x", "1/3", "--N", "10001"]) == 2
         err = capsys.readouterr().err

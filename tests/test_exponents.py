@@ -56,6 +56,21 @@ class TestExponents:
         with pytest.raises(DomainError, match=message):
             Exponents(a, p)
 
+    @pytest.mark.parametrize("a, p", [("1/2", "1." + "0" * 400 + "1"), ("1e-400", "1e400"), ("1e-400", 2),
+                                      (Fraction(1, 2**1024), 2**1023 + 1), (Fraction(1, 2**1024), 2)])
+    def test_rejects_pairs_past_the_double_range(self, a, p):
+        # 1/(p-1), p and 1/(a*p)'s denominator would not fit a float; none is converted to find out
+        with pytest.raises(DomainError, match="double range"):
+            Exponents(a, p)
+
+    def test_accepts_pairs_at_the_edge_of_the_double_range(self):
+        big = 2**1023 - 1
+        pairs = [(Fraction(1, big), 1 + Fraction(1, big - 1)), (Fraction(1, big), big),
+                 (Fraction(1, 2), 2 - Fraction(1, big // 2))]
+        for a, p in pairs:
+            e = Exponents(a, p)
+            assert all(map(math.isfinite, (e.p_f, e.q_f, e.pm1_f, e.ap_f, e.q_f / e.ap.denominator)))
+
     @given(
         num=st.integers(min_value=1, max_value=10**6),
         den=st.integers(min_value=1, max_value=10**6),

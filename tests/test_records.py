@@ -12,11 +12,11 @@ from capatree.circle import DigitStream, DyadicDensity, RunLength
 from capatree.dobinski import Custom, DimensionBracket, Geometric, Growth, Linear, Outcome, Power, Verdict
 from capatree.errors import DomainError
 from capatree.exponents import Exponents, LogValue, Record
-from capatree.oracle import FiniteProblem, OracleResult
+from capatree.oracle import FiniteProblem, OracleResult, solve_capacity
 from capatree.tree import CylinderSet
 
 E = Exponents("1/3", 3)
-WITNESS = np.zeros(3)  # shared, so that equal results compare their arrays by identity
+WITNESS = np.zeros(3)
 
 # cls: (fields in constructor order, fields of an unequal instance, fields that fail
 # validation or None, hashable, repr)
@@ -176,3 +176,19 @@ def test_defaults_match_the_keyword_forms():
     assert RunLength(1, 2) == RunLength(1, 2, infinite=False)
     assert DigitStream((1,), (0,), True) == DigitStream((1,), (0,), True, value=None)
     assert FiniteProblem(1, ("0",), E) == FiniteProblem(1, ("0",), E, weights=None)
+
+
+def test_oracle_results_compare_witnesses_by_value():
+    fields = {"value": 1.0, "lower": 0.5, "gap": 0.1, "violation": 0.0, "iterations": 3, "depth": 1}
+    x = OracleResult(witness=np.zeros(3), **fields)
+    assert x == OracleResult(witness=np.zeros(3), **fields)  # distinct arrays, equal values
+    assert x != OracleResult(witness=np.array([0.0, 0.0, 1.0]), **fields)
+    assert x != OracleResult(witness=np.zeros(4), **fields)
+
+
+def test_two_solves_of_one_problem_are_equal():
+    problem = FiniteProblem(3, ("000", "011", "101"), E)
+    first, second = solve_capacity(problem), solve_capacity(problem)
+    assert first.witness is not second.witness
+    assert first == second and not first != second
+    assert solve_capacity(FiniteProblem(3, ("000", "111"), E)) != first

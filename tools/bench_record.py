@@ -6,6 +6,8 @@ Each DIR is a ``.perfbench/`` directory written by ``perfbench/run.py``.
 The untraced records (``*-trace0.json``) are grouped by the ``git_sha`` of
 the checkout that ran them; for every workload, end-to-end metric and
 commit, OUT.json gets the median, the quartiles and the number of runs.
+Records of one commit whose ``src_sha256`` differ (a checkout with
+uncommitted changes) stop the tool with an error naming both hashes.
 ``setup_s`` is recomputed from each record's set-up samples the way
 ``run.py`` computes it.
 
@@ -63,7 +65,8 @@ def main(out_path: str, *dirs: str) -> None:
         for name, value in metrics.items():
             runs[record["workload"]][name][sha].append(value)
         seeds[sha].add(env["seed"])
-        sources[sha] = env["src_sha256"]
+        if sources.setdefault(sha, env["src_sha256"]) != env["src_sha256"]:  # an uncommitted change in that checkout
+            raise SystemExit(f"{path}: commit {sha} ran two sources, {sources[sha]} and {env['src_sha256']}")
         hosts.add((env["nproc"], env["python"]))
         if sha not in order:
             order.append(sha)
