@@ -24,11 +24,6 @@ from .exponents import Exponents, RationalLike, Record, _set, as_fraction
 _DIGIT_BUDGET = 2**16  # digits one DigitStream may hold: the cycle of 1/q can be q - 1 digits long
 
 
-def _is_dyadic(x: Fraction) -> bool:
-    den = x.denominator
-    return den & (den - 1) == 0
-
-
 class DigitStream(Record):
     """Binary digits of a rational point of [0, 1), computed by long division.
 
@@ -140,16 +135,18 @@ def product_identity(x: RationalLike, n_terms: int) -> tuple[float, float]:
     Accumulates sum_{n < N} 2**-n * log|tan(pi * (2**n x mod 1))| with the
     orbit advanced in exact rational arithmetic, and returns
     (exp(partial sum), (2 sin(pi x))**2).  Dyadic x hits a tangent pole.
+    A denominator of at most 1022 bits keeps pi * rem below 2**1024.
     """
     x = as_fraction(x)
+    den, rem = x.denominator, x.numerator
     if not (0 < x < 1):
         raise DomainError(f"need x in (0, 1), got {x}")
-    if _is_dyadic(x):
+    if den & (den - 1) == 0:
         raise DyadicTangentPole(f"{x} is a dyadic rational; the product hits a pole")
+    if den.bit_length() > 1022:
+        raise DomainError(f"need a denominator of at most 1022 bits, got {den.bit_length()}")
     if type(n_terms) is not int or not (1 <= n_terms <= 64):
         raise DomainError(f"need an int N with 1 <= N <= 64, got {n_terms!r}")
-    den = x.denominator
-    rem = x.numerator
     log_sum = 0.0
     for n in range(n_terms):
         t = abs(math.tan(math.pi * rem / den))
@@ -181,11 +178,18 @@ class DyadicDensity(Record):
 
     @classmethod
     def constant(cls, value: float, depth: int = 0) -> "DyadicDensity":
-        return cls(depth, (float(value),) * 2 ** depth)
+        return cls(depth, (float(value),) * len(_arcs(depth)))
 
     @classmethod
     def indicator(cls, lo_arc: int, hi_arc: int, depth: int) -> "DyadicDensity":
-        return cls(depth, [1.0 if lo_arc <= i < hi_arc else 0.0 for i in range(2 ** depth)])
+        return cls(depth, [1.0 if lo_arc <= i < hi_arc else 0.0 for i in _arcs(depth)])
+
+
+def _arcs(depth: int) -> range:
+    """range(2**depth) for the builders, checked first: a potential over 2**20 arcs already takes seconds."""
+    if type(depth) is not int or not 0 <= depth <= 20:
+        raise DomainError(f"a built density needs an int depth in [0, 20], got {depth!r}")
+    return range(2 ** depth)
 
 
 def _beta_series(x: float, alpha: float, beta: float) -> float:

@@ -285,25 +285,26 @@ _TRACE_ROWS = range(1, 17)  # the n of the evidence trace's 16 rows
 def _trace(kappa: _Kappa, e: Exponents) -> list[dict]:
     """Finite-window values of the run-set kernel's statistic, for the evidence field.
 
-    A subcritical row is null past the double range, where |ap n - b kappa_n|
-    >= 2**1024, and such a row is decided before kappa_n is formed: a rule row
-    whose lower bound log2 C + beta log2 n + gamma n on log2 kappa_n exceeds
-    log2 v + 1024 (v the denominator of ap) by a 64-bit margin, far above the
-    bound's rounding, has |ap n - b kappa_n| > 2**1088 - n.  Every other row
-    (table entries, rows inside the margin, critical rows) is formed as the
-    kernel forms it.
+    One rule for both branches.  A table entry, or a rule row whose lower
+    bound B = log2 C + beta log2 n + gamma n on log2 kappa_n is at most
+    log2 v + 1088 (v the denominator of ap), is formed and read through the
+    kernel's statistic.  Past that limit kappa_n is never formed.  B then
+    exceeds log2 v + 1024 by a 64-bit margin, far above its rounding, so
+    |ap n - b kappa_n| > 2**1088 - n and a subcritical row is null (past the
+    double range).  A critical row reads n - (p-1) B: as kappa_n = ceil(x) with
+    log2 x >= 1088, log2 kappa_n is within 2**-1087 of log2 x, so this differs
+    from n - (p-1) log2 kappa_n only by the rounding of B, a few ulps.
     """
     statistic = _kernel(e).statistic
-    if e.is_critical:
-        return [{"n": n, "log2_stat": statistic(n, kappa.lookup(n))} for n in _TRACE_ROWS]
     log2_c, beta, gamma = LogValue.from_fraction(kappa.C).log2, float(kappa.beta), float(kappa.gamma)
     limit = math.log2(e.ap.denominator) + 1024 + 64
 
-    def exponent(n: int) -> float | None:
-        if n not in kappa.table and log2_c + beta * math.log2(n) + gamma * n > limit:
-            return None  # the kernel's quotient would overflow
-        return statistic(n, kappa.lookup(n))
-    return [{"n": n, "exponent": exponent(n)} for n in _TRACE_ROWS]
+    def row(n: int) -> float | None:
+        bound = log2_c + beta * math.log2(n) + gamma * n
+        if n in kappa.table or bound <= limit:
+            return statistic(n, kappa.lookup(n))
+        return n - e.pm1_f * bound if e.is_critical else None
+    return [{"n": n, "log2_stat" if e.is_critical else "exponent": row(n)} for n in _TRACE_ROWS]
 
 
 def _decide(C: Fraction, beta: Fraction, gamma: Fraction, e: Exponents) -> tuple[Outcome, str | None, dict]:

@@ -183,6 +183,19 @@ class TestProductIdentity:
         with pytest.raises(DomainError):
             product_identity("1/3", 65)
 
+    @pytest.mark.parametrize("bits", [1022, 1023, 1024, 1025, 1330])
+    def test_a_denominator_past_1022_bits_fails_fast(self, bits):
+        # pi * rem overflowed (OverflowError) or gave tan(inf) (ValueError) past 1022 bits
+        den = (1 << bits - 1) + 1
+        for x in (Fraction(1, den), Fraction((den - 1) // 2, den), Fraction(den - 2, den)):
+            assert x.denominator.bit_length() == bits
+            if bits == 1022:
+                lhs, rhs = product_identity(x, 5)
+                assert math.isfinite(lhs) and math.isfinite(rhs)
+            else:
+                with pytest.raises(DomainError, match="at most 1022 bits"):
+                    product_identity(x, 5)
+
     def test_convergence_on_random_rationals(self):
         rng = random.Random(9)
         samples = []
@@ -226,6 +239,23 @@ class TestDyadicDensity:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "build", [lambda: DyadicDensity.constant(1.0, 70), lambda: DyadicDensity.indicator(0, 1, 70)],
+        ids=["constant", "indicator"],
+    )
+    def test_builders_check_the_depth_before_they_build(self, build):
+        # constant raised a bare OverflowError at depth 70, and indicator looped over 2**70 arcs
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=r"depth in \[0, 20\], got 70"):
+                build()
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 2**20
 
     @pytest.mark.parametrize("depth", [True, 2.0, "2"])
     def test_depth_must_be_an_int(self, depth):

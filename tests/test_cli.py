@@ -1,6 +1,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -212,6 +213,15 @@ class TestExitCodes:
     def test_dyadic_product_point(self, capsys):
         assert cli.main(["product-identity", "--x", "1/4", "--N", "8"]) == 2
 
+    @pytest.mark.parametrize(
+        "x", [f"{(1 << bits - 1) - 1}/{(1 << bits - 1) + 1}" for bits in (1023, 1024, 1025, 1330)]
+        + [f"{10 ** 400 // 3}/{10 ** 400}"],
+    )
+    def test_product_point_past_1022_denominator_bits(self, capsys, x):
+        # pi * rem raised OverflowError (a traceback, exit 1) or met tan(inf)
+        assert cli.main(["product-identity", "--x", x, "--N", "5"]) == 2
+        assert capsys.readouterr().err.startswith("capatree: error: need a denominator of at most 1022 bits")
+
     def test_invalid_exponent_pair(self, capsys):
         assert cli.main(["classify", "--a", "3/4", "--p", "2", "--family", "geometric", "--m", "1"]) == 2
 
@@ -410,6 +420,16 @@ class TestExitCodes:
         result = json.loads(proc.stdout)["result"]
         assert result["outcome"] == "Zero"
         assert [row["exponent"] for row in result["evidence"]] == [None] * 16
+
+    @pytest.mark.parametrize("beta, gamma", [("65535/256", "257"), ("1/2", "65535/2")])
+    def test_critical_trace_past_the_double_range_is_quick(self, beta, gamma):
+        # at ap = 1 a row with log2 kappa_n > 1088 reads n - (p-1) log2 kappa_n from its bound, unformed
+        proc = cli_process(["classify", "--a", "1/2", "--p", "2", "--family", "growth", "--C", "1",
+                            "--beta", beta, "--gamma", gamma], timeout=20)
+        assert proc.returncode == 0
+        rows = json.loads(proc.stdout)["result"]["evidence"]
+        assert [row["n"] for row in rows] == list(range(1, 17))
+        assert all(isinstance(row["log2_stat"], float) and math.isfinite(row["log2_stat"]) for row in rows)
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -338,6 +338,25 @@ class TestClassify:
         # the limit is log2 v + 1024 + 64 = 1089, and no log2 kappa_n here is less than a unit from it
         assert formed == [n for n in range(1, 17) if n in reference.table or reference.lookup(n) <= 2 ** 1089]
 
+    @pytest.mark.parametrize("e", [E_HALF_2, E_THIRD_3], ids=str)
+    @pytest.mark.parametrize(
+        "spec", [Growth(1, 0, 69), Growth(1, 0, 65536), Growth(1, "1/2", "65535/2"), Growth(1, "65535/256", 257)],
+        ids=repr,
+    )
+    def test_critical_rows_past_the_limit_are_read_from_the_bound(self, spec, e):
+        # a critical row with B = log2 C + beta log2 n + gamma n > 1088 reads n - (p-1) B, kappa_n unformed
+        kappa, formed = dobinski._Kappa(spec), []
+        lookup = kappa.lookup
+        kappa.lookup = lambda n: formed.append(n) or lookup(n)
+        rows = dobinski._trace(kappa, e)
+        statistic = dobinski._kernel(e).statistic
+        log2_c = dobinski.LogValue.from_fraction(kappa.C).log2
+        bounds = {n: log2_c + float(kappa.beta) * math.log2(n) + float(kappa.gamma) * n for n in range(1, 17)}
+        expected = [n - e.pm1_f * bounds[n] if bounds[n] > 1088 else statistic(n, lookup(n)) for n in range(1, 17)]
+        assert formed == [n for n in range(1, 17) if bounds[n] <= 1088]
+        assert [row["n"] for row in rows] == list(range(1, 17))
+        assert [row["log2_stat"].hex() for row in rows] == [value.hex() for value in expected]
+
     def test_trace_exponent_is_the_exact_quotient_rounded_once(self):
         # kappa_16 = 2**1024 has no float, but (16 - 2**1024)/2 has one
         rows = classify(Growth(1, 0, 64), Exponents("1/4", 2)).evidence["trace"]
