@@ -216,6 +216,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "x", [f"{(1 << bits - 1) - 1}/{(1 << bits - 1) + 1}" for bits in (1023, 1024, 1025, 1330)]
         + [f"{10 ** 400 // 3}/{10 ** 400}"],
+        ids=["1023-bits", "1024-bits", "1025-bits", "1330-bits", "third-of-10**400"],
     )
     def test_product_point_past_1022_denominator_bits(self, capsys, x):
         # pi * rem raised OverflowError (a traceback, exit 1) or met tan(inf)
