@@ -280,6 +280,35 @@ class Verdict(Record):
 
 
 _TRACE_ROWS = range(1, 17)  # the n of the evidence trace's 16 rows
+_KAPPA_BITS = 2 ** 20  # the largest log2 kappa_n that a row of ratios or bounds forms
+
+
+def _log2_bound(kappa: _Kappa):
+    """n -> B(n) = log2 C + beta log2 n + gamma n, log2 of the rule's kappa_n before its ceiling.
+
+    Each term is read from the numerators and denominators, with the bits of
+    LogValue.from_fraction and float() but without their Fraction checks.
+    """
+    C, beta, gamma = kappa.C, kappa.beta, kappa.gamma
+    log2_c = math.log2(C.numerator) - math.log2(C.denominator)
+    beta, gamma = beta.numerator / beta.denominator, gamma.numerator / gamma.denominator
+    return lambda n: log2_c + beta * math.log2(n) + gamma * n
+
+
+def _check_kappa_bits(kappa: _Kappa, lo: int, hi: int) -> None:
+    """DomainError, before any kappa_n is formed, if the rule's B(n) passes 2**20 for some n in lo..hi.
+
+    B is concave for beta > 0 and convex for beta < 0, so its largest value on
+    the range is at an end or, for beta > 0 > gamma, next to its one stationary
+    point -beta / (gamma ln 2).  One check per call, whatever the range's length.
+    """
+    log2_bound, ns = _log2_bound(kappa), [lo, hi]
+    if kappa.beta.numerator > 0 > kappa.gamma.numerator and lo < (x := float(-kappa.beta / kappa.gamma) / _LN2) < hi:
+        ns += [math.floor(x), math.ceil(x)]
+    worst = max(map(log2_bound, ns))
+    if worst > _KAPPA_BITS:
+        raise DomainError(f"kappa_n reaches 2**{worst:.6g} for n in {lo}..{hi}, and ratios and bounds form "
+                          "kappa_n only up to 2**(2**20); shorten the range")
 
 
 def _trace(kappa: _Kappa, e: Exponents) -> list[dict]:
@@ -295,12 +324,11 @@ def _trace(kappa: _Kappa, e: Exponents) -> list[dict]:
     log2 x >= 1088, log2 kappa_n is within 2**-1087 of log2 x, so this differs
     from n - (p-1) log2 kappa_n only by the rounding of B, a few ulps.
     """
-    statistic = _kernel(e).statistic
-    log2_c, beta, gamma = LogValue.from_fraction(kappa.C).log2, float(kappa.beta), float(kappa.gamma)
+    statistic, log2_bound = _kernel(e).statistic, _log2_bound(kappa)
     limit = math.log2(e.ap.denominator) + 1024 + 64
 
     def row(n: int) -> float | None:
-        bound = log2_c + beta * math.log2(n) + gamma * n
+        bound = log2_bound(n)
         if n in kappa.table or bound <= limit:
             return statistic(n, kappa.lookup(n))
         return n - e.pm1_f * bound if e.is_critical else None
@@ -513,6 +541,7 @@ def capacity_bounds(
     if type(n_max) is not int or not (1 <= n_max <= 10_000):
         raise DomainError(f"n_max must be an int with 1 <= n_max <= 10000, got {n_max!r}")
     kappa, ns = _Kappa(spec), range(1, n_max + 1)
+    _check_kappa_bits(kappa, 1, n_max)
     best = LogValue.from_log2(max(map(_kernel(e).log2_cap, ns, kappa.values(ns))))
     lower = CapacityReport(best, Method.CLOSED_FORM, BoundKind.LOWER)
     if _decide(kappa.C, kappa.beta, kappa.gamma, e)[0] is not Outcome.ZERO:
@@ -539,11 +568,12 @@ def comparability_report(
     lo, hi = n_range
     if type(lo) is not int or type(hi) is not int or not (1 <= lo <= hi <= 10_000):
         raise DomainError(f"n range must be ints with 1 <= lo <= hi <= 10000, got {n_range!r}")
-    ns = range(lo, hi + 1)
+    ns, family = range(lo, hi + 1), _Kappa(spec)
+    _check_kappa_bits(family, lo, hi)
     rows = [{"n": n, "kappa": kappa if kappa < 2 ** 53 else None, "kappa_log2": kappa_log2,
              "cap_linear": 2.0 ** cap_log2 if abs(cap_log2) < 1020 else None, "cap_log2": cap_log2,
              "proxy_log2": stat, "ratio": 2.0 ** ratio_log2}
-            for n, kappa, kappa_log2, stat, cap_log2, ratio_log2 in _kernel(e).rows(ns, _Kappa(spec).values(ns))]
+            for n, kappa, kappa_log2, stat, cap_log2, ratio_log2 in _kernel(e).rows(ns, family.values(ns))]
     ratios = [row["ratio"] for row in rows]
     return {"rows": rows, "ratio_min": min(ratios), "ratio_max": max(ratios)}
 

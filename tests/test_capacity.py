@@ -38,6 +38,7 @@ from conftest import (
     sigma_direct,
     sweep_reference,
 )
+from test_kernel_bits import PAIRS as KERNEL_BITS_PAIRS
 
 E_HALF_2 = Exponents("1/2", 2)
 E_THIRD_3 = Exponents("1/3", 3)
@@ -514,6 +515,35 @@ class TestSweepEngine:
                 assert _sweep(sets[i].generators, one, e).log2 == expected[i], (i, sets[i])
             c = full_tree_capacity(e).value
             assert capacity_recursive(sets[order[0]], e).value.log2 == sweep_reference(sets[order[0]], c, e).log2
+
+    @pytest.mark.parametrize("e", sorted(set(PAIRS + KERNEL_BITS_PAIRS), key=str), ids=str)
+    def test_branch_is_the_log_sum_lifted_one_level(self, e):
+        """``_Kernel.branch`` keeps every bit of the walk's former log-sum and one-level ``lift``."""
+        rng = random.Random(f"branch:{e}")
+        kernel = _kernel(e)
+        pivot = 1.0 - e.ap_f  # t = q (log2 lambda + y) of _log2_1p_exp2 changes sign at y = 1 - ap
+        signs = set()
+        for i in range(600):
+            u = pivot + rng.choice((rng.uniform(-4, 4), rng.uniform(-2000, 2000)))
+            v = (u, u + rng.uniform(-3, 3), u + rng.choice((-1, 1)) * rng.uniform(1100, 3000))[i % 3]
+            hi, lo = max(u, v), min(u, v)
+            y = hi + math.log1p(2.0 ** (lo - hi)) / _LN2
+            signs.add(e.q_f * (e.ap_f - 1.0) + e.q_f * y >= 0)
+            expected = float.hex(kernel.lift(y, 1))
+            assert float.hex(kernel.branch(u, v)) == float.hex(kernel.branch(v, u)) == expected, (u, v)
+        assert signs == {True, False}
+
+    @pytest.mark.parametrize("depth", [16, 17], ids=["16-bit-keys", "32-bit-keys"])
+    def test_bit_identical_when_the_bitmap_keys_span_several_chunks(self, depth):
+        """Keys parsed 4096 words at a time, padded to 16 or 32 bits, mark the same leaves."""
+        rng = random.Random(20261101 + depth)
+        one = LogValue.one()
+        # whole chunks, or a last chunk of one word; every set is dense enough for the block path
+        for e, count in ((E_THIRD_3, 2**depth), (E_HALF_2, 2 ** (depth - 2) + 4097), (Exponents("1/5", 5), 3 * 2**14 + 1)):
+            cyl = CylinderSet(format(i, f"0{depth}b") for i in rng.sample(range(2**depth), count))
+            c = full_tree_capacity(e).value
+            assert capacity_recursive(cyl, e).value.log2 == sweep_reference(cyl, c, e).log2, (depth, count)
+            assert finite_tree_capacity(depth, cyl.generators, e).log2 == sweep_reference(cyl, one, e).log2
 
     def test_memory_is_linear_in_the_digits(self):
         # padding every word to the deepest one would hold 8192 100000-digit keys

@@ -432,6 +432,18 @@ class TestExitCodes:
         assert [row["n"] for row in rows] == list(range(1, 17))
         assert all(isinstance(row["log2_stat"], float) and math.isfinite(row["log2_stat"]) for row in rows)
 
+    @pytest.mark.parametrize("command", [["ratios", "--n-to", "10000"], ["bounds", "--n-max", "10000"]],
+                             ids=["ratios", "bounds"])
+    def test_kappa_past_a_million_bits_fails_fast(self, command):
+        # kappa_n = 2**(65536 n) has 2**20 bits at n = 16: past it no row is formed
+        flags = ["--a", "1/2", "--p", "2", "--family", "growth", "--C", "1", "--beta", "0"]
+        proc = cli_process([command[0], *flags, "--gamma", "65536", *command[1:]], timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("capatree: error: kappa_n reaches 2**6.5536e+08 for n in 1..10000")
+        ends = {"ratios": ["--n-from", "16", "--n-to", "16"], "bounds": ["--n-max", "16"]}[command[0]]
+        proc = cli_process([command[0], *flags, "--gamma", "65536", *ends], timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     @pytest.mark.parametrize(
         "flags, message",
         [

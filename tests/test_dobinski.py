@@ -417,6 +417,12 @@ class TestCapacityBounds:
         with pytest.raises(DomainError):
             capacity_bounds(Geometric(1), E_HALF_2, 0)
 
+    def test_rejects_kappa_past_a_million_bits_at_once(self):
+        spec = Growth(1, 0, 2**16)  # log2 kappa_16 = 2**20
+        assert capacity_bounds(spec, E_HALF_2, 16)[1] is not None
+        with pytest.raises(DomainError, match=r"^kappa_n reaches 2\*\*1\.11411e\+06 for n in 1\.\.17"):
+            capacity_bounds(spec, E_HALF_2, 17)
+
     def test_rejects_n_max_past_the_cap_at_once(self):
         # the lower bound loops over every n <= n_max, so a huge n_max would hang
         for n_max in (10_001, 10 ** 8):
@@ -594,6 +600,18 @@ class TestComparabilityReport:
             comparability_report(E_HALF_2, (0, 5), Geometric(1))
         with pytest.raises(DomainError):
             comparability_report(E_HALF_2, (1, 20_000), Geometric(1))
+
+    def test_kappa_past_a_million_bits_fails_before_any_row(self):
+        # B = log2 C + beta log2 n + gamma n is checked at the ends and at its interior maximum
+        spec = Growth(1, 0, 2**16)  # B(n) = 2**16 n, exactly 2**20 at n = 16
+        assert [row["n"] for row in comparability_report(E_HALF_2, (16, 16), spec)["rows"]] == [16]
+        for n_range in ((1, 17), (17, 10_000)):
+            with pytest.raises(DomainError, match=r"^kappa_n reaches 2\*\*.* for n in "):
+                comparability_report(E_HALF_2, n_range, spec)
+        # B(n) = 2**20 - 9000 + 1000 log2 n - n peaks near n = 1443, 52 above 2**20, and is below at 500 and 5000
+        spec = Growth(2 ** (2**20 - 9000), 1000, -1)
+        with pytest.raises(DomainError, match="for n in 500..5000"):
+            comparability_report(E_HALF_2, (500, 5000), spec)
 
     def test_subcritical_rows_stop_where_kappa_leaves_the_double_range(self):
         # kappa_n = 2**(64 n): at n = 16 the run term v b kappa is past the float range
