@@ -45,7 +45,7 @@ import functools
 import math
 import sys
 from itertools import chain, compress, count, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .exponents import Exponents, LogValue, Record, _set, rel_error
@@ -90,6 +90,10 @@ def _log2_1p_exp2(t: float) -> float:
     return math.log1p(2.0 ** t) / _LN2
 
 
+_EXPONENT_RANGE = "exponent exceeds the double-precision log2 range"
+_CAP_RANGE = "component capacity exceeds the double-precision log2 range"
+
+
 def _times(k: int, x: float) -> float:
     """k * x for an integer k of any size; DomainError outside the double range."""
     if x == 0:
@@ -99,20 +103,26 @@ def _times(k: int, x: float) -> float:
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
-        raise DomainError("exponent exceeds the double-precision log2 range")
+        raise DomainError(_EXPONENT_RANGE)
     return out
+
+
+def _geometric_terms(t: float) -> tuple[float, float]:
+    """(den, cut) for one t < 0: log2 G(k, t) is -den past cut, else log2(-expm1(k t ln 2)) - den."""
+    return math.log2(-math.expm1(t * _LN2)), 1100 / -t  # past cut 2**(k t) < 2**-1100 rounds to 0
 
 
 def _geometric(t: float):
     """k -> log2 G(k, t) = log2 sum_{j=0..k-1} 2**(j t), for one t <= 0.
 
-    The k-independent part is computed here once.  k is an int >= 1, or inf
-    when t < 0.  A sum with t > 0 is 2**((k-1) t) G(k, -t), which callers
-    factor out so that nothing overflows.  The term 2**(k t) is dropped once
-    k passes cut = 1100/-t, where it underflows, which gives the k = inf
-    limit without converting k to a float.  Below a finite cut |k t| <= 1100,
-    so k t is formed directly; only a t so small that cut overflows to inf
-    keeps ``_times``' guard, and a k too large for a float raises DomainError.
+    k is an int >= 1, or inf when t < 0.  A sum with t > 0 is 2**((k-1) t)
+    G(k, -t), which callers factor out so that nothing overflows.  The
+    k-independent (den, cut) come from ``_geometric_terms``, as in the
+    comparability rows: past cut = 1100/-t the term 2**(k t) underflows, so
+    the sum is its k = inf limit, -den, and k is never converted to a float;
+    below a finite cut |k t| <= 1100, so k t is formed directly.  Only a t so
+    small that cut overflows to inf keeps ``_times``' guard, and a k too
+    large for a float raises DomainError.
     """
     log2, expm1 = math.log2, math.expm1
     if t == 0:
@@ -121,8 +131,7 @@ def _geometric(t: float):
                 raise DomainError("a geometric sum with ratio 1 has no limit")
             return log2(k)  # exact for an int of any size
         return log2_sum
-    den = log2(-expm1(t * _LN2))
-    cut = 1100 / -t  # past it 2**(k t) < 2**-1100 rounds to 0
+    den, cut = _geometric_terms(t)
     if cut == math.inf:
         def log2_sum(k: int | float) -> float:
             if k == math.inf:
@@ -170,10 +179,13 @@ class _Kernel:
     limsup sorts run sets: n - (p-1) log2 kappa on the critical branch, and
     below it the exact quotient (v ap n - v b kappa) / v, v the denominator of
     ap, rounded once (None past the double range).  ``rows(ns, kappas)``
-    yields the comparability row (n, kappa, log2 kappa, s, log2 cap, log2 of
-    cap 2**-min(0, s)) of each (n, kappa) pair of the two iterables in one
-    loop, forming each shared term once; s and cap have the other closures'
-    bits.
+    returns ``comparability_report``'s dict for the (n, kappa) pairs of the
+    two iterables from one plain loop per branch, which builds each row dict
+    and tracks the least and largest ratio cap 2**-min(0, s).  Both geometric
+    sums (``_geometric_terms``) and the log-sums are inlined with the
+    closures' bits; a subcritical row they cannot take (n = 0, qb = 0, an int
+    past the double range) replays the closures and raises their errors, and
+    a critical n stays below 2**1024.
 
     The closures do not check their arguments; the cap closures return a
     finite log2 or raise DomainError.  Below the critical line cap's three
@@ -192,12 +204,13 @@ class _Kernel:
         v, ap_num = e.ap.denominator, e.ap.numerator
         vb = v - ap_num  # v * b
         P, Q = (e.p - 1).numerator, (e.p - 1).denominator
-        q_v, qb, qs = q / v, q * (1.0 - e.ap_f), q * log2_lambda  # qs = log2 lambda**q
+        q_v, qb, qs, t_n = q / v, q * (1.0 - e.ap_f), q * log2_lambda, -q * e.ap_f  # qs = log2 lambda**q
         self.run_sum = run_sum = _geometric(-qb)  # G(kappa, -qb)
-        self.branch_sum = branch_sum = _geometric(-q * e.ap_f)  # G(n, -q ap)
-        full = branch_sum(math.inf)
+        self.branch_sum = branch_sum = _geometric(t_n)  # G(n, -q ap)
+        full = branch_sum(math.inf)  # raises where q ap underflows to 0
+        (den_n, cut_n), (den_b, cut_b) = _geometric_terms(t_n), _geometric_terms(-qb) if qb else (0.0, math.inf)
         index_sum, log2_index = _geometric(qs), {}  # k -> log2 S_k = qs + log2 G(k, qs), filled on first use
-        log2, isfinite, no_terms = math.log2, math.isfinite, -math.inf
+        log2, expm1, isfinite, inf, no_terms = math.log2, math.expm1, math.isfinite, math.inf, -math.inf
 
         value = LogValue.from_log2(-pm1 * full)  # c = G(inf, -apq)**-(p-1); one application of the map checks it
         image = phi_apply(LogValue.one(), LogValue.from_log2(value.log2 + e.ap_f), e)
@@ -220,17 +233,14 @@ class _Kernel:
             t = index_1 + q * y
             return log2_lambda + y - pm1 * (t + log1p(2.0 ** -t) / _LN2 if t >= 0 else log1p(2.0 ** t) / _LN2)
 
-        def log2_power(t0: float, t1: float, t2: float) -> float:  # log2 (2**t0 + 2**t1 + 2**t2)**-(p-1)
-            hi = max(t0, t1, t2)
-            out = -pm1 * (hi + log2(2.0 ** (t0 - hi) + 2.0 ** (t1 - hi) + 2.0 ** (t2 - hi)))
-            if not isfinite(out):
-                raise DomainError("component capacity exceeds the double-precision log2 range")
-            return out
-
         def log2_cap(n: int, kappa: int) -> float:
             run = vb * (kappa - 1) - ap_num * n  # v * (b(kappa-1) - ap n)
             t2 = branch_sum(n) if n else no_terms  # G(0, .) = 0 drops out of the sum
-            return log2_power(_times(run, q_v) + run_sum(kappa), _times(run + vb, q_v) + full, t2)
+            t0, t1 = _times(run, q_v) + run_sum(kappa), _times(run + vb, q_v) + full
+            out = -pm1 * ((h := max(t0, t1, t2)) + log2(2.0 ** (t0 - h) + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))
+            if not isfinite(out):
+                raise DomainError(_CAP_RANGE)
+            return out
 
         def statistic(n: int, kappa: int) -> float | None:
             if not vb:
@@ -240,27 +250,53 @@ class _Kernel:
             except OverflowError:
                 return None
 
-        def subcritical(ns: Iterable[int], kappas: Iterable[int]) -> Iterator[tuple]:
+        def subcritical(ns: Iterable[int], kappas: Iterable[int]) -> dict:
+            rows, low, high = [], inf, -inf
             for n, kappa in zip(ns, kappas):
-                run = vb * (kappa - 1) - ap_num * n
-                x, rs = _times(run + vb, q_v), run_sum(kappa)
-                t2 = branch_sum(n) if n else no_terms
-                cap = log2_power(_times(run, q_v) + rs, x + full, t2)
-                s = -(run + vb) / v  # (ap_num n - vb kappa) / v, as in statistic; finite, as x is
-                ratio = cap if s >= 0 else log2_power(rs - qb, full, t2 - x)
-                yield n, kappa, log2(kappa), s, cap, ratio
+                w = vb * kappa - ap_num * n  # v (b kappa - ap n) = -v s; the run term's exponent is q (w - vb) / v
+                try:  # the sums inlined; an int past the double range, n = 0 or qb = 0 raise and take the closures
+                    x, rs = w * q_v, -den_b if kappa > cut_b else log2(-expm1(kappa * -qb * _LN2)) - den_b
+                    t2, y = -den_n if n > cut_n else log2(-expm1(n * t_n * _LN2)) - den_n, (w - vb) * q_v
+                except (OverflowError, ValueError):
+                    x, rs, t2, y = _times(w, q_v), run_sum(kappa), branch_sum(n) if n else no_terms, _times(w - vb, q_v)
+                t0, t1 = y + rs, x + full
+                h = t0 if t0 > t1 and t0 > t2 else t1 if t1 > t2 else t2  # max(t0, t1, t2), without a call
+                cap = -pm1 * (h + log2(2.0 ** (t0 - h) + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))
+                if not (isfinite(cap) and x < inf and no_terms < y):  # as y <= x, both are then finite
+                    raise DomainError(_CAP_RANGE if x < inf and no_terms < y else _EXPONENT_RANGE)
+                s, ratio = -w / v, cap  # (ap_num n - vb kappa) / v, as in statistic
+                if s < 0:
+                    t0, t2 = rs - qb, t2 - x
+                    h = t0 if t0 > full and t0 > t2 else full if full > t2 else t2
+                    ratio = -pm1 * (h + log2(2.0 ** (t0 - h) + 2.0 ** (full - h) + 2.0 ** (t2 - h)))
+                    if not isfinite(ratio):
+                        raise DomainError(_CAP_RANGE)
+                rows.append({"n": n, "kappa": kappa if kappa < 2 ** 53 else None, "kappa_log2": log2(kappa),
+                             "cap_linear": 2.0 ** cap if abs(cap) < 1020 else None, "cap_log2": cap,
+                             "proxy_log2": s, "ratio": (ratio := 2.0 ** ratio)})
+                low, high = ratio if ratio < low else low, ratio if ratio > high else high
+            return {"rows": rows, "ratio_min": low, "ratio_max": high}
 
-        def critical(ns: Iterable[int], kappas: Iterable[int]) -> Iterator[tuple]:
+        def critical(ns: Iterable[int], kappas: Iterable[int]) -> dict:
+            rows, low, high = [], inf, -inf
             for n, kappa in zip(ns, kappas):  # v = 1, run = -n and G(kappa, 0) = log2 kappa
-                log2_kappa, x = log2(kappa), _times(-n, q)
-                s, t2 = n - pm1 * log2_kappa, branch_sum(n) if n else no_terms
-                cap = log2_power(x + log2_kappa, x + full, t2)
-                if s >= 0:
-                    yield n, kappa, log2_kappa, s, cap, cap
-                    continue
-                E = kappa.bit_length()  # x + log2 kappa, formed without cancelling terms of size n
-                x = (E * P - n * Q) / P + log2(kappa / (1 << E))
-                yield n, kappa, log2_kappa, s, cap, log2_power(0.0, full - log2_kappa, t2 - x)
+                log2_kappa, x = log2(kappa), n * t_n  # x = -n q, and the branch sum's n t
+                t2 = (-den_n if n > cut_n else log2(-expm1(x * _LN2)) - den_n) if n else no_terms
+                s, t0, t1 = n - pm1 * log2_kappa, x + log2_kappa, x + full
+                h = t0 if t0 > t1 and t0 > t2 else t1 if t1 > t2 else t2  # max(t0, t1, t2), without a call
+                cap = ratio = -pm1 * (h + log2(2.0 ** (t0 - h) + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))
+                if s < 0:
+                    E = kappa.bit_length()  # x + log2 kappa, formed without cancelling terms of size n
+                    t1, t2 = full - log2_kappa, t2 - ((E * P - n * Q) / P + log2(kappa / (1 << E)))
+                    h = t1 if t1 > t2 and t1 > 0.0 else t2 if t2 > 0.0 else 0.0
+                    ratio = -pm1 * (h + log2(2.0 ** -h + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))
+                if not (no_terms < x and isfinite(cap) and isfinite(ratio)):  # x = -inf leaves cap finite
+                    raise DomainError(_CAP_RANGE if no_terms < x else _EXPONENT_RANGE)
+                rows.append({"n": n, "kappa": kappa if kappa < 2 ** 53 else None, "kappa_log2": log2_kappa,
+                             "cap_linear": 2.0 ** cap if abs(cap) < 1020 else None, "cap_log2": cap,
+                             "proxy_log2": s, "ratio": (ratio := 2.0 ** ratio)})
+                low, high = ratio if ratio < low else low, ratio if ratio > high else high
+            return {"rows": rows, "ratio_min": low, "ratio_max": high}
         tables = {}  # generator log2 value -> (tops, values), filled on first use
 
         def blocks(leaf: float) -> tuple[tuple, tuple]:

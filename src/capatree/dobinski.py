@@ -561,21 +561,16 @@ def comparability_report(
     the subcritical one), is clamped at 1 before dividing: capacities never
     exceed 1, and the clamped quantity is the two-sided comparable proxy, so
     the ratio stays in a fixed band.  The kappas of the range come from one
-    range lookup and the rows from one pass of the pair's kernel: the ratio is
-    cap where s >= 0, elsewhere it is factored from cap's sums, so no logs of
-    size n or kappa enter a difference.
+    range lookup, and ``_Kernel.rows`` builds the rows and ratio range in one
+    loop: the ratio is cap where s >= 0, elsewhere it is factored from cap's
+    sums, so no logs of size n or kappa enter a difference.
     """
     lo, hi = n_range
     if type(lo) is not int or type(hi) is not int or not (1 <= lo <= hi <= 10_000):
         raise DomainError(f"n range must be ints with 1 <= lo <= hi <= 10000, got {n_range!r}")
     ns, family = range(lo, hi + 1), _Kappa(spec)
     _check_kappa_bits(family, lo, hi)
-    rows = [{"n": n, "kappa": kappa if kappa < 2 ** 53 else None, "kappa_log2": kappa_log2,
-             "cap_linear": 2.0 ** cap_log2 if abs(cap_log2) < 1020 else None, "cap_log2": cap_log2,
-             "proxy_log2": stat, "ratio": 2.0 ** ratio_log2}
-            for n, kappa, kappa_log2, stat, cap_log2, ratio_log2 in _kernel(e).rows(ns, family.values(ns))]
-    ratios = [row["ratio"] for row in rows]
-    return {"rows": rows, "ratio_min": min(ratios), "ratio_max": max(ratios)}
+    return _kernel(e).rows(ns, family.values(ns))
 
 
 # ----------------------------------------------------------------------

@@ -88,8 +88,8 @@ class FiniteProblem(Record):
 
 
 class OracleResult(Record):
-    """The solve's bracket and witness; unlike the other records it is mutable and unhashable,
-    and its equality compares the witness arrays by value."""
+    """The solve's bracket, which holds only up to rounding (``solve_capacity``), and witness; unlike
+    the other records it is mutable and unhashable, and its equality compares the witness arrays by value."""
 
     _fields = ("value", "witness", "lower", "gap", "violation", "iterations", "depth")
     __setattr__ = object.__setattr__
@@ -177,7 +177,9 @@ def solve_capacity(problem: FiniteProblem, tol: float = 1e-5) -> OracleResult:
     potential misses at first order).  ``value`` and ``witness`` are the
     best upper bound and its phi', ``lower`` the best lower bound, ``gap``
     = (value - lower) / lower <= ``tol``, and ``violation`` = max(0, 1 -
-    least target potential) of the unadjusted phi behind ``witness``.
+    least target potential) of the unadjusted phi behind ``witness``.  The
+    bracket holds only up to rounding: value can fall below lower, so gap can
+    be a few eps below 0 (-14 eps at worst on random problems of depth <= 8).
 
     From uniform mass times its best multiple, projected Newton steps on the
     targets with mass or potential below 1 close the gap.  Each step solves

@@ -188,12 +188,16 @@ class TestKernel:
         rng = random.Random(20261027)
         ns = [0, 1, 2, 5, 60, 999, 1000, 4000] + sorted(rng.sample(range(3, 3000), 100))
         kappas = [rng.choice((1, n + 1, 2 ** min(n, 900), 2 ** (n // 3) + 5, rng.randint(1, 2 ** 60))) for n in ns]
-        rows = list(kernel.rows(ns, kappas))
-        assert [row[:2] for row in rows] == list(zip(ns, kappas))
-        for n, kappa, kappa_log2, stat, cap, ratio in rows:
-            assert (kappa_log2, stat, cap) == (math.log2(kappa), kernel.statistic(n, kappa), kernel.log2_cap(n, kappa))
-            assert ratio == next(kernel.rows([n], [kappa]))[5], (n, kappa)
-            assert math.isfinite(ratio) and ratio <= 0.0, (n, kappa)
+        report = kernel.rows(ns, kappas)
+        rows = report["rows"]
+        assert [(row["n"], row["kappa"]) for row in rows] == [(n, k if k < 2 ** 53 else None) for n, k in zip(ns, kappas)]
+        for row, kappa in zip(rows, kappas):
+            n, ratio = row["n"], row["ratio"]
+            assert (row["kappa_log2"], row["proxy_log2"], row["cap_log2"]) == (
+                math.log2(kappa), kernel.statistic(n, kappa), kernel.log2_cap(n, kappa))
+            assert ratio == kernel.rows([n], [kappa])["rows"][0]["ratio"], (n, kappa)
+            assert 0.0 < ratio <= 1.0, (n, kappa)
+        assert (report["ratio_min"], report["ratio_max"]) == (min(r["ratio"] for r in rows), max(r["ratio"] for r in rows))
 
 
 class TestTruncatedTreeCapacity:
@@ -808,14 +812,14 @@ class TestCapComponent:
                     expected = (math.log2(kappa), statistic(n, kappa), log2_cap(n, kappa))
                 except DomainError:
                     with pytest.raises(DomainError):
-                        list(kernel.rows([n], [kappa]))
+                        kernel.rows([n], [kappa])
                     continue
-                ((row_n, row_kappa, kappa_log2, stat, cap, ratio),) = kernel.rows([n], [kappa])
-                assert (row_n, row_kappa) == (n, kappa)
-                assert (kappa_log2, stat, cap) == expected, (n, kappa)
-                if stat is not None and stat >= 0:
-                    assert ratio == cap, (n, kappa)
-                assert math.isfinite(ratio) and ratio <= 0.0, (n, kappa)
+                (row,) = kernel.rows([n], [kappa])["rows"]
+                assert (row["n"], row["kappa"]) == (n, kappa if kappa < 2 ** 53 else None)
+                assert (row["kappa_log2"], row["proxy_log2"], row["cap_log2"]) == expected, (n, kappa)
+                if row["proxy_log2"] is not None and row["proxy_log2"] >= 0:
+                    assert row["ratio"] == 2.0 ** row["cap_log2"], (n, kappa)
+                assert 0.0 < row["ratio"] <= 1.0, (n, kappa)
 
     def test_critical_branch_saturates_for_slow_runs(self):
         # with kappa far below 2**n the branching term dominates sigma and
@@ -872,12 +876,13 @@ class TestExactRationalsAtTheLogarithmicPoint:
             # cap forms -qn + log2 kappa, which loses about an ulp of n: 3.8e-14 at n = 3000
             if n <= 1000:
                 assert self.close(cap_component(n, kappa, E_HALF_2).value.log2, half_two_component(n, kappa)), kappa
-            ((_, _, kappa_log2, stat, cap, ratio),) = kernel.rows([n], [kappa])
-            assert (kappa_log2, stat, cap) == (math.log2(kappa), statistic(n, kappa), log2_cap(n, kappa)), kappa
+            (row,) = kernel.rows([n], [kappa])["rows"]
+            stat, cap, ratio = row["proxy_log2"], row["cap_log2"], row["ratio"]
+            assert (row["kappa_log2"], stat, cap) == (math.log2(kappa), statistic(n, kappa), log2_cap(n, kappa)), kappa
             if stat >= 0:
-                assert ratio == cap, kappa
-            if kappa >= 2 ** n:
-                assert self.close(ratio, half_two_critical_ratio(n, kappa)), kappa
+                assert ratio == 2.0 ** cap, kappa
+            if kappa >= 2 ** n:  # the row keeps 2**ratio: log2 of it is within 2e-16 of the kernel's log2 ratio
+                assert self.close(math.log2(ratio), half_two_critical_ratio(n, kappa)), kappa
 
     def test_unions_of_run_sets_match_the_rational_union_dp(self):
         # U(N, M) over explicit unions of d_cylinder_set; the DP also equals the

@@ -622,6 +622,59 @@ class TestComparabilityReport:
         assert [row["n"] for row in rows] == list(range(1, 16))
         assert rows[-1]["kappa_log2"] == 960.0 and rows[-1]["proxy_log2"] < 0
 
+    @staticmethod
+    def first_failing_n(e, spec, ns):
+        """The first n whose cap_component raises, and its text."""
+        for n in ns:
+            try:
+                cap_component(n, kappa_value(spec, n), e)
+            except DomainError as exc:
+                return n, str(exc)
+        return None, None
+
+    def test_critical_rows_past_the_double_range_raise_the_component_text(self):
+        # p = 1 + 2**-1020: q = 2**1020, so -n q overflows to -inf from n = 16 on
+        p = 1 + Fraction(1, 2 ** 1020)
+        e, spec = Exponents(1 / p, p), Geometric(1)
+        assert [row["ratio"] for row in comparability_report(e, (1, 3), spec)["rows"]] == [1.0, 1.0, 1.0]
+        n, text = self.first_failing_n(e, spec, range(1, 41))
+        assert (n, text) == (16, "exponent exceeds the double-precision log2 range")
+        comparability_report(e, (1, n - 1), spec)
+        with pytest.raises(DomainError) as exc:
+            comparability_report(e, (1, 40), spec)
+        assert str(exc.value) == text
+
+    def test_subcritical_rows_past_the_double_range_raise_the_component_text(self):
+        p = 1 + Fraction(1, 2 ** 1000)
+        e, spec = Exponents(1 / (2 * p), p), Geometric(1)
+        n, text = self.first_failing_n(e, spec, range(1, 41))
+        assert text == "exponent exceeds the double-precision log2 range" and n > 1
+        comparability_report(e, (1, n - 1), spec)
+        with pytest.raises(DomainError) as exc:
+            comparability_report(e, (1, 40), spec)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("e, spec", [
+        (E_HALF_2, Geometric(1)),
+        (Exponents("1/3", 3), Custom(((601, 5), (777, 2 ** 900), (1000, 1)), Power("3/2", 1))),
+        (Exponents("1/4", 2), Power(1, "1/2")),
+    ], ids=["geometric", "custom", "power"])
+    def test_long_windows_keep_the_bits_of_the_component_closures(self, e, spec):
+        # 400-row windows, as in the benchmark, up to n = 1000
+        kernel = dobinski._kernel(e)
+        report = comparability_report(e, (601, 1000), spec)
+        rows = report["rows"]
+        assert [row["n"] for row in rows] == list(range(601, 1001))
+        for row in rows:
+            n = row["n"]
+            kappa = kappa_value(spec, n)
+            assert row["cap_log2"].hex() == cap_component(n, kappa, e).value.log2.hex(), n
+            assert row["proxy_log2"].hex() == kernel.statistic(n, kappa).hex(), n
+            if row["proxy_log2"] >= 0:
+                assert row["ratio"].hex() == (2.0 ** row["cap_log2"]).hex(), n
+        ratios = [row["ratio"] for row in rows]
+        assert (report["ratio_min"].hex(), report["ratio_max"].hex()) == (min(ratios).hex(), max(ratios).hex())
+
     def test_matches_reference_on_random_cases(self):
         """Rows equal the per-row reference, and failures agree in type.
 

@@ -14,7 +14,7 @@ from capatree import (
     finite_tree_capacity,
     solve_capacity,
 )
-from capatree.oracle import _leaf_offsets, _leaf_potentials, _subtree_sums, _tree_solve
+from capatree.oracle import _leaf_offsets, _leaf_potentials, _subtree_sums, _tree_solve, random_problem
 from conftest import NON_BINARY_WORDS, PAIRS, dense_witness, energy_eval, node_index, potential_eval
 
 E = Exponents("1/2", 2)  # weights identically 1
@@ -318,6 +318,19 @@ class TestSolveCapacity:
                 phi = dense_witness(res)
                 assert min(potential_eval(phi, leaf) for leaf in prob.target_leaves) >= 1.0 - 1e-12
                 assert energy_eval(phi, prob) == pytest.approx(res.value, rel=1e-12)
+
+    def test_bracket_inverts_only_by_rounding(self):
+        # value can fall below lower by rounding, so the gap can be slightly negative
+        # (-13.9 eps at worst here); the bracket holds only up to rounding
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(0)  # the problems of agreement_battery(200)
+        problems = [random_problem(rng, 8) for _ in range(200)]
+        problems += [FiniteProblem(1, leaves, Exponents(a, p)) for leaves, a, p in (
+            (("0",), "1/3", "3/2"), (("0",), "1/6", 3), (("0", "1"), "1/6", 3), (("0", "1"), "1/2", 2))]
+        for tol in (1e-5, 1e-8):
+            gaps = [solve_capacity(prob, tol=tol).gap for prob in problems]
+            assert min(gaps) >= -64 * eps, (tol, min(gaps) / eps)
+            assert max(gaps) <= tol
 
 
 class TestLeafAdjustedWitness:
