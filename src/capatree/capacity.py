@@ -188,8 +188,11 @@ class _Kernel:
     a critical n stays below 2**1024.
 
     The closures do not check their arguments; the cap closures return a
-    finite log2 or raise DomainError.  Below the critical line cap's three
-    terms are 2**x, x = -q s, times 2**-qb G(kappa, -qb), G(inf, -q ap) and
+    finite log2 or raise DomainError, always below the critical line where
+    q/v is under 2**-1022, as their run exponents q w / v would lose bits.
+    ``qb`` is q times the exact 1 - ap, so it keeps its bits next to the
+    critical line.  Below the critical line cap's three terms are 2**x,
+    x = -q s, times 2**-qb G(kappa, -qb), G(inf, -q ap) and
     2**-x G(n, -q ap); as (p-1)q = 1 the ratio is the sum of those cofactors
     to the power -(p-1), so x cancels exactly.  On the critical branch the
     cofactors are 1, G(inf, -q)/kappa and 2**(qn) G(n, -q)/kappa, with
@@ -204,7 +207,7 @@ class _Kernel:
         v, ap_num = e.ap.denominator, e.ap.numerator
         vb = v - ap_num  # v * b
         P, Q = (e.p - 1).numerator, (e.p - 1).denominator
-        q_v, qb, qs, t_n = q / v, q * (1.0 - e.ap_f), q * log2_lambda, -q * e.ap_f  # qs = log2 lambda**q
+        q_v, qb, qs, t_n = q / v, q * float(1 - e.ap), q * log2_lambda, -q * e.ap_f  # qs = log2 lambda**q; b exact
         self.run_sum = run_sum = _geometric(-qb)  # G(kappa, -qb)
         self.branch_sum = branch_sum = _geometric(t_n)  # G(n, -q ap)
         full = branch_sum(math.inf)  # raises where q ap underflows to 0
@@ -304,6 +307,10 @@ class _Kernel:
                 tables[leaf] = tuple(zip((None, None), *(
                     _walk(((3, r, 3, leaf) for r in range(8) if mask >> r & 1), self) for mask in range(1, 256))))
             return tables[leaf]
+        if vb and q_v < 2.0 ** -1022:  # subnormal: the run exponents q w / v would lose bits, or all read 0
+            def log2_cap(*_) -> float:
+                raise DomainError("run rate q/v (v the denominator of ap) is below the normal double range")
+            subcritical = log2_cap
         self.lift, self.branch, self.log2_cap, self.statistic, self.blocks = lift, branch, log2_cap, statistic, blocks
         self.rows = subcritical if vb else critical
 
@@ -465,7 +472,7 @@ def sigma_closed_form(n: int, kappa: int, e: Exponents) -> LogValue:
     """
     _check_run_set(n, kappa)
     kernel, q = _kernel(e), e.q_f
-    run = LogValue.from_log2(_times(n + kappa - 1, q * (1.0 - e.ap_f)) + kernel.run_sum(kappa))
+    run = LogValue.from_log2(_times(n + kappa - 1, q * float(1 - e.ap)) + kernel.run_sum(kappa))
     if n == 0:
         return run
     return LogValue.from_log2(_times(n, q) + kernel.branch_sum(n)) + run

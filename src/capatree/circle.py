@@ -14,7 +14,6 @@ special handling.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, DyadicTangentPole
@@ -33,14 +32,11 @@ class DigitStream(Record):
     (preamble and one cycle), as its time and memory grow with them.
     """
 
-    _fields = ("preamble", "cycle", "dyadic", "value")
+    _fields = ("preamble", "cycle")
 
-    def __init__(self, preamble: tuple[int, ...], cycle: tuple[int, ...], dyadic: bool,
-                 value: Fraction | None = None):
+    def __init__(self, preamble: tuple[int, ...], cycle: tuple[int, ...]):
         _set(self, "preamble", preamble)
         _set(self, "cycle", cycle)
-        _set(self, "dyadic", dyadic)
-        _set(self, "value", value)
 
     @classmethod
     def from_rational(cls, x: RationalLike) -> "DigitStream":
@@ -59,8 +55,13 @@ class DigitStream(Record):
             digits.append(rem // den)
             rem %= den
         if rem == 0:  # only a dyadic rational's division terminates
-            return cls(tuple(digits), (0,), True, x)
-        return cls(tuple(digits[:start]), tuple(digits[start:]), False, x)
+            return cls(tuple(digits), (0,))
+        return cls(tuple(digits[:start]), tuple(digits[start:]))
+
+    @property
+    def dyadic(self) -> bool:
+        """True for a dyadic rational: only its long division ends, leaving the cycle (0,)."""
+        return self.cycle == (0,)
 
     def digit(self, n: int) -> int:
         """The n-th binary digit (1-indexed)."""

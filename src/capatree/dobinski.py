@@ -286,12 +286,9 @@ _KAPPA_BITS = 2 ** 20  # the largest log2 kappa_n that a row of ratios or bounds
 def _log2_bound(kappa: _Kappa):
     """n -> B(n) = log2 C + beta log2 n + gamma n, log2 of the rule's kappa_n before its ceiling.
 
-    Each term is read from the numerators and denominators, with the bits of
-    LogValue.from_fraction and float() but without their Fraction checks.
+    log2 C is read as ``_remainder`` reads it, through LogValue.from_fraction.
     """
-    C, beta, gamma = kappa.C, kappa.beta, kappa.gamma
-    log2_c = math.log2(C.numerator) - math.log2(C.denominator)
-    beta, gamma = beta.numerator / beta.denominator, gamma.numerator / gamma.denominator
+    log2_c, beta, gamma = LogValue.from_fraction(kappa.C).log2, float(kappa.beta), float(kappa.gamma)
     return lambda n: log2_c + beta * math.log2(n) + gamma * n
 
 

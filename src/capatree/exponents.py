@@ -183,14 +183,6 @@ class LogValue(Record):
         return cls(log2, False)
 
     @classmethod
-    def from_float(cls, value: float) -> "LogValue":
-        if value < 0:
-            raise DomainError(f"LogValue requires a nonnegative value, got {value}")
-        if value == 0:
-            return cls.zero()
-        return cls.from_log2(math.log2(value))
-
-    @classmethod
     def from_fraction(cls, value: Fraction) -> "LogValue":
         if value < 0:
             raise DomainError(f"LogValue requires a nonnegative value, got {value}")

@@ -347,7 +347,7 @@ def emulated_infinite_problem(cyl, e: Exponents) -> FiniteProblem:
     pi(leaf) * c (the full shifted subtree below it) makes the truncated
     program agree exactly with the infinite one.
     """
-    if cyl.is_empty():
+    if not cyl.generators:
         raise DomainError("cannot emulate the empty set as a finite problem")
     n = max(1, *map(len, cyl.generators))
     if n > MAX_DEPTH:

@@ -14,8 +14,6 @@ from typing import Iterable, Sequence
 from .errors import DomainError
 from .exponents import Record, _set
 
-ROOT = ""
-
 
 def validate_word(word: str) -> str:
     if not isinstance(word, str) or word.strip("01"):
@@ -96,40 +94,9 @@ class CylinderSet(Record):
         _set(out, "generators", tuple(kept))
         return out
 
-    @classmethod
-    def empty(cls) -> "CylinderSet":
-        return cls(())
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def is_empty(self) -> bool:
-        return not self.generators
-
-    def covers(self, word: str) -> bool:
-        """True when the cylinder at ``word`` lies inside the represented set."""
-        return any(word.startswith(g) for g in self.generators)
-
-    def contains_set(self, other: "CylinderSet") -> bool:
-        return all(self.covers(g) for g in other.generators)
-
-    def union(self, other: "CylinderSet") -> "CylinderSet":
-        return CylinderSet.from_words(self.generators + other.generators)
-
     def bit_flip(self) -> "CylinderSet":
         table = str.maketrans("01", "10")
         return CylinderSet.from_words(g.translate(table) for g in self.generators)
-
-    def spanning_nodes(self) -> set[str]:
-        """All prefixes of all generators (the finite tree the recursion walks)."""
-        nodes: set[str] = {ROOT}
-        for g in self.generators:
-            for i in range(1, len(g) + 1):
-                nodes.add(g[:i])
-        return nodes
 
 
 def _check_run_set(n: int, kappa: int) -> None:

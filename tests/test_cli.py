@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,19 @@ class TestExitCodes:
         assert cli.main(command + pair) == 2
         err = capsys.readouterr().err
         assert err.startswith("capatree: error:") and "double range" in err
+
+    @pytest.mark.parametrize("command", [["cap-component", "--n", "1", "--kappa", str(2**1010)],
+                                         ["ratios", "--family", "geometric", "--m", "1", "--n-to", "3"],
+                                         ["bounds", "--family", "geometric", "--m", "1", "--n-max", "3"]],
+                             ids=lambda argv: argv[0])
+    def test_run_rate_below_the_double_range_is_an_error(self, capsys, command):
+        p = 1 + 2**1000
+        pair = ["--a", str(Fraction(2**80 - 1, 2**81) / p), "--p", str(p)]
+        assert cli.main(command + pair) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capatree: error: run rate q/v")
+        status, doc = run_json(capsys, ["classify", "--family", "geometric", "--m", "1"] + pair)
+        assert status == 0 and doc["result"]["outcome"] == "Zero"
 
     def test_run_lengths_of_a_cycle_past_the_digit_budget(self, capsys):
         assert cli.main(["run-lengths", "--x", "1/200003", "--N", "10"]) == 2

@@ -622,6 +622,21 @@ class TestComparabilityReport:
         assert [row["n"] for row in rows] == list(range(1, 16))
         assert rows[-1]["kappa_log2"] == 960.0 and rows[-1]["proxy_log2"] < 0
 
+    def test_run_sets_fail_fast_where_the_run_rate_underflows(self):
+        # q / v = 2**-1000 / 2**81 underflows to 0, so every run exponent q w / v
+        # would read 0 and cap(D(1, kappa)) would not depend on kappa
+        p = 1 + Fraction(2) ** 1000
+        e, rate = Exponents(Fraction(2**80 - 1, 2**81) / p, p), "^run rate q/v .* below the normal double range$"
+        for kappa in (2**1010, 2**1020):
+            with pytest.raises(DomainError, match=rate):
+                cap_component(1, kappa, e)
+        with pytest.raises(DomainError, match=rate):
+            comparability_report(e, (1, 3), Geometric(1))
+        with pytest.raises(DomainError, match=rate):
+            capacity_bounds(Geometric(1), e, 3)
+        verdict = classify(Geometric(1), e)  # an exact integer quotient, no run exponent
+        assert (verdict.outcome, verdict.condition) == (Outcome.ZERO, "(b)")
+
     @staticmethod
     def first_failing_n(e, spec, ns):
         """The first n whose cap_component raises, and its text."""

@@ -3,7 +3,7 @@
 The file holds ``float.hex`` of each comparability-row field, of both
 ``capacity_bounds`` values, of the ``classify`` trace rows and of
 ``cap_component`` and ``sigma_closed_form``, or the text of the DomainError
-a call raised, for 7 families at 25 exponent pairs.  A change that is meant
+a call raised, for 7 families at 28 exponent pairs.  A change that is meant
 to keep every number must leave it as it is; regenerate it only for a change
 that is meant to move numbers:
 
@@ -41,12 +41,13 @@ FAMILIES = [
     Growth(1, 0, 65),
     Custom([(1, 9), (2, 4), (16, 2 ** 70)], Growth(1, "1/3", "3/4")),
 ]
-# five values of p, each at ap = 1 (critical) and four subcritical ap
+# five values of p, each at ap = 1 (critical) and four subcritical ap, then
+# three pairs at 1 - ap = 10**-20, where 1 - ap as a float difference would be 0
 PAIRS = [
     Exponents(ap / p, p)
     for p in (Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(4))
     for ap in (Fraction(1), Fraction(7, 8), Fraction(1, 2), Fraction(1, 3), Fraction(1, 10))
-]
+] + [Exponents((1 - Fraction(1, 10**20)) / p, p) for p in (Fraction(3, 2), Fraction(2), Fraction(3))]
 STARTS = (1, 40, 333, 2500, 9981)  # first n of a window, cycled over the cases
 WINDOW = 5  # rows per comparability window
 N_MAX = (1, 7, 60)  # capacity_bounds' n_max, one per family modulo 3

@@ -69,11 +69,11 @@ RECORDS = {
         "DimensionBracket(lower=Fraction(0, 1), upper=Fraction(1, 2), points=())",
     ),
     DigitStream: (
-        {"preamble": (), "cycle": (0, 1), "dyadic": False, "value": Fraction(1, 3)},
-        {"preamble": (1,), "cycle": (0,), "dyadic": True, "value": Fraction(1, 2)},
+        {"preamble": (), "cycle": (0, 1)},
+        {"preamble": (1,), "cycle": (0,)},
         None,
         True,
-        "DigitStream(preamble=(), cycle=(0, 1), dyadic=False, value=Fraction(1, 3))",
+        "DigitStream(preamble=(), cycle=(0, 1))",
     ),
     RunLength: (
         {"n": 3, "value": 2, "infinite": False},
@@ -174,7 +174,6 @@ def test_exponents_cached_floats_stay_out_of_equality_and_hash():
 def test_defaults_match_the_keyword_forms():
     assert LogValue() == LogValue(0.0, False)
     assert RunLength(1, 2) == RunLength(1, 2, infinite=False)
-    assert DigitStream((1,), (0,), True) == DigitStream((1,), (0,), True, value=None)
     assert FiniteProblem(1, ("0",), E) == FiniteProblem(1, ("0",), E, weights=None)
 
 

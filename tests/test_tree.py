@@ -46,7 +46,7 @@ class TestCylinderSet:
             assert not h.startswith(g)
         # same boundary set: every input word is covered, every generator was input-covered
         for w in words:
-            assert cyl.covers(w)
+            assert any(w.startswith(g) for g in gens)
         for g in gens:
             assert g in words
 
@@ -102,9 +102,6 @@ class TestCylinderSet:
     def test_bit_flip(self):
         assert CylinderSet.from_words({"01", "1"}).bit_flip().generators == ("0", "10")
 
-    def test_spanning_nodes(self):
-        assert CylinderSet.from_words({"01"}).spanning_nodes() == {"", "0", "01"}
-
 
 class TestRunSetGenerators:
     def test_single_cylinder(self):
@@ -124,8 +121,8 @@ class TestRunSetGenerators:
 
     def test_size_guard_edges(self):
         # the largest sets the guard admits, and the smallest n it refuses for every kappa
-        assert len(d_cylinder_set(11, 5)) == 2 ** 11
-        assert len(d_cylinder_set(0, 2 ** 15)) == 1
+        assert len(d_cylinder_set(11, 5).generators) == 2 ** 11
+        assert len(d_cylinder_set(0, 2 ** 15).generators) == 1
         for n, kappa in ((11, 6), (12, 1), (15, 1), (0, 2 ** 15 + 1)):
             with pytest.raises(DomainError, match="too large"):
                 d_cylinder_set(n, kappa)
