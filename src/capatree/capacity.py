@@ -48,10 +48,8 @@ from itertools import chain, compress, count, repeat
 from typing import Iterable, Sequence
 
 from .errors import ConvergenceError, DomainError
-from .exponents import Exponents, LogValue, Record, _set, rel_error
+from .exponents import _LN2, Exponents, LogValue, Record, _set, rel_error
 from .tree import CylinderSet, _check_run_set, _leaves
-
-_LN2 = math.log(2.0)
 
 
 class Method(enum.Enum):
@@ -183,9 +181,9 @@ class _Kernel:
     two iterables from one plain loop per branch, which builds each row dict
     and tracks the least and largest ratio cap 2**-min(0, s).  Both geometric
     sums (``_geometric_terms``) and the log-sums are inlined with the
-    closures' bits; a subcritical row they cannot take (n = 0, qb = 0, an int
-    past the double range) replays the closures and raises their errors, and
-    a critical n stays below 2**1024.
+    closures' bits; n = 0 gives no branch terms, a subcritical int past the
+    double range raises the closures' DomainError, and a critical n stays
+    below 2**1024.
 
     The closures do not check their arguments; the cap closures return a
     finite log2 or raise DomainError, always below the critical line where
@@ -257,11 +255,12 @@ class _Kernel:
             rows, low, high = [], inf, -inf
             for n, kappa in zip(ns, kappas):
                 w = vb * kappa - ap_num * n  # v (b kappa - ap n) = -v s; the run term's exponent is q (w - vb) / v
-                try:  # the sums inlined; an int past the double range, n = 0 or qb = 0 raise and take the closures
+                try:  # the sums inlined; an int past the double range raises
                     x, rs = w * q_v, -den_b if kappa > cut_b else log2(-expm1(kappa * -qb * _LN2)) - den_b
-                    t2, y = -den_n if n > cut_n else log2(-expm1(n * t_n * _LN2)) - den_n, (w - vb) * q_v
-                except (OverflowError, ValueError):
-                    x, rs, t2, y = _times(w, q_v), run_sum(kappa), branch_sum(n) if n else no_terms, _times(w - vb, q_v)
+                    t2 = (-den_n if n > cut_n else log2(-expm1(n * t_n * _LN2)) - den_n) if n else no_terms
+                    y = (w - vb) * q_v
+                except OverflowError:
+                    raise DomainError(_EXPONENT_RANGE) from None
                 t0, t1 = y + rs, x + full
                 h = t0 if t0 > t1 and t0 > t2 else t1 if t1 > t2 else t2  # max(t0, t1, t2), without a call
                 cap = -pm1 * (h + log2(2.0 ** (t0 - h) + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))

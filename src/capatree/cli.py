@@ -93,11 +93,7 @@ def _cmd_bounds(args):
         "upper": None if upper is None else _report_json(upper),
         "upper_is_finite": upper is not None,
     }
-    rows = [
-        {"bound": "lower"} | _report_json(lower),
-        {"bound": "upper"} | ({} if upper is None else _report_json(upper)),
-    ]
-    return result, rows, 0
+    return result, [{"bound": "lower"} | result["lower"], {"bound": "upper"} | (result["upper"] or {})], 0
 
 
 def _cmd_ratios(args):

@@ -33,9 +33,7 @@ from .capacity import (
     _kernel,
 )
 from .errors import DomainError
-from .exponents import Exponents, LogValue, RationalLike, Record, _set, as_fraction
-
-_LN2 = math.log(2.0)
+from .exponents import _LN2, Exponents, LogValue, RationalLike, Record, _set, as_fraction
 
 
 # ----------------------------------------------------------------------
@@ -146,15 +144,6 @@ SequenceSpec = Union[Growth, Custom]
 _FAMILIES = {cls._family: cls for cls in (Geometric, Power, Linear, Growth, Custom)}
 
 
-def _coefficients(spec: SequenceSpec) -> tuple[Fraction, Fraction, Fraction]:
-    """(C, beta, gamma) of a family's rule; a Custom family gives its tail rule's."""
-    while isinstance(spec, Custom):
-        spec = spec.tail_rule
-    if not isinstance(spec, Growth):
-        raise DomainError(f"unknown sequence family: {spec!r}")
-    return spec.C, spec.beta, spec.gamma
-
-
 def _iroot_floor(x: int, k: int) -> int:
     """floor(x ** (1/k)) for nonnegative integers: ``math.isqrt`` for k = 2, else integer Newton.
 
@@ -181,28 +170,32 @@ def _iroot_floor(x: int, k: int) -> int:
 class _Kappa:
     """kappa_n of one family, normalized once so each lookup is integer arithmetic.
 
-    ``lookup`` takes table entries first (an outer Custom's before its tail
-    rule's), and ``rule``, ceil(C * n**beta * 2**(gamma*n)), for every other n;
-    a family with no table has ``rule`` itself as its lookup.  ``values(ns)``
-    iterates the lookups over ns, forming each kappa_n only when it is reached:
-    for a rule with integer beta and gamma and no table, one generator over
-    the exact integer expression of ``rule``, else ``lookup`` mapped.  All
-    close over the family's integers, so a lookup reads no attributes.  None
-    checks n: every caller passes ints n >= 1, and ``kappa_value`` checks
-    outside input.
+    The one reader of a spec: C, beta, gamma and ``log2_C`` of the Growth rule
+    ending a Custom chain, and ``log2_bound``, n -> B(n) = log2 C + beta log2 n
+    + gamma n, log2 of kappa_n before the ceiling (any n where gamma = 0).
+    ``lookup`` takes table entries first (an outer Custom's first), else
+    ``rule``, ceil(C * n**beta * 2**(gamma*n)), itself the lookup with no
+    table.  ``values(ns)`` forms each kappa_n as it is reached: ``rule``'s
+    integer expression in one generator for integer beta and gamma and no
+    table, else ``lookup`` mapped.  Lookups close over the family's integers,
+    reading no attributes, and trust n: ``kappa_value`` checks outside input.
     """
 
-    __slots__ = ("table", "C", "beta", "gamma", "rule", "lookup", "values")
+    __slots__ = ("table", "C", "beta", "gamma", "log2_C", "log2_bound", "rule", "lookup", "values")
 
     def __init__(self, spec: SequenceSpec):
         table: dict[int, int] = {}
         while isinstance(spec, Custom):
             table = dict(spec.table) | table
             spec = spec.tail_rule
+        if not isinstance(spec, Growth):
+            raise DomainError(f"unknown sequence family: {spec!r}")
         self.table, get = table, table.get
-        self.C, self.beta, self.gamma = C, beta, gamma = _coefficients(spec)
+        self.C, self.beta, self.gamma = C, beta, gamma = spec.C, spec.beta, spec.gamma
         (num, den), (bn, bd), (gn, gd) = C.as_integer_ratio(), beta.as_integer_ratio(), gamma.as_integer_ratio()
         pa, pb, ga, gb = max(bn, 0), max(-bn, 0), max(gn, 0), max(-gn, 0)  # n's and 2's powers above and below
+        log2_c, beta_f, gamma_f = math.log2(num) - math.log2(den), float(beta), float(gamma)  # any size of num, den
+        self.log2_C, self.log2_bound = log2_c, lambda n: log2_c + beta_f * math.log2(n) + (gamma_f * n if gn else 0.0)
 
         def rule(n: int) -> int:
             """ceil(C * n**beta * 2**(gamma*n)) as an exact integer, at least 1 as C > 0."""
@@ -240,13 +233,17 @@ def kappa_value(spec: SequenceSpec, n: int) -> int:
     """Exact kappa_n as an integer (arbitrary precision; never truncated).
 
     The one entry point that takes n from outside, so the one that checks it:
-    n must be an int >= 1.  ``_Kappa``'s lookups trust their callers' ranges.
+    n must be an int >= 1, and a rule's kappa_n is refused, before it is
+    formed, past 2**(2**20).  ``_Kappa``'s lookups trust their callers' ranges.
     """
     if type(n) is not int:
         raise DomainError(f"n must be an int, got {n!r}")
     if n < 1:
         raise DomainError(f"sequences are indexed from n = 1, got n={n}")
-    return _Kappa(spec).lookup(n)
+    kappa = _Kappa(spec)
+    if n not in kappa.table:
+        _check_kappa_bits(kappa, n, n)
+    return kappa.lookup(n)
 
 
 # ----------------------------------------------------------------------
@@ -280,16 +277,7 @@ class Verdict(Record):
 
 
 _TRACE_ROWS = range(1, 17)  # the n of the evidence trace's 16 rows
-_KAPPA_BITS = 2 ** 20  # the largest log2 kappa_n that a row of ratios or bounds forms
-
-
-def _log2_bound(kappa: _Kappa):
-    """n -> B(n) = log2 C + beta log2 n + gamma n, log2 of the rule's kappa_n before its ceiling.
-
-    log2 C is read as ``_remainder`` reads it, through LogValue.from_fraction.
-    """
-    log2_c, beta, gamma = LogValue.from_fraction(kappa.C).log2, float(kappa.beta), float(kappa.gamma)
-    return lambda n: log2_c + beta * math.log2(n) + gamma * n
+_KAPPA_BITS = 2 ** 20  # the largest log2 kappa_n that the package forms from a rule
 
 
 def _check_kappa_bits(kappa: _Kappa, lo: int, hi: int) -> None:
@@ -299,13 +287,13 @@ def _check_kappa_bits(kappa: _Kappa, lo: int, hi: int) -> None:
     the range is at an end or, for beta > 0 > gamma, next to its one stationary
     point -beta / (gamma ln 2).  One check per call, whatever the range's length.
     """
-    log2_bound, ns = _log2_bound(kappa), [lo, hi]
+    ns = [lo, hi]
     if kappa.beta.numerator > 0 > kappa.gamma.numerator and lo < (x := float(-kappa.beta / kappa.gamma) / _LN2) < hi:
         ns += [math.floor(x), math.ceil(x)]
-    worst = max(map(log2_bound, ns))
+    worst = max(map(kappa.log2_bound, ns))
     if worst > _KAPPA_BITS:
-        raise DomainError(f"kappa_n reaches 2**{worst:.6g} for n in {lo}..{hi}, and ratios and bounds form "
-                          "kappa_n only up to 2**(2**20); shorten the range")
+        raise DomainError(f"kappa_n reaches 2**{worst:.6g} for n in {lo}..{hi}, and capatree forms a rule's "
+                          "kappa_n only up to 2**(2**20)")
 
 
 def _trace(kappa: _Kappa, e: Exponents) -> list[dict]:
@@ -321,7 +309,7 @@ def _trace(kappa: _Kappa, e: Exponents) -> list[dict]:
     log2 x >= 1088, log2 kappa_n is within 2**-1087 of log2 x, so this differs
     from n - (p-1) log2 kappa_n only by the rounding of B, a few ulps.
     """
-    statistic, log2_bound = _kernel(e).statistic, _log2_bound(kappa)
+    statistic, log2_bound = _kernel(e).statistic, kappa.log2_bound
     limit = math.log2(e.ap.denominator) + 1024 + 64
 
     def row(n: int) -> float | None:
@@ -332,8 +320,9 @@ def _trace(kappa: _Kappa, e: Exponents) -> list[dict]:
     return [{"n": n, "log2_stat" if e.is_critical else "exponent": row(n)} for n in _TRACE_ROWS]
 
 
-def _decide(C: Fraction, beta: Fraction, gamma: Fraction, e: Exponents) -> tuple[Outcome, str | None, dict]:
-    """(outcome, condition, symbolic facts) for kappa_n = ceil(C n**beta 2**(gamma n)) at ``e``."""
+def _decide(family: _Kappa | Growth, e: Exponents) -> tuple[Outcome, str | None, dict]:
+    """(outcome, condition, symbolic facts) at ``e`` for the rule ceil(C n**beta 2**(gamma n)) of ``family``."""
+    C, beta, gamma = family.C, family.beta, family.gamma
     if e.is_critical:
         p = e.p
         slope = 1 - (p - 1) * gamma  # per-n log2 growth of the condition statistic
@@ -386,7 +375,7 @@ def classify(spec: SequenceSpec, e: Exponents) -> Verdict:
     }
     if isinstance(spec, Custom):
         evidence["note"] = "table entries are a finite prefix and cannot affect the verdict"
-    outcome, condition, facts = _decide(kappa.C, kappa.beta, kappa.gamma, e)
+    outcome, condition, facts = _decide(kappa, e)
     return Verdict(outcome, condition, evidence | facts)
 
 
@@ -398,7 +387,7 @@ def dobinski_full(e: Exponents) -> Verdict:
     union, and countable subadditivity passes zero capacity to it.
     """
     # a geometric family's outcome and condition do not depend on m
-    ((outcome, condition),) = {_decide(*_coefficients(Geometric(m)), e)[:2] for m in (1, 2, 3)}
+    ((outcome, condition),) = {_decide(Geometric(m), e)[:2] for m in (1, 2, 3)}
     evidence = {
         "construction": "union over m >= 1 of run sets with kappa_n = ceil(2**n/m), "
         "for runs of zeros and (by bit-flip symmetry) runs of ones",
@@ -433,7 +422,7 @@ def _remainder(kappa: _Kappa, e: Exponents):
     C, beta, gamma = kappa.C, kappa.beta, kappa.gamma
     if e.is_critical:
         # majorant m_n = C**-(p-1) n**-sigma 2**(s n)
-        lead = -e.pm1_f * LogValue.from_fraction(C).log2
+        lead = -e.pm1_f * kappa.log2_C
         sigma, s = float(beta * (e.p - 1)), 1 - (e.p - 1) * gamma
         if s == 0:  # sigma > 1: sum_{n >= N} n**-sigma <= N**-sigma + N**(1-sigma)/(sigma-1)
             def remainder(N: int) -> float:
@@ -541,7 +530,7 @@ def capacity_bounds(
     _check_kappa_bits(kappa, 1, n_max)
     best = LogValue.from_log2(max(map(_kernel(e).log2_cap, ns, kappa.values(ns))))
     lower = CapacityReport(best, Method.CLOSED_FORM, BoundKind.LOWER)
-    if _decide(kappa.C, kappa.beta, kappa.gamma, e)[0] is not Outcome.ZERO:
+    if _decide(kappa, e)[0] is not Outcome.ZERO:
         return lower, None
     tail = _tail_upper(kappa, e, n_max)
     upper = None if tail is None else CapacityReport(tail, Method.CLOSED_FORM, BoundKind.UPPER)
@@ -603,12 +592,12 @@ def dimension_profile(
     default to 0 for an all-Zero grid (dimension is nonnegative); an empty
     grid is rejected, since it gives no evidence for any bracket.
     """
-    coefficients = _coefficients(spec)
+    family = _Kappa(spec)
     lower = upper = Fraction(0)
     points = []
     for a_like, p_like in grid:
         e = Exponents(a_like, p_like)
-        outcome, condition, _ = _decide(*coefficients, e)
+        outcome, condition, _ = _decide(family, e)
         co_dim = 1 - e.ap
         if outcome is Outcome.POSITIVE:
             lower = max(lower, co_dim)

@@ -30,6 +30,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction spends seconds on 10**exponent past Python's int digit cap, 4300: refuse that first
+        digits = value.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        if digits.isdecimal() and (len(digits) > 4 or int(digits) > 4300):
+            raise DomainError(f"decimal exponent past 4300 in magnitude in the rational literal {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -181,15 +185,6 @@ class LogValue(Record):
         if not math.isfinite(log2):
             raise DomainError(f"LogValue requires a finite log2, got {log2}")
         return cls(log2, False)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "LogValue":
-        if value < 0:
-            raise DomainError(f"LogValue requires a nonnegative value, got {value}")
-        if value == 0:
-            return cls.zero()
-        # log2(num) - log2(den); exact for arbitrarily large integers.
-        return cls(math.log2(value.numerator) - math.log2(value.denominator), False)
 
     # -- conversions ---------------------------------------------------
     def to_float(self) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -457,6 +458,18 @@ class TestExitCodes:
         ends = {"ratios": ["--n-from", "16", "--n-to", "16"], "bounds": ["--n-max", "16"]}[command[0]]
         proc = cli_process([command[0], *flags, "--gamma", "65536", *ends], timeout=20)
         assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_huge_decimal_exponent_fails_fast(self, capsys):
+        # Fraction("1e3000000") would take seconds, and str(C) of the evidence would then fail
+        argv = ["classify", "--a", "1/2", "--p", "2", "--family", "power", "--C", "1e3000000", "--beta", "1"]
+        message = ("capatree: error: field 'C' of the power sequence spec: decimal exponent past 4300 in magnitude "
+                   "in the rational literal '1e3000000'\n")
+        start = time.perf_counter()
+        assert cli.main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", message)
+        proc = cli_process(argv, timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import mpmath
@@ -85,6 +86,19 @@ class TestKappaValue:
         # kappa_value is the one entry point that takes n from outside
         with pytest.raises(DomainError, match=f"got n={n}$"):
             kappa_value(spec, n)
+
+    def test_refuses_kappa_past_a_million_bits_before_forming_it(self):
+        spec = Growth(1, 0, 2 ** 16)  # log2 kappa_n = 2**16 n, exactly 2**20 at n = 16
+        assert kappa_value(spec, 16) == 2 ** 2 ** 20
+        start = time.perf_counter()
+        for n in (17, 10 ** 6):  # kappa_(10**6) would have 65536 * 10**6 bits
+            with pytest.raises(DomainError, match=rf"^kappa_n reaches 2\*\*.* for n in {n}\.\.{n}, "):
+                kappa_value(spec, n)
+        assert time.perf_counter() - start < 1.0
+        # a table entry is returned as given, past the rule's limit too
+        assert kappa_value(Custom([(10 ** 6, 3)], spec), 10 ** 6) == 3
+        # with gamma = 0 an n past the double range is no obstacle
+        assert kappa_value(Linear(1), 2 ** 1100) == 2 ** 1100
 
     def test_always_at_least_one(self):
         spec = Power(Fraction(1, 1000), Fraction(1))
@@ -340,8 +354,9 @@ class TestClassify:
 
     @pytest.mark.parametrize("e", [E_HALF_2, E_THIRD_3], ids=str)
     @pytest.mark.parametrize(
-        "spec", [Growth(1, 0, 69), Growth(1, 0, 65536), Growth(1, "1/2", "65535/2"), Growth(1, "65535/256", 257)],
-        ids=repr,
+        "spec", [Growth(1, 0, 69), Growth(1, 0, 65536), Growth(1, "1/2", "65535/2"), Growth(1, "65535/256", 257),
+                 Growth(Fraction(2 ** 4000, 3), 0, 0)],
+        ids=lambda spec: repr(spec)[:80],
     )
     def test_critical_rows_past_the_limit_are_read_from_the_bound(self, spec, e):
         # a critical row with B = log2 C + beta log2 n + gamma n > 1088 reads n - (p-1) B, kappa_n unformed
@@ -350,7 +365,7 @@ class TestClassify:
         kappa.lookup = lambda n: formed.append(n) or lookup(n)
         rows = dobinski._trace(kappa, e)
         statistic = dobinski._kernel(e).statistic
-        log2_c = dobinski.LogValue.from_fraction(kappa.C).log2
+        log2_c = math.log2(kappa.C.numerator) - math.log2(kappa.C.denominator)  # exact for integers of any size
         bounds = {n: log2_c + float(kappa.beta) * math.log2(n) + float(kappa.gamma) * n for n in range(1, 17)}
         expected = [n - e.pm1_f * bounds[n] if bounds[n] > 1088 else statistic(n, lookup(n)) for n in range(1, 17)]
         assert formed == [n for n in range(1, 17) if bounds[n] <= 1088]
