@@ -48,7 +48,7 @@ from itertools import chain, compress, count, repeat
 from typing import Iterable, Sequence
 
 from .errors import ConvergenceError, DomainError
-from .exponents import _LN2, Exponents, LogValue, Record, _set, rel_error
+from .exponents import _LN2, Exponents, LogValue, Record, _set
 from .tree import CylinderSet, _check_run_set, _leaves
 
 
@@ -118,9 +118,8 @@ def _geometric(t: float):
     k-independent (den, cut) come from ``_geometric_terms``, as in the
     comparability rows: past cut = 1100/-t the term 2**(k t) underflows, so
     the sum is its k = inf limit, -den, and k is never converted to a float;
-    below a finite cut |k t| <= 1100, so k t is formed directly.  Only a t so
-    small that cut overflows to inf keeps ``_times``' guard, and a k too
-    large for a float raises DomainError.
+    below the cut |k t| <= 1100, so k t is formed directly.  ``Exponents``
+    admits only pairs whose kernel sums have a finite cut.
     """
     log2, expm1 = math.log2, math.expm1
     if t == 0:
@@ -130,12 +129,6 @@ def _geometric(t: float):
             return log2(k)  # exact for an int of any size
         return log2_sum
     den, cut = _geometric_terms(t)
-    if cut == math.inf:
-        def log2_sum(k: int | float) -> float:
-            if k == math.inf:
-                return -den
-            return log2(-expm1(_times(k, t) * _LN2)) - den
-        return log2_sum
 
     def log2_sum(k: int | float) -> float:
         if k > cut:  # inf too
@@ -186,16 +179,16 @@ class _Kernel:
     below 2**1024.
 
     The closures do not check their arguments; the cap closures return a
-    finite log2 or raise DomainError, always below the critical line where
-    q/v is under 2**-1022, as their run exponents q w / v would lose bits.
-    ``qb`` is q times the exact 1 - ap, so it keeps its bits next to the
-    critical line.  Below the critical line cap's three terms are 2**x,
-    x = -q s, times 2**-qb G(kappa, -qb), G(inf, -q ap) and
-    2**-x G(n, -q ap); as (p-1)q = 1 the ratio is the sum of those cofactors
-    to the power -(p-1), so x cancels exactly.  On the critical branch the
-    cofactors are 1, G(inf, -q)/kappa and 2**(qn) G(n, -q)/kappa, with
-    x = log2 kappa - qn formed as (E P - n Q)/P + log2(kappa / 2**E), E the
-    bit length of kappa and p-1 = P/Q, so no terms of size n cancel in floats.
+    finite log2 or raise DomainError, and ``Exponents`` admits only pairs
+    whose constants here are finite.  ``qb`` is q times the exact 1 - ap, so
+    it keeps its bits next to the critical line.  Below the critical line
+    cap's three terms are 2**x, x = -q s, times 2**-qb G(kappa, -qb),
+    G(inf, -q ap) and 2**-x G(n, -q ap); as (p-1)q = 1 the ratio is the sum
+    of those cofactors to the power -(p-1), so x cancels exactly.  On the
+    critical branch the cofactors are 1, G(inf, -q)/kappa and
+    2**(qn) G(n, -q)/kappa, with x = log2 kappa - qn formed as
+    (E P - n Q)/P + log2(kappa / 2**E), E the bit length of kappa and
+    p-1 = P/Q, so no terms of size n cancel in floats.
     """
 
     __slots__ = ("c", "branch_sum", "run_sum", "lift", "branch", "blocks", "log2_cap", "statistic", "rows")
@@ -208,14 +201,14 @@ class _Kernel:
         q_v, qb, qs, t_n = q / v, q * float(1 - e.ap), q * log2_lambda, -q * e.ap_f  # qs = log2 lambda**q; b exact
         self.run_sum = run_sum = _geometric(-qb)  # G(kappa, -qb)
         self.branch_sum = branch_sum = _geometric(t_n)  # G(n, -q ap)
-        full = branch_sum(math.inf)  # raises where q ap underflows to 0
+        full = branch_sum(math.inf)
         (den_n, cut_n), (den_b, cut_b) = _geometric_terms(t_n), _geometric_terms(-qb) if qb else (0.0, math.inf)
         index_sum, log2_index = _geometric(qs), {}  # k -> log2 S_k = qs + log2 G(k, qs), filled on first use
         log2, expm1, isfinite, inf, no_terms = math.log2, math.expm1, math.isfinite, math.inf, -math.inf
 
         value = LogValue.from_log2(-pm1 * full)  # c = G(inf, -apq)**-(p-1); one application of the map checks it
         image = phi_apply(LogValue.one(), LogValue.from_log2(value.log2 + e.ap_f), e)
-        if rel_error(image, value) > 1e-10:
+        if abs(image.log2 - value.log2) > 1e-10 / _LN2 + 4 * math.ulp(value.log2):  # 1e-10 relative plus 4 ulps
             raise ConvergenceError(f"closed form is not a fixed point for {e}: {value!r} maps to {image!r}")
         self.c = CapacityReport(value, Method.FIXED_POINT, BoundKind.EXACT)
 
@@ -306,10 +299,6 @@ class _Kernel:
                 tables[leaf] = tuple(zip((None, None), *(
                     _walk(((3, r, 3, leaf) for r in range(8) if mask >> r & 1), self) for mask in range(1, 256))))
             return tables[leaf]
-        if vb and q_v < 2.0 ** -1022:  # subnormal: the run exponents q w / v would lose bits, or all read 0
-            def log2_cap(*_) -> float:
-                raise DomainError("run rate q/v (v the denominator of ap) is below the normal double range")
-            subcritical = log2_cap
         self.lift, self.branch, self.log2_cap, self.statistic, self.blocks = lift, branch, log2_cap, statistic, blocks
         self.rows = subcritical if vb else critical
 

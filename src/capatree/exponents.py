@@ -35,9 +35,13 @@ def as_fraction(value: RationalLike) -> Fraction:
         if digits.isdecimal() and (len(digits) > 4 or int(digits) > 4300):
             raise DomainError(f"decimal exponent past 4300 in magnitude in the rational literal {value!r}")
         try:
-            return Fraction(value.strip())
+            f = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed rational literal: {value!r}") from exc
+        # nor past 4300 digits in the numerator or denominator, which str() cannot print (10**4300 > 2**14284)
+        if (m := max(abs(f.numerator), f.denominator)).bit_length() > 14284 and m >= 10 ** 4300:
+            raise DomainError(f"a numerator or denominator past 4300 digits in the rational literal {value!r}")
+        return f
     raise DomainError(f"cannot interpret {value!r} as a rational")
 
 
@@ -99,11 +103,16 @@ class ApBranch(enum.Enum):
 class Exponents(Record):
     """The parameter pair (a, p) with derived product ap, conjugate and branch flag.
 
-    Both parameters are exact rationals; construction rejects a*p > 1
-    (singletons would carry positive capacity there), p <= 1, and pairs past
-    the double range, read from bit lengths without forming a float.  Equality
-    and the hash use a and p, which fix everything else; the hash is formed
-    once, here, as every cache keyed by a pair hashes it on each lookup.
+    Both parameters are exact rationals.  Construction rejects a*p > 1
+    (singletons would carry positive capacity there), p <= 1, pairs past the
+    double range (read from bit lengths), and every pair the log-domain kernel
+    cannot serve: with q = 1/(p-1), b = 1-ap and v the denominator of ap it
+    needs q ap >= 2**-1010 and, if ap < 1, q b >= 2**-1010 and q/v >= 2**-1022,
+    tested on exact integers.  So every geometric-sum cut the kernel forms is
+    finite (branch t = -q ap, run t = -q b, chain index t = q (ap_f - 1)),
+    q/v (>= 2**-1022) is normal and log2 c is finite.  Equality and the
+    hash use a and p, which fix everything else; the hash is formed once,
+    here, as every cache keyed by a pair hashes it on each lookup.
     """
 
     _fields = ("a", "p")
@@ -120,6 +129,10 @@ class Exponents(Record):
             raise DomainError(f"need a*p <= 1, got a*p={ap}")
         if max(p.numerator, p.denominator, ap.denominator).bit_length() > 1023:  # p, p-1, p'-1, q/den(ap): finite floats
             raise DomainError("need p's numerator and denominator and a*p's denominator below 2**1023 (double range)")
+        Q, an, v = p.denominator, ap.numerator, ap.denominator  # p - 1 = P/Q: q ap < 2**-k reads Q an << k < P v
+        if Q * an << 1010 < (P_v := (p.numerator - Q) * v) or an < v and (Q * (v-an) << 1010 < P_v or Q << 1022 < P_v):
+            raise DomainError(f"a={a}, p={p} is past the kernel's double range: q = 1/(p-1) needs q*a*p >= 2**-1010 "
+                              "and, if a*p < 1, q*(1-a*p) >= 2**-1010 and q/den(a*p) >= 2**-1022")
         _set(self, "a", a)
         _set(self, "p", p)
         _set(self, "ap", ap)

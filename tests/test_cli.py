@@ -280,18 +280,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("capatree: error:") and "double range" in err
 
-    @pytest.mark.parametrize("command", [["cap-component", "--n", "1", "--kappa", str(2**1010)],
+    # q/den(ap) = 2**-1081 (run rate), and q ap = 1/(2**1023 - 2), where log2 c overflowed to -inf
+    @pytest.mark.parametrize("a, p", [(Fraction(2**80 - 1, 2**81) / (1 + 2**1000), 1 + 2**1000),
+                                      (Fraction(1, 2**1023 - 1), 2**1023 - 1)], ids=["run-rate", "log2-c"])
+    @pytest.mark.parametrize("command", [["cap-component", "--n", "1", "--kappa", "1"],
                                          ["ratios", "--family", "geometric", "--m", "1", "--n-to", "3"],
-                                         ["bounds", "--family", "geometric", "--m", "1", "--n-max", "3"]],
+                                         ["bounds", "--family", "geometric", "--m", "1", "--n-max", "3"],
+                                         ["classify", "--family", "geometric", "--m", "1"]],
                              ids=lambda argv: argv[0])
-    def test_run_rate_below_the_double_range_is_an_error(self, capsys, command):
-        p = 1 + 2**1000
-        pair = ["--a", str(Fraction(2**80 - 1, 2**81) / p), "--p", str(p)]
-        assert cli.main(command + pair) == 2
+    def test_pairs_the_kernel_cannot_serve_are_refused_naming_a_and_p(self, capsys, command, a, p):
+        assert cli.main(command + ["--a", str(a), "--p", str(p)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("capatree: error: run rate q/v")
-        status, doc = run_json(capsys, ["classify", "--family", "geometric", "--m", "1"] + pair)
-        assert status == 0 and doc["result"]["outcome"] == "Zero"
+        assert err.startswith(f"capatree: error: a={a}, p={p} is past the kernel's double range")
+        assert err.count("\n") == 1
+
+    def test_the_pair_whose_fixed_point_check_missed_by_one_ulp_exits_0(self, capsys):
+        status, doc = run_json(capsys, ["cap-component", "--a", "987277/264717303884510109978",
+                                        "--p", "132358651942255054989/987277", "--n", "1", "--kappa", "1"])
+        assert status == 0 and math.isfinite(doc["result"]["value_log2"])
+
+    def test_literals_past_4300_digits_exit_2_naming_the_literal(self, capsys):
+        argv = ["classify", "--a", "1/2", "--p", "2", "--family", "power", "--C", "1e4300", "--beta", "1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capatree: error: field 'C'") and err.count("\n") == 1
+        assert err.endswith("a numerator or denominator past 4300 digits in the rational literal '1e4300'\n")
 
     def test_run_lengths_of_a_cycle_past_the_digit_budget(self, capsys):
         assert cli.main(["run-lengths", "--x", "1/200003", "--N", "10"]) == 2

@@ -637,19 +637,20 @@ class TestComparabilityReport:
         assert [row["n"] for row in rows] == list(range(1, 16))
         assert rows[-1]["kappa_log2"] == 960.0 and rows[-1]["proxy_log2"] < 0
 
-    def test_run_sets_fail_fast_where_the_run_rate_underflows(self):
+    def test_pairs_whose_run_rate_underflows_are_refused_at_construction(self):
         # q / v = 2**-1000 / 2**81 underflows to 0, so every run exponent q w / v
-        # would read 0 and cap(D(1, kappa)) would not depend on kappa
+        # would read 0 and cap(D(1, kappa)) would not depend on kappa: the pair is refused
         p = 1 + Fraction(2) ** 1000
-        e, rate = Exponents(Fraction(2**80 - 1, 2**81) / p, p), "^run rate q/v .* below the normal double range$"
-        for kappa in (2**1010, 2**1020):
-            with pytest.raises(DomainError, match=rate):
-                cap_component(1, kappa, e)
-        with pytest.raises(DomainError, match=rate):
-            comparability_report(e, (1, 3), Geometric(1))
-        with pytest.raises(DomainError, match=rate):
-            capacity_bounds(Geometric(1), e, 3)
-        verdict = classify(Geometric(1), e)  # an exact integer quotient, no run exponent
+        a = Fraction(2**80 - 1, 2**81) / p
+        with pytest.raises(DomainError, match=rf"^a={a}, p={p} is past the kernel's double range"):
+            Exponents(a, p)
+        # with v = 2**11, q / v = 2**-1011 is normal: the run exponents keep their bits, and every query answers
+        e = Exponents(Fraction(2**10 - 1, 2**11) / p, p)
+        assert cap_component(1, 2**1000, e).value > cap_component(1, 2**1010, e).value
+        assert len(comparability_report(e, (1, 3), Geometric(1))["rows"]) == 3
+        lower, upper = capacity_bounds(Geometric(1), e, 3)
+        assert not lower.value.is_zero and lower.value <= upper.value
+        verdict = classify(Geometric(1), e)
         assert (verdict.outcome, verdict.condition) == (Outcome.ZERO, "(b)")
 
     @staticmethod

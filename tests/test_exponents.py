@@ -12,6 +12,7 @@ from capatree import (
     LogValue,
     as_fraction,
     conjugate,
+    full_tree_capacity,
     rel_error,
 )
 
@@ -64,13 +65,16 @@ class TestExponents:
         with pytest.raises(DomainError, match="double range"):
             Exponents(a, p)
 
-    def test_accepts_pairs_at_the_edge_of_the_double_range(self):
+    def test_edge_pairs_are_admitted_only_where_the_kernel_serves_them(self):
+        # the second pair's q ap and the third's q (1 - ap) and q/den(ap) are about 2**-1023: their
+        # kernels would fail on first use, so construction refuses them, naming a and p
         big = 2**1023 - 1
-        pairs = [(Fraction(1, big), 1 + Fraction(1, big - 1)), (Fraction(1, big), big),
-                 (Fraction(1, 2), 2 - Fraction(1, big // 2))]
-        for a, p in pairs:
-            e = Exponents(a, p)
-            assert all(map(math.isfinite, (e.p_f, e.q_f, e.pm1_f, e.ap_f, e.q_f / e.ap.denominator)))
+        e = Exponents(Fraction(1, big), 1 + Fraction(1, big - 1))
+        assert all(map(math.isfinite, (e.p_f, e.q_f, e.pm1_f, e.ap_f, e.q_f / e.ap.denominator)))
+        assert math.isfinite(full_tree_capacity(e).value.log2)
+        for a, p in [(Fraction(1, big), big), (Fraction(1, 2), 2 - Fraction(1, big // 2))]:
+            with pytest.raises(DomainError, match=f"^a={a}, p={p} is past the kernel's double range"):
+                Exponents(a, p)
 
     @given(
         num=st.integers(min_value=1, max_value=10**6),
@@ -104,12 +108,19 @@ class TestExponents:
             as_fraction(text)
         assert time.perf_counter() - start < 1.0
 
-    def test_decimal_exponents_up_to_4300_parse(self):
-        assert as_fraction("1e4300") == 10 ** 4300
-        assert as_fraction("1e-4300") == Fraction(1, 10 ** 4300)
+    def test_literals_of_up_to_4300_digits_parse(self):
+        assert as_fraction("1e4299") == 10 ** 4299
+        assert as_fraction("-1e-4299") == Fraction(-1, 10 ** 4299)
+        assert as_fraction("9" * 4300 + "/" + "7" * 4300) == Fraction(int("9" * 4300), int("7" * 4300))
         assert as_fraction("15e-1") == Fraction(3, 2)
         with pytest.raises(DomainError, match="malformed"):
             as_fraction("2e")
+
+    @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "12e4299", "-1e4300", "1.5e4300"])
+    def test_literals_past_4300_digits_are_refused(self, text):
+        # str() of the value, as the CLI's evidence prints it, would raise past 4300 digits
+        with pytest.raises(DomainError, match=f"^a numerator or denominator past 4300 digits in .* '{text}'$"):
+            as_fraction(text)
 
     @pytest.mark.parametrize("value", [True, False])
     def test_bools_are_not_rationals(self, value):
