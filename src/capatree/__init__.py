@@ -28,7 +28,7 @@ _EXPORTS = {
                      "classify comparability_report dimension_profile dobinski_full kappa_value spec_from_json "
                      "spec_to_json"),
         ("errors", "ConvergenceError DomainError DyadicTangentPole"),
-        ("exponents", "ApBranch Exponents LogValue as_fraction conjugate rel_error"),
+        ("exponents", "ApBranch Exponents LogValue as_fraction conjugate"),
         ("tree", "CylinderSet d_cylinder_set"),
         ("oracle", "FiniteProblem OracleResult agreement_battery emulated_infinite_problem solve_capacity"),
     )

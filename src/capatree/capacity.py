@@ -92,14 +92,18 @@ _EXPONENT_RANGE = "exponent exceeds the double-precision log2 range"
 _CAP_RANGE = "component capacity exceeds the double-precision log2 range"
 
 
-def _times(k: int, x: float) -> float:
-    """k * x for an integer k of any size; DomainError outside the double range."""
-    if x == 0:
-        return 0.0
+def _times(k: int, x: float, num: int, den: int) -> float:
+    """k * x for an integer k of any size, x a double near num / den; DomainError outside the double range.
+
+    Where k is past the double range, the product is the exact k num / den, rounded once.
+    """
     try:
         out = k * x
     except OverflowError:
-        out = math.inf
+        try:
+            out = k * num / den
+        except OverflowError:
+            out = math.inf
     if not math.isfinite(out):
         raise DomainError(_EXPONENT_RANGE)
     return out
@@ -123,11 +127,7 @@ def _geometric(t: float):
     """
     log2, expm1 = math.log2, math.expm1
     if t == 0:
-        def log2_sum(k: int | float) -> float:
-            if k == math.inf:
-                raise DomainError("a geometric sum with ratio 1 has no limit")
-            return log2(k)  # exact for an int of any size
-        return log2_sum
+        return log2  # G(k, 0) = k, for an int of any size
     den, cut = _geometric_terms(t)
 
     def log2_sum(k: int | float) -> float:
@@ -198,6 +198,7 @@ class _Kernel:
         v, ap_num = e.ap.denominator, e.ap.numerator
         vb = v - ap_num  # v * b
         P, Q = (e.p - 1).numerator, (e.p - 1).denominator
+        Pv = P * v  # q / v = Q / Pv
         q_v, qb, qs, t_n = q / v, q * float(1 - e.ap), q * log2_lambda, -q * e.ap_f  # qs = log2 lambda**q; b exact
         self.run_sum = run_sum = _geometric(-qb)  # G(kappa, -qb)
         self.branch_sum = branch_sum = _geometric(t_n)  # G(n, -q ap)
@@ -230,7 +231,7 @@ class _Kernel:
         def log2_cap(n: int, kappa: int) -> float:
             run = vb * (kappa - 1) - ap_num * n  # v * (b(kappa-1) - ap n)
             t2 = branch_sum(n) if n else no_terms  # G(0, .) = 0 drops out of the sum
-            t0, t1 = _times(run, q_v) + run_sum(kappa), _times(run + vb, q_v) + full
+            t0, t1 = _times(run, q_v, Q, Pv) + run_sum(kappa), _times(run + vb, q_v, Q, Pv) + full
             out = -pm1 * ((h := max(t0, t1, t2)) + log2(2.0 ** (t0 - h) + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))
             if not isfinite(out):
                 raise DomainError(_CAP_RANGE)
@@ -248,12 +249,12 @@ class _Kernel:
             rows, low, high = [], inf, -inf
             for n, kappa in zip(ns, kappas):
                 w = vb * kappa - ap_num * n  # v (b kappa - ap n) = -v s; the run term's exponent is q (w - vb) / v
-                try:  # the sums inlined; an int past the double range raises
-                    x, rs = w * q_v, -den_b if kappa > cut_b else log2(-expm1(kappa * -qb * _LN2)) - den_b
-                    t2 = (-den_n if n > cut_n else log2(-expm1(n * t_n * _LN2)) - den_n) if n else no_terms
-                    y = (w - vb) * q_v
-                except OverflowError:
-                    raise DomainError(_EXPONENT_RANGE) from None
+                try:  # the sums inlined, with the cuts' bits
+                    x, y = w * q_v, (w - vb) * q_v
+                except OverflowError:  # w past the double range
+                    x, y = _times(w, q_v, Q, Pv), _times(w - vb, q_v, Q, Pv)
+                rs = -den_b if kappa > cut_b else log2(-expm1(kappa * -qb * _LN2)) - den_b
+                t2 = (-den_n if n > cut_n else log2(-expm1(n * t_n * _LN2)) - den_n) if n else no_terms
                 t0, t1 = y + rs, x + full
                 h = t0 if t0 > t1 and t0 > t2 else t1 if t1 > t2 else t2  # max(t0, t1, t2), without a call
                 cap = -pm1 * (h + log2(2.0 ** (t0 - h) + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))
@@ -460,10 +461,12 @@ def sigma_closed_form(n: int, kappa: int, e: Exponents) -> LogValue:
     """
     _check_run_set(n, kappa)
     kernel, q = _kernel(e), e.q_f
-    run = LogValue.from_log2(_times(n + kappa - 1, q * float(1 - e.ap)) + kernel.run_sum(kappa))
+    P, Q, ap = (e.p - 1).numerator, (e.p - 1).denominator, e.ap
+    run = _times(n + kappa - 1, q * float(1 - ap), Q * (ap.denominator - ap.numerator), P * ap.denominator)
+    run = LogValue.from_log2(run + kernel.run_sum(kappa))
     if n == 0:
         return run
-    return LogValue.from_log2(_times(n, q) + kernel.branch_sum(n)) + run
+    return LogValue.from_log2(_times(n, q, Q, P) + kernel.branch_sum(n)) + run
 
 
 def cap_component(n: int, kappa: int, e: Exponents) -> CapacityReport:

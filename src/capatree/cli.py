@@ -143,13 +143,19 @@ def _cmd_circle_capacity(args):
 
     e = Exponents(args.a, args.p)
     integral, err = circle.kernel_integral(e.a)
-    value = integral ** (-e.p_f)
+    value = circle.circle_full_capacity(e)
     result = {
-        "value": value,
+        "value": _normal(value),
+        "value_log2": -e.p_f * math.log2(integral),
         "kernel_integral": integral,
-        "quad_error": abs(err) * e.p_f * value / integral,
+        "quad_error": _normal(abs(err) * e.p_f * value / integral),
     }
     return result, [result], 0
+
+
+def _normal(x: float) -> float | None:
+    """x where it is a finite normal double, else None (JSON null): no NaN, inf or underflowed value is printed."""
+    return x if math.isfinite(x) and abs(x) >= sys.float_info.min else None
 
 
 def _cmd_product_identity(args):

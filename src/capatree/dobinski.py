@@ -173,15 +173,19 @@ class _Kappa:
     The one reader of a spec: C, beta, gamma and ``log2_C`` of the Growth rule
     ending a Custom chain, and ``log2_bound``, n -> B(n) = log2 C + beta log2 n
     + gamma n, log2 of kappa_n before the ceiling (any n where gamma = 0).
-    ``lookup`` takes table entries first (an outer Custom's first), else
-    ``rule``, ceil(C * n**beta * 2**(gamma*n)), itself the lookup with no
-    table.  ``values(ns)`` forms each kappa_n as it is reached: ``rule``'s
-    integer expression in one generator for integer beta and gamma and no
-    table, else ``lookup`` mapped.  Lookups close over the family's integers,
-    reading no attributes, and trust n: ``kappa_value`` checks outside input.
+    ``root_bits`` is None for integer beta and gamma, else n -> the bits of
+    the integers a and b that ``rule`` forms for an irrational value, x**L =
+    a / b, with L the lcm of the denominators of beta and gamma, which bounds
+    every row's root index.  ``lookup`` takes table entries first (an outer
+    Custom's first), else ``rule``, ceil(C * n**beta * 2**(gamma*n)), itself
+    the lookup with no table.  ``values(ns)`` forms each kappa_n as it is
+    reached: ``rule``'s integer expression in one generator for integer beta
+    and gamma and no table, else ``lookup`` mapped.  Lookups close over the
+    family's integers, reading no attributes, and trust n: ``kappa_value``
+    checks outside input.
     """
 
-    __slots__ = ("table", "C", "beta", "gamma", "log2_C", "log2_bound", "rule", "lookup", "values")
+    __slots__ = ("table", "C", "beta", "gamma", "log2_C", "log2_bound", "root_bits", "rule", "lookup", "values")
 
     def __init__(self, spec: SequenceSpec):
         table: dict[int, int] = {}
@@ -196,6 +200,9 @@ class _Kappa:
         pa, pb, ga, gb = max(bn, 0), max(-bn, 0), max(gn, 0), max(-gn, 0)  # n's and 2's powers above and below
         log2_c, beta_f, gamma_f = math.log2(num) - math.log2(den), float(beta), float(gamma)  # any size of num, den
         self.log2_C, self.log2_bound = log2_c, lambda n: log2_c + beta_f * math.log2(n) + (gamma_f * n if gn else 0.0)
+        root, size = math.lcm(bd, gd), math.log2(num) + math.log2(den)  # bits of rule's a and b below, increasing in n
+        self.root_bits = None if root == 1 else (
+            lambda n: root * (size + abs(beta_f) * math.log2(n) + (abs(gamma_f) * n if gn else 0.0)))
 
         def rule(n: int) -> int:
             """ceil(C * n**beta * 2**(gamma*n)) as an exact integer, at least 1 as C > 0."""
@@ -234,7 +241,9 @@ def kappa_value(spec: SequenceSpec, n: int) -> int:
 
     The one entry point that takes n from outside, so the one that checks it:
     n must be an int >= 1, and a rule's kappa_n is refused, before it is
-    formed, past 2**(2**20).  ``_Kappa``'s lookups trust their callers' ranges.
+    formed, past 2**(2**20) or, for an irrational rule, where the integers
+    behind its root pass 2**18 bits.  ``_Kappa``'s lookups trust their
+    callers' ranges.
     """
     if type(n) is not int:
         raise DomainError(f"n must be an int, got {n!r}")
@@ -278,14 +287,25 @@ class Verdict(Record):
 
 _TRACE_ROWS = range(1, 17)  # the n of the evidence trace's 16 rows
 _KAPPA_BITS = 2 ** 20  # the largest log2 kappa_n that the package forms from a rule
+# the most bits of the integers a and b behind an irrational kappa_n (_Kappa): at this limit one
+# such kappa_n took at most 0.4 s on a 2-core x86-64 host (root index 3, the slowest), at 2**19 1.6 s
+_ROOT_BITS = 2 ** 18
+
+
+def _forms(kappa: _Kappa, n: int) -> bool:
+    """Whether ``kappa.rule(n)`` stays within the limits ``_check_kappa_bits`` checks."""
+    return kappa.log2_bound(n) <= _KAPPA_BITS and (kappa.root_bits is None or kappa.root_bits(n) <= _ROOT_BITS)
 
 
 def _check_kappa_bits(kappa: _Kappa, lo: int, hi: int) -> None:
-    """DomainError, before any kappa_n is formed, if the rule's B(n) passes 2**20 for some n in lo..hi.
+    """DomainError, before any kappa_n is formed, if the rule for some n in lo..hi passes a limit.
 
-    B is concave for beta > 0 and convex for beta < 0, so its largest value on
-    the range is at an end or, for beta > 0 > gamma, next to its one stationary
-    point -beta / (gamma ln 2).  One check per call, whatever the range's length.
+    The limits: B(n) at most 2**20 and, for an irrational rule, its integers a
+    and b together at most 2**18 bits (``_Kappa``).  B is concave for beta > 0
+    and convex for beta < 0, so its largest value on the range is at an end
+    or, for beta > 0 > gamma, next to its one stationary point
+    -beta / (gamma ln 2); the bits of a and b increase with n.  One check per
+    call, whatever the range's length.
     """
     ns = [lo, hi]
     if kappa.beta.numerator > 0 > kappa.gamma.numerator and lo < (x := float(-kappa.beta / kappa.gamma) / _LN2) < hi:
@@ -294,6 +314,9 @@ def _check_kappa_bits(kappa: _Kappa, lo: int, hi: int) -> None:
     if worst > _KAPPA_BITS:
         raise DomainError(f"kappa_n reaches 2**{worst:.6g} for n in {lo}..{hi}, and capatree forms a rule's "
                           "kappa_n only up to 2**(2**20)")
+    if kappa.root_bits is not None and (bits := kappa.root_bits(hi)) > _ROOT_BITS:
+        raise DomainError(f"kappa_n for n in {lo}..{hi} is an integer root of a ratio of integers of {bits:.6g} "
+                          "bits, and capatree forms an irrational rule's kappa_n only from up to 2**18 bits")
 
 
 def _trace(kappa: _Kappa, e: Exponents) -> list[dict]:
@@ -302,7 +325,8 @@ def _trace(kappa: _Kappa, e: Exponents) -> list[dict]:
     One rule for both branches.  A table entry, or a rule row whose lower
     bound B = log2 C + beta log2 n + gamma n on log2 kappa_n is at most
     log2 v + 1088 (v the denominator of ap), is formed and read through the
-    kernel's statistic.  Past that limit kappa_n is never formed.  B then
+    kernel's statistic, unless ``_forms`` refuses it: that row is null.  Past
+    the limit kappa_n is never formed.  B then
     exceeds log2 v + 1024 by a 64-bit margin, far above its rounding, so
     |ap n - b kappa_n| > 2**1088 - n and a subcritical row is null (past the
     double range).  A critical row reads n - (p-1) B: as kappa_n = ceil(x) with
@@ -314,9 +338,9 @@ def _trace(kappa: _Kappa, e: Exponents) -> list[dict]:
 
     def row(n: int) -> float | None:
         bound = log2_bound(n)
-        if n in kappa.table or bound <= limit:
+        if n in kappa.table or bound <= limit and _forms(kappa, n):
             return statistic(n, kappa.lookup(n))
-        return n - e.pm1_f * bound if e.is_critical else None
+        return n - e.pm1_f * bound if e.is_critical and bound > limit else None
     return [{"n": n, "log2_stat" if e.is_critical else "exponent": row(n)} for n in _TRACE_ROWS]
 
 
@@ -462,7 +486,7 @@ def _remainder(kappa: _Kappa, e: Exponents):
     statistic = kernel.statistic  # f(N) <= statistic(N, kappa_N - 1), rounded once
 
     def remainder(N: int) -> float | None:
-        if N < convex_from:
+        if N < convex_from or not (_forms(kappa, N) and _forms(kappa, N + 1)):
             return None
         # kappa_n - 1 < g(n) <= kappa_n bounds f(N) and its increment from above, exactly
         k0, k1 = kappa.rule(N), kappa.rule(N + 1)
@@ -478,23 +502,24 @@ def _tail_upper(kappa: _Kappa, e: Exponents, start: int) -> LogValue | None:
     """Proven upper bound on sum_{n >= start} cap(D(n, kappa_n)) for a Zero family.
 
     Sums the exact terms n = start .. N-1 and adds the closed-form remainder
-    R(N).  The window closes once R(N) <= 2**-40 times the partial sum, or
-    after ``_WINDOW`` terms; None when R has no closed form by then.  Table
+    R(N).  The window closes once R(N) <= 2**-40 times the partial sum, after
+    ``_WINDOW`` terms, or before a rule term that ``_forms`` refuses; None
+    when R has no closed form there (the subcritical R forms the rule's
+    kappa_N and kappa_N+1, so those must pass ``_forms`` too).  Table
     entries at or past N are added exactly (R already bounds the rule there,
     and a table entry only adds a term).  Terms come from the pair's kernel.
     """
     remainder, log2_cap = _remainder(kappa, e), _kernel(e).log2_cap
     total = LogValue.zero()
-    for N in range(start, start + _WINDOW):
+    for N in range(start, start + _WINDOW + 1):
         rem = remainder(N)
+        if N == start + _WINDOW or N not in kappa.table and not _forms(kappa, N):
+            if rem is None:
+                return None
+            break
         if rem is not None and N > start and rem <= total.log2 - 40.0:
             break
         total = total + LogValue.from_log2(log2_cap(N, kappa.lookup(N)))
-    else:
-        N = start + _WINDOW
-        rem = remainder(N)
-        if rem is None:
-            return None
     for n, k in kappa.table.items():
         if n >= N:
             total = total + LogValue.from_log2(log2_cap(n, k))

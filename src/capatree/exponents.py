@@ -244,14 +244,3 @@ class LogValue(Record):
     def __repr__(self) -> str:
         return "LogValue(zero)" if self.is_zero else f"LogValue(2^{self.log2:.12g})"
 
-
-def rel_error(u: LogValue, v: LogValue) -> float:
-    """|u/v - 1| with zero-aware semantics (inf when exactly one is zero)."""
-    if u.is_zero and v.is_zero:
-        return 0.0
-    if u.is_zero or v.is_zero:
-        return math.inf
-    d = u.log2 - v.log2
-    if abs(d) > 60:
-        return math.inf
-    return abs(math.expm1(d * _LN2))

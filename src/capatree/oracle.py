@@ -17,7 +17,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -342,28 +342,24 @@ def agreement_battery(
 def emulated_infinite_problem(cyl, e: Exponents) -> FiniteProblem:
     """Finite problem whose value equals the infinite capacity of a cylinder set.
 
-    Cut at the depth N of the longest generator (at least 1): a leaf weighted
-    by v has rooted capacity v, so giving each covered depth-N leaf the weight
-    pi(leaf) * c (the full shifted subtree below it) makes the truncated
-    program agree exactly with the infinite one.
+    Cut at the depth N of the longest generator (at least 1).  Each generator
+    g is one target, g padded with zeros to depth N, at the end of a chain of
+    m = N - |g| + 1 nodes from g, each of weight c w(g) m**(p-1), with
+    w(g) = 2**(-|g|(1-ap)) and c the full-tree constant.  Potentials summing
+    to t along m nodes of weight W cost at least W m**-(p-1) t**p (Hoelder,
+    equality at equal shares), so each chain costs c w(g) t**p, as g's full
+    shifted subtree does.  No target lies off the chains, so the truncated
+    program's value is the set's capacity; where every |g| = N, each target
+    is one node of weight pi(leaf) * c.
     """
     if not cyl.generators:
         raise DomainError("cannot emulate the empty set as a finite problem")
     n = max(1, *map(len, cyl.generators))
     if n > MAX_DEPTH:
         raise DomainError(f"generators too deep for the oracle (depth {n})")
-    # a generator g covers g followed by every word of length n - |g|
-    tables = {0: ("",), 1: ("0", "1")}
-
-    def words(k: int) -> Sequence[str]:
-        """The words of length k in order: one concatenation per word of two half-length tables."""
-        if k not in tables:
-            tables[k] = [head + tail for head in words(k - k // 2) for tail in words(k // 2)]
-        return tables[k]
-
-    covered = (map(operator.add, repeat(g), words(n - len(g))) for g in cyl.generators)
-    leaves = tuple(chain.from_iterable(covered))
-    weight = 2.0 ** (-n * float(1 - e.ap)) * full_tree_capacity(e).value.to_float()
-    return FiniteProblem(
-        depth=n, target_leaves=leaves, exponents=e, weights=dict.fromkeys(leaves, weight)
-    )
+    c, one_minus_ap, weights = full_tree_capacity(e).value.to_float(), float(1 - e.ap), {}
+    for g in cyl.generators:  # the chain g, g0, ..., g0**(m-1)
+        m = n - len(g) + 1
+        weights |= dict.fromkeys([g + "0" * k for k in range(m)], 2.0 ** (-len(g) * one_minus_ap) * c * m ** e.pm1_f)
+    targets = [g.ljust(n, "0") for g in cyl.generators]
+    return FiniteProblem(depth=n, target_leaves=targets, exponents=e, weights=weights)

@@ -29,6 +29,18 @@ def rel_diff(u, v) -> float:
     return abs(math.expm1((lu - lv) * math.log(2.0)))
 
 
+def rel_error(u: LogValue, v: LogValue) -> float:
+    """|u/v - 1| with zero-aware semantics (inf when exactly one is zero)."""
+    if u.is_zero and v.is_zero:
+        return 0.0
+    if u.is_zero or v.is_zero:
+        return math.inf
+    d = u.log2 - v.log2
+    if abs(d) > 60:
+        return math.inf
+    return abs(math.expm1(d * _LN2))
+
+
 def phi_composition_exponents(n: int, kappa: int, e: Exponents) -> list[float]:
     """log2 of each Phi index in the unrolled recursion for D(n, kappa).
 

@@ -131,11 +131,6 @@ class TestGeometricSum:
         assert _geometric(-0.5)(math.inf) == pytest.approx(limit, rel=1e-15)
         assert _geometric(-0.5)(10**400) == _geometric(-0.5)(math.inf)
 
-    @pytest.mark.parametrize("k,t", [(math.inf, 0.0)], ids=["ratio-1"])
-    def test_outside_the_double_range_raises_domain_error(self, k, t):
-        with pytest.raises(DomainError):
-            _geometric(t)(k)
-
     @pytest.mark.parametrize("a, p", [(1 / (1 + Fraction(2) ** 1016), 1 + Fraction(2) ** 1016),
                                       ((1 - Fraction(1, 2**1016)) / 2, Fraction(2))], ids=["branch", "run"])
     def test_pairs_whose_sums_would_cut_past_the_double_range_are_refused(self, a, p):
@@ -154,7 +149,7 @@ class TestGeometricSum:
         def guarded(k):
             if k == math.inf or k > cut:
                 return -den
-            return math.log2(-math.expm1(_times(k, t) * _LN2)) - den
+            return math.log2(-math.expm1(_times(k, t, *t.as_integer_ratio()) * _LN2)) - den
         for k in [int(cut) - 1, int(cut), int(cut) + 1, math.inf]:
             assert _geometric(t)(k) == guarded(k), k
 
@@ -624,8 +619,9 @@ class TestSweepEngine:
 class TestOracleCrossChecks:
     """Infinite cylinder capacities re-derived by the convex program.
 
-    Leaves covered by the set get weight pi(leaf) * c, which makes the
-    finite program equal to the infinite one exactly.
+    Each generator g is one target at the end of a chain whose nodes share
+    the weight of g's full shifted subtree, which makes the finite program
+    equal to the infinite one exactly.
     """
 
     @pytest.mark.parametrize(
@@ -661,45 +657,82 @@ class TestOracleCrossChecks:
             assert solved.lower <= closed * (1 + 1e-12)
             assert solved.value >= closed * (1 - 1e-12)
 
-    def test_covered_leaves_match_word_by_word_scan(self):
-        from capatree import emulated_infinite_problem
+    @staticmethod
+    def per_leaf_problem(cyl, e):
+        """Every covered depth-N leaf as a target of weight pi(leaf) * c, the construction the chains replace."""
+        from capatree import FiniteProblem
 
-        rng = random.Random(5)
-        for _ in range(40):
-            words = {
-                "".join(rng.choice("01") for _ in range(rng.randint(0, 7)))
-                for _ in range(rng.randint(1, 6))
-            }
-            cyl = CylinderSet.from_words(words)
-            n = max(1, *(len(g) for g in cyl.generators))
-            leaves = [format(i, f"0{n}b") for i in range(2 ** n) if any(format(i, f"0{n}b").startswith(g) for g in cyl.generators)]
-            prob = emulated_infinite_problem(cyl, E_THIRD_3)
-            assert prob.depth == n
-            assert prob.target_leaves == tuple(leaves)
-            assert set(prob.weights) == set(leaves)
+        n = max(1, *(len(g) for g in cyl.generators))
+        leaves = tuple(
+            format((int(g or "0", 2) << (n - len(g))) + i, f"0{n}b")
+            for g in cyl.generators
+            for i in range(2 ** (n - len(g)))
+        )
+        weight = 2.0 ** (-n * float(1 - e.ap)) * full_tree_capacity(e).value.to_float()
+        return FiniteProblem(n, leaves, e, dict.fromkeys(leaves, weight))
 
-    def test_leaves_and_weights_match_the_per_leaf_construction(self):
-        from capatree import emulated_infinite_problem
-
-        weight_below = full_tree_capacity(E_THIRD_3).value.to_float()
-        rng = random.Random(14)
-        sets = [[""], ["0", "10"]] + [
-            {"".join(rng.choice("01") for _ in range(rng.randint(0, 12))) for _ in range(rng.randint(1, 8))}
-            for _ in range(30)
-        ]
-        for words in sets:
-            cyl = CylinderSet.from_words(words)
-            n = max(1, *(len(g) for g in cyl.generators))
-            # one format() per covered leaf, the construction the suffix tables replace
-            leaves = tuple(
-                format((int(g or "0", 2) << (n - len(g))) + i, f"0{n}b")
-                for g in cyl.generators
-                for i in range(2 ** (n - len(g)))
+    @staticmethod
+    def random_sets(seed, count, max_len):
+        rng = random.Random(seed)
+        return [
+            CylinderSet.from_words(
+                {"".join(rng.choice("01") for _ in range(rng.randint(0, max_len))) for _ in range(rng.randint(1, 6))}
             )
-            prob = emulated_infinite_problem(cyl, E_THIRD_3)
-            assert prob.target_leaves == leaves
-            weight = 2.0 ** (-n * float(1 - E_THIRD_3.ap)) * weight_below
-            assert prob.weights == dict.fromkeys(leaves, weight)
+            for _ in range(count)
+        ]
+
+    def test_one_target_per_generator_and_its_chain_weighted(self):
+        from capatree import emulated_infinite_problem
+
+        e = Exponents("1/6", 3)  # ap = 1/2, so 1 - ap = 1/2 and p - 1 = 2
+        c = full_tree_capacity(e).value.to_float()
+        for cyl in [CylinderSet.from_words([""]), CylinderSet.from_words(["0", "10"])] + self.random_sets(5, 40, 12):
+            n = max(1, *(len(g) for g in cyl.generators))
+            prob = emulated_infinite_problem(cyl, e)
+            assert prob.depth == n
+            assert prob.target_leaves == tuple(g.ljust(n, "0") for g in cyl.generators)
+            chains = {g + "0" * k: (g, n - len(g) + 1) for g in cyl.generators for k in range(n - len(g) + 1)}
+            assert set(prob.weights) == set(chains)
+            assert len(prob.weights) == sum(n - len(g) + 1 for g in cyl.generators)
+            for node, (g, m) in chains.items():
+                expected = c * 2.0 ** (-len(g) / 2) * m ** 2  # w(g) = 2**(-|g|(1-ap)), m**(p-1)
+                assert prob.weights[node] == pytest.approx(expected, rel=1e-14), node
+
+    def test_generators_of_one_length_give_the_per_leaf_problem(self):
+        from capatree import emulated_infinite_problem
+
+        rng = random.Random(14)
+        for e in (E_HALF_2, E_THIRD_3, Exponents("1/4", "5/4")):
+            for n in range(1, 13):
+                words = {"".join(rng.choice("01") for _ in range(n)) for _ in range(rng.randint(1, 8))}
+                cyl = CylinderSet.from_words(words)
+                assert emulated_infinite_problem(cyl, e) == self.per_leaf_problem(cyl, e)
+
+    @pytest.mark.parametrize(
+        "a,p", [("1/2", "2"), ("1/3", "3"), ("2/3", "3/2"), ("1/4", "5/4"), ("1/5", "3"), ("7/12", "3/2")]
+    )
+    def test_chains_and_covered_leaves_bracket_the_recursion(self, a, p):
+        from capatree import emulated_infinite_problem, solve_capacity
+
+        e, tol = Exponents(a, p), 1e-8
+        for cyl in self.random_sets(a + p, 25, 10):
+            recursion = capacity_recursive(cyl, e).value.to_float()
+            chain = solve_capacity(emulated_infinite_problem(cyl, e), tol=tol)
+            leaf = solve_capacity(self.per_leaf_problem(cyl, e), tol=tol)
+            assert chain.lower <= leaf.value * (1 + tol) and leaf.lower <= chain.value * (1 + tol), cyl
+            for solved in (chain, leaf):
+                assert solved.lower * (1 - tol) <= recursion <= solved.value * (1 + tol), cyl
+
+    def test_depth_twenty_set_agrees_with_the_recursion(self):
+        from capatree import emulated_infinite_problem, solve_capacity
+
+        cyl = CylinderSet.from_words(["0", "10", "110" + "0" * 17])
+        prob = emulated_infinite_problem(cyl, E_THIRD_3)
+        assert prob.depth == 20 and len(prob.target_leaves) == 3 and len(prob.weights) == 20 + 19 + 1
+        solved = solve_capacity(prob, tol=1e-8)
+        recursion = capacity_recursive(cyl, E_THIRD_3).value.to_float()
+        assert solved.lower * (1 - 1e-8) <= recursion <= solved.value * (1 + 1e-8)
+        assert abs(solved.value - recursion) / recursion <= 1e-8
 
     def test_empty_and_too_deep_sets_are_rejected(self):
         from capatree import emulated_infinite_problem
@@ -859,6 +892,33 @@ class TestCapComponent:
                 assert cap_component(n, kappa, e).value.log2 == pytest.approx(float(cap_log2(n, kappa)), rel=1e-13)
             for row in comparability_report(e, (50, 70), Geometric(1))["rows"]:
                 assert row["cap_log2"] == pytest.approx(float(cap_log2(row["n"], 2 ** row["n"])), rel=1e-13)
+
+    def test_run_exponents_past_the_double_range_match_mpmath(self):
+        # p - 1 = 2**1000, so q = 2**-1000 and q/v = 2**-1011: kappa = 2**1020 and n = 2**1030 are past the
+        # double range, while q times the run term's integer over v is about 2**19 and q n is 2**30
+        import mpmath
+
+        p = 1 + Fraction(2) ** 1000
+        e = Exponents(Fraction(1023, 2048) / p, p)
+        with mpmath.workprec(200):
+            q, ap_ = mpmath.mpf(2) ** -1000, mpmath.mpf(1023) / 2048
+            b_ = 1 - ap_
+
+            def geometric(k, t):  # G(k, t) = sum_{j < k} 2**(j t); expm1 keeps t = -2**-1001 from cancelling
+                return mpmath.expm1(k * t * mpmath.ln2) / mpmath.expm1(t * mpmath.ln2)
+
+            n, kappa = 1, 2 ** 1020
+            inner = (geometric(n, -q * ap_) + mpmath.power(2, q * (b_ * (kappa - 1) - ap_ * n)) * geometric(kappa, -q * b_)
+                     + mpmath.power(2, q * (b_ * kappa - ap_ * n)) * geometric(mpmath.inf, -q * ap_))
+            cap = float(-mpmath.log(inner, 2) / q)
+            big_n = 2 ** 1030
+            sigma = float(mpmath.log(mpmath.power(2, q * big_n) * geometric(big_n, -q * ap_)
+                                     + mpmath.power(2, q * b_ * big_n) * geometric(1, -q * b_), 2))
+        assert cap_component(n, kappa, e).value.log2 == pytest.approx(cap, rel=1e-13)
+        (row,) = _kernel(e).rows([n], [kappa])["rows"]
+        assert row["cap_log2"] == pytest.approx(cap, rel=1e-13)
+        assert row["proxy_log2"] == float(Fraction(1023 * n - 1025 * kappa, 2048))
+        assert sigma_closed_form(big_n, 1, e).log2 == pytest.approx(sigma, rel=1e-13)
 
     def test_critical_branch_saturates_for_slow_runs(self):
         # with kappa far below 2**n the branching term dominates sigma and

@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -132,6 +133,24 @@ class TestSubcommands:
         assert doc["result"]["value"] == pytest.approx(0.71777, rel=1e-4)
         assert doc["result"]["quad_error"] < 1e-8
 
+    def test_circle_capacity_past_the_double_range_reads_in_log2(self, capsys):
+        # the capacity 3.18e299**-1e300 underflows, and so does the rounding bound that scales with it
+        status, doc = run_json(capsys, ["circle-capacity", "--a", "1e-300", "--p", "1e300"])
+        assert status == 0
+        result = doc["result"]
+        assert (result["value"], result["quad_error"]) == (None, None)
+        assert result["value_log2"] == -1e300 * math.log2(result["kernel_integral"])
+        assert result["value_log2"] == pytest.approx(-1e300 * math.log2(1e300 / math.pi), rel=1e-12)
+
+    @pytest.mark.parametrize("a, p", [("1/2", "2"), ("1/3", "3/2"), ("1/6", "3")])
+    def test_circle_capacity_value_is_the_library_value(self, capsys, a, p):
+        from capatree.circle import circle_full_capacity, kernel_integral
+
+        result = run_json(capsys, ["circle-capacity", "--a", a, "--p", p])[1]["result"]
+        e = Exponents(a, p)
+        assert result["value"] == circle_full_capacity(e) == kernel_integral(e.a)[0] ** -e.p_f
+        assert result["value_log2"] == pytest.approx(math.log2(result["value"]), rel=1e-14)
+
     def test_circle_capacity_has_no_tolerance_flag(self, capsys):
         # the closed form is exact to rounding, so there is nothing to tune
         _, doc = run_json(capsys, ["circle-capacity", "--a", "1/2", "--p", "2"])
@@ -156,6 +175,20 @@ class TestSubcommands:
 
 
 class TestOutputContract:
+    def test_every_readme_line_and_an_underflowing_capacity_print_strict_json(self, capsys):
+        # strict parsers reject the NaN and Infinity that json.dumps prints by default
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Command line"):readme.index("## Package layout")]
+        argvs = [shlex.split(line)[1:] for line in section.splitlines() if line.startswith("capatree ")]
+        assert len(argvs) == 15
+
+        def refuse(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+        for argv in argvs + [["circle-capacity", "--a", "1e-300", "--p", "1e300"]]:
+            status, out = run_cli(capsys, argv)
+            assert status == 0, argv
+            json.loads(out, parse_constant=refuse)
+
     def test_json_round_trips_through_own_schema(self, capsys):
         commands = [
             ["classify", "--a", "1/2", "--p", "2", "--family", "geometric", "--m", "3"],
@@ -450,6 +483,24 @@ class TestExitCodes:
         assert result["outcome"] == "Zero"
         assert [row["exponent"] for row in result["evidence"]] == [None] * 16
 
+    def test_irrational_kappa_past_the_root_limit_fails_fast(self):
+        # B(100) = 409 600 < 2**20, but kappa_100 is the 256-th root of an integer of about 10**8 bits
+        start = time.perf_counter()
+        proc = cli_process(["ratios", "--a", "1/3", "--p", "3", "--family", "growth", "--C", "1", "--beta", "0",
+                            "--gamma", "1048577/256", "--n-from", "100", "--n-to", "100"])
+        assert time.perf_counter() - start < 5.0  # the process, start-up included; the hang ran past 60 s
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("capatree: error: kappa_n for n in 100..100 is an integer root")
+
+    def test_trace_rows_past_the_root_limit_are_null(self):
+        # B(n) is about 997 for n <= 16, inside the double range, but each kappa_n is the
+        # 65280-th root of an integer of about 2**26 bits: those rows are not formed
+        proc = cli_process(["classify", "--a", "1/4", "--p", "2", "--family", "growth", "--C", "1e300",
+                            "--beta", "1/255", "--gamma", "1/256"])
+        assert proc.returncode == 0
+        result = json.loads(proc.stdout)["result"]
+        assert [row["exponent"] for row in result["evidence"]] == [None] * 16
+
     @pytest.mark.parametrize("beta, gamma", [("65535/256", "257"), ("1/2", "65535/2")])
     def test_critical_trace_past_the_double_range_is_quick(self, beta, gamma):
         # at ap = 1 a row with log2 kappa_n > 1088 reads n - (p-1) log2 kappa_n from its bound, unformed
@@ -596,7 +647,7 @@ ROOT_EXPORTS = {
     "dobinski": "Custom DimensionBracket Geometric Growth Linear Outcome Power Verdict capacity_bounds classify "
                 "comparability_report dimension_profile dobinski_full kappa_value spec_from_json spec_to_json",
     "errors": "ConvergenceError DomainError DyadicTangentPole",
-    "exponents": "ApBranch Exponents LogValue as_fraction conjugate rel_error",
+    "exponents": "ApBranch Exponents LogValue as_fraction conjugate",
     "tree": "CylinderSet d_cylinder_set",
     "oracle": "FiniteProblem OracleResult agreement_battery emulated_infinite_problem solve_capacity",
 }

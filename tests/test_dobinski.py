@@ -100,6 +100,27 @@ class TestKappaValue:
         # with gamma = 0 an n past the double range is no obstacle
         assert kappa_value(Linear(1), 2 ** 1100) == 2 ** 1100
 
+    def test_weighs_an_irrational_rule_by_its_root_index(self):
+        # kappa_n = ceil(2**(1048577 n / 256)) is the 256-th root of an integer of about 2**20 n bits:
+        # n = 2 took 0.65 s and n = 40 30 s, although B(n) < 2**20 up to n = 255
+        spec = Growth(1, 0, Fraction(1048577, 256))
+        start = time.perf_counter()
+        for n in (1, 2, 40, 100):
+            with pytest.raises(DomainError, match=rf"^kappa_n for n in {n}\.\.{n} is an integer root of a ratio "
+                                                  r"of integers of .* bits, .* only from up to 2\*\*18 bits$"):
+                kappa_value(spec, n)
+        # the numerator and denominator of C count too: here B(1) is about 2**-133, a and b have 2**18 bits each
+        with pytest.raises(DomainError, match="integer root"):
+            kappa_value(Growth(Fraction(10 ** 40 + 1, 10 ** 40), Fraction(1, 255), Fraction(1, 256)), 1)
+        assert time.perf_counter() - start < 1.0
+        # just inside the limit: an L-th root of an integer of 2**18 - 4 bits, the slowest at L = 3
+        spec = Growth(Fraction(2) ** (2 ** 18 // 3 - 2), Fraction(1, 3), 0)
+        assert dobinski._Kappa(spec).root_bits(1) <= 2 ** 18
+        assert kappa_value(spec, 1) == kappa_reference(spec, 1)
+        # integer rules keep their limit on B alone
+        spec = Growth(Fraction(10 ** 40 + 1, 10 ** 40), 255, 256)
+        assert kappa_value(spec, 1) == kappa_reference(spec, 1)
+
     def test_always_at_least_one(self):
         spec = Power(Fraction(1, 1000), Fraction(1))
         assert kappa_value(spec, 1) == 1
@@ -438,6 +459,34 @@ class TestCapacityBounds:
         with pytest.raises(DomainError, match=r"^kappa_n reaches 2\*\*1\.11411e\+06 for n in 1\.\.17"):
             capacity_bounds(spec, E_HALF_2, 17)
 
+    def test_tail_window_stops_before_a_kappa_past_the_limit(self, monkeypatch):
+        # n_max = 255 checks B(n) = 4096 n <= 2**20 for n <= 255, and the window would run to n = 510;
+        # at ap = 1 the remainder forms no kappa_n, so the window stops after n = 256 with a finite bound
+        p = 1 + Fraction(257, 2 ** 20)
+        e, spec = Exponents(1 / p, p), Growth(1, 0, 4096)
+        kernel, formed = dobinski._kernel(e), []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(kernel, name)
+
+            def log2_cap(self, n, kappa):
+                formed.append(kappa.bit_length())
+                return kernel.log2_cap(n, kappa)
+        monkeypatch.setattr(dobinski, "_kernel", lambda _: Recording())
+        lower, upper = capacity_bounds(spec, e, 255)
+        assert max(formed) == 2 ** 20 + 1  # kappa_256 = 2**(2**20)
+        assert upper is not None and upper.value >= cap_component(255, 2 ** (4096 * 255), e).value
+
+    def test_subcritical_remainder_forms_no_kappa_past_the_limit(self):
+        # B(10) is about 1000, so f(10) is in the double range, but kappa_10 is the 65280-th root
+        # of an integer of about 2**26 bits: the remainder has no closed form there and forms nothing
+        e = Exponents("1/4", 2)
+        start = time.perf_counter()
+        assert dobinski._remainder(dobinski._Kappa(Growth(2 ** 1000, "1/255", "1/256")), e)(10) is None
+        assert time.perf_counter() - start < 1.0
+        assert dobinski._remainder(dobinski._Kappa(Growth(1, 0, "1/2")), e)(10) is not None
+
     def test_rejects_n_max_past_the_cap_at_once(self):
         # the lower bound loops over every n <= n_max, so a huge n_max would hang
         for n_max in (10_001, 10 ** 8):
@@ -628,14 +677,16 @@ class TestComparabilityReport:
         with pytest.raises(DomainError, match="for n in 500..5000"):
             comparability_report(E_HALF_2, (500, 5000), spec)
 
-    def test_subcritical_rows_stop_where_kappa_leaves_the_double_range(self):
-        # kappa_n = 2**(64 n): at n = 16 the run term v b kappa is past the float range
+    def test_subcritical_rows_stop_where_the_run_exponent_leaves_the_double_range(self):
+        # kappa_n = 2**(64 n): at n = 16 the run term v b kappa = 2**1024 is past the float range, but
+        # its exponent q w / v, about 2**1023, is formed from the integer; at n = 17 it is 2**1087
         e, spec = Exponents("1/4", 2), Growth(1, 0, 64)
         with pytest.raises(DomainError, match="^exponent exceeds the double-precision log2 range$"):
-            comparability_report(e, (1, 16), spec)
-        rows = comparability_report(e, (1, 15), spec)["rows"]
-        assert [row["n"] for row in rows] == list(range(1, 16))
-        assert rows[-1]["kappa_log2"] == 960.0 and rows[-1]["proxy_log2"] < 0
+            comparability_report(e, (1, 17), spec)
+        rows = comparability_report(e, (1, 16), spec)["rows"]
+        assert [row["n"] for row in rows] == list(range(1, 17))
+        assert rows[-1]["kappa_log2"] == 1024.0 and rows[-1]["proxy_log2"] == -(2.0 ** 1023)
+        assert rows[-1]["cap_log2"] == cap_component(16, 2 ** 1024, e).value.log2 == -(2.0 ** 1023)
 
     def test_pairs_whose_run_rate_underflows_are_refused_at_construction(self):
         # q / v = 2**-1000 / 2**81 underflows to 0, so every run exponent q w / v

@@ -13,8 +13,8 @@ from capatree import (
     as_fraction,
     conjugate,
     full_tree_capacity,
-    rel_error,
 )
+from conftest import rel_error
 
 
 class TestConjugate:
@@ -195,14 +195,3 @@ class TestLogValue:
         assert LogValue.from_log2(2000.0).to_float() == math.inf
         assert LogValue.from_log2(-2000.0).to_float() == 0.0
 
-
-class TestRelError:
-    def test_zero_against_zero_and_against_one(self):
-        assert rel_error(LogValue.zero(), LogValue.zero()) == 0.0
-        assert rel_error(LogValue.zero(), LogValue.one()) == math.inf
-        assert rel_error(LogValue.one(), LogValue.zero()) == math.inf
-
-    def test_logs_more_than_sixty_apart(self):
-        assert rel_error(LogValue.from_log2(61.0), LogValue.one()) == math.inf
-        assert rel_error(LogValue.from_log2(-61.0), LogValue.one()) == math.inf
-        assert rel_error(LogValue.from_log2(60.0), LogValue.one()) == pytest.approx(2.0 ** 60, rel=1e-12)
