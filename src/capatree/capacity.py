@@ -171,12 +171,12 @@ class _Kernel:
     below it the exact quotient (v ap n - v b kappa) / v, v the denominator of
     ap, rounded once (None past the double range).  ``rows(ns, kappas)``
     returns ``comparability_report``'s dict for the (n, kappa) pairs of the
-    two iterables from one plain loop per branch, which builds each row dict
-    and tracks the least and largest ratio cap 2**-min(0, s).  Both geometric
-    sums (``_geometric_terms``) and the log-sums are inlined with the
-    closures' bits; n = 0 gives no branch terms, a subcritical int past the
-    double range raises the closures' DomainError, and a critical n stays
-    below 2**1024.
+    two iterables from one plain loop, which builds each row dict and tracks
+    the least and largest ratio cap 2**-min(0, s), branching only for the
+    run sum and the ratio's terms.  Both geometric sums (``_geometric_terms``)
+    and the log-sums are inlined with the closures' bits; n = 0 gives no
+    branch terms, a subcritical int past the double range raises the
+    closures' DomainError, and a critical n stays below 2**1024.
 
     The closures do not check their arguments; the cap closures return a
     finite log2 or raise DomainError, and ``Exponents`` admits only pairs
@@ -245,54 +245,42 @@ class _Kernel:
             except OverflowError:
                 return None
 
-        def subcritical(ns: Iterable[int], kappas: Iterable[int]) -> dict:
-            rows, low, high = [], inf, -inf
+        def rows(ns: Iterable[int], kappas: Iterable[int]) -> dict:
+            out, low, high = [], inf, -inf
+            add = out.append
             for n, kappa in zip(ns, kappas):
-                w = vb * kappa - ap_num * n  # v (b kappa - ap n) = -v s; the run term's exponent is q (w - vb) / v
-                try:  # the sums inlined, with the cuts' bits
-                    x, y = w * q_v, (w - vb) * q_v
-                except OverflowError:  # w past the double range
-                    x, y = _times(w, q_v, Q, Pv), _times(w - vb, q_v, Q, Pv)
-                rs = -den_b if kappa > cut_b else log2(-expm1(kappa * -qb * _LN2)) - den_b
+                rs = log2_kappa = log2(kappa)  # the critical run sum, log2 G(kappa, 0)
+                if vb:
+                    w = vb * kappa - ap_num * n  # v (b kappa - ap n) = -v s; the run term's exponent is q (w - vb) / v
+                    try:  # the sums inlined, with the cuts' bits
+                        x, y = w * q_v, (w - vb) * q_v
+                    except OverflowError:  # w past the double range
+                        x, y = _times(w, q_v, Q, Pv), _times(w - vb, q_v, Q, Pv)
+                    rs = -den_b if kappa > cut_b else log2(-expm1(kappa * -qb * _LN2)) - den_b
+                else:  # v = 1 and run = -n
+                    x = y = n * t_n  # -n q, and the branch sum's n t
                 t2 = (-den_n if n > cut_n else log2(-expm1(n * t_n * _LN2)) - den_n) if n else no_terms
                 t0, t1 = y + rs, x + full
                 h = t0 if t0 > t1 and t0 > t2 else t1 if t1 > t2 else t2  # max(t0, t1, t2), without a call
-                cap = -pm1 * (h + log2(2.0 ** (t0 - h) + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))
+                cap = ratio = -pm1 * (h + log2(2.0 ** (t0 - h) + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))
                 if not (isfinite(cap) and x < inf and no_terms < y):  # as y <= x, both are then finite
                     raise DomainError(_CAP_RANGE if x < inf and no_terms < y else _EXPONENT_RANGE)
-                s, ratio = -w / v, cap  # (ap_num n - vb kappa) / v, as in statistic
-                if s < 0:
-                    t0, t2 = rs - qb, t2 - x
-                    h = t0 if t0 > full and t0 > t2 else full if full > t2 else t2
-                    ratio = -pm1 * (h + log2(2.0 ** (t0 - h) + 2.0 ** (full - h) + 2.0 ** (t2 - h)))
+                s = -w / v if vb else n - pm1 * log2_kappa  # as in statistic, once cap is in range
+                if s < 0:  # the ratio's cofactors (class docstring), so x cancels exactly
+                    if vb:
+                        t0, t1, t2 = rs - qb, full, t2 - x
+                    else:  # x + log2 kappa, formed without cancelling terms of size n
+                        E = kappa.bit_length()
+                        t0, t1, t2 = 0.0, full - log2_kappa, t2 - ((E * P - n * Q) / P + log2(kappa / (1 << E)))
+                    h = t0 if t0 > t1 and t0 > t2 else t1 if t1 > t2 else t2
+                    ratio = -pm1 * (h + log2(2.0 ** (t0 - h) + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))
                     if not isfinite(ratio):
                         raise DomainError(_CAP_RANGE)
-                rows.append({"n": n, "kappa": kappa if kappa < 2 ** 53 else None, "kappa_log2": log2(kappa),
-                             "cap_linear": 2.0 ** cap if abs(cap) < 1020 else None, "cap_log2": cap,
-                             "proxy_log2": s, "ratio": (ratio := 2.0 ** ratio)})
+                add({"n": n, "kappa": kappa if kappa < 2 ** 53 else None, "kappa_log2": log2_kappa,
+                     "cap_linear": 2.0 ** cap if abs(cap) < 1020 else None, "cap_log2": cap,
+                     "proxy_log2": s, "ratio": (ratio := 2.0 ** ratio)})
                 low, high = ratio if ratio < low else low, ratio if ratio > high else high
-            return {"rows": rows, "ratio_min": low, "ratio_max": high}
-
-        def critical(ns: Iterable[int], kappas: Iterable[int]) -> dict:
-            rows, low, high = [], inf, -inf
-            for n, kappa in zip(ns, kappas):  # v = 1, run = -n and G(kappa, 0) = log2 kappa
-                log2_kappa, x = log2(kappa), n * t_n  # x = -n q, and the branch sum's n t
-                t2 = (-den_n if n > cut_n else log2(-expm1(x * _LN2)) - den_n) if n else no_terms
-                s, t0, t1 = n - pm1 * log2_kappa, x + log2_kappa, x + full
-                h = t0 if t0 > t1 and t0 > t2 else t1 if t1 > t2 else t2  # max(t0, t1, t2), without a call
-                cap = ratio = -pm1 * (h + log2(2.0 ** (t0 - h) + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))
-                if s < 0:
-                    E = kappa.bit_length()  # x + log2 kappa, formed without cancelling terms of size n
-                    t1, t2 = full - log2_kappa, t2 - ((E * P - n * Q) / P + log2(kappa / (1 << E)))
-                    h = t1 if t1 > t2 and t1 > 0.0 else t2 if t2 > 0.0 else 0.0
-                    ratio = -pm1 * (h + log2(2.0 ** -h + 2.0 ** (t1 - h) + 2.0 ** (t2 - h)))
-                if not (no_terms < x and isfinite(cap) and isfinite(ratio)):  # x = -inf leaves cap finite
-                    raise DomainError(_CAP_RANGE if no_terms < x else _EXPONENT_RANGE)
-                rows.append({"n": n, "kappa": kappa if kappa < 2 ** 53 else None, "kappa_log2": log2_kappa,
-                             "cap_linear": 2.0 ** cap if abs(cap) < 1020 else None, "cap_log2": cap,
-                             "proxy_log2": s, "ratio": (ratio := 2.0 ** ratio)})
-                low, high = ratio if ratio < low else low, ratio if ratio > high else high
-            return {"rows": rows, "ratio_min": low, "ratio_max": high}
+            return {"rows": out, "ratio_min": low, "ratio_max": high}
         tables = {}  # generator log2 value -> (tops, values), filled on first use
 
         def blocks(leaf: float) -> tuple[tuple, tuple]:
@@ -301,7 +289,7 @@ class _Kernel:
                     _walk(((3, r, 3, leaf) for r in range(8) if mask >> r & 1), self) for mask in range(1, 256))))
             return tables[leaf]
         self.lift, self.branch, self.log2_cap, self.statistic, self.blocks = lift, branch, log2_cap, statistic, blocks
-        self.rows = subcritical if vb else critical
+        self.rows = rows
 
 
 _kernel = functools.cache(_Kernel)  # one kernel per exponent pair, for the life of the process

@@ -63,15 +63,6 @@ class DigitStream(Record):
         """True for a dyadic rational: only its long division ends, leaving the cycle (0,)."""
         return self.cycle == (0,)
 
-    def digit(self, n: int) -> int:
-        """The n-th binary digit (1-indexed)."""
-        if n < 1:
-            raise DomainError(f"digits are indexed from 1, got {n}")
-        idx = n - 1
-        if idx < len(self.preamble):
-            return self.preamble[idx]
-        return self.cycle[(idx - len(self.preamble)) % len(self.cycle)]
-
 
 class RunLength(Record):
     """s_n for one position: the maximal run starting at n, minus one.

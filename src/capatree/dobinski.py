@@ -172,15 +172,16 @@ class _Kappa:
 
     The one reader of a spec: C, beta, gamma and ``log2_C`` of the Growth rule
     ending a Custom chain, and ``log2_bound``, n -> B(n) = log2 C + beta log2 n
-    + gamma n, log2 of kappa_n before the ceiling (any n where gamma = 0).
-    ``root_bits`` is None for integer beta and gamma, else n -> the bits of
-    the integers a and b that ``rule`` forms for an irrational value, x**L =
-    a / b, with L the lcm of the denominators of beta and gamma, which bounds
-    every row's root index.  ``lookup`` takes table entries first (an outer
-    Custom's first), else ``rule``, ceil(C * n**beta * 2**(gamma*n)), itself
-    the lookup with no table.  ``values(ns)`` forms each kappa_n as it is
-    reached: ``rule``'s integer expression in one generator for integer beta
-    and gamma and no table, else ``lookup`` mapped.  Lookups close over the
+    + gamma n, log2 of kappa_n before the ceiling (+-inf once gamma n is past
+    the double range).  ``root_bits`` is None for integer beta and gamma, else
+    n -> the bits of the integers a and b that ``rule`` forms for an
+    irrational value, x**L = a / b, with L the lcm of the denominators of
+    beta and gamma, which bounds every row's root index (inf past the double
+    range).  ``lookup`` takes table entries first (an outer Custom's first),
+    else ``rule``, ceil(C * n**beta * 2**(gamma*n)), itself the lookup with
+    no table.  ``values(ns)`` forms each kappa_n as it is reached: ``rule``'s
+    integer expression in one generator for integer beta, gamma >= 0 and no
+    table, else ``lookup`` mapped.  Lookups close over the
     family's integers, reading no attributes, and trust n: ``kappa_value``
     checks outside input.
     """
@@ -199,13 +200,32 @@ class _Kappa:
         (num, den), (bn, bd), (gn, gd) = C.as_integer_ratio(), beta.as_integer_ratio(), gamma.as_integer_ratio()
         pa, pb, ga, gb = max(bn, 0), max(-bn, 0), max(gn, 0), max(-gn, 0)  # n's and 2's powers above and below
         log2_c, beta_f, gamma_f = math.log2(num) - math.log2(den), float(beta), float(gamma)  # any size of num, den
-        self.log2_C, self.log2_bound = log2_c, lambda n: log2_c + beta_f * math.log2(n) + (gamma_f * n if gn else 0.0)
+        log2, inf, shrinks = math.log2, math.inf, bn < 0 or gn < 0
+
+        def log2_bound(n: int) -> float:
+            try:
+                return log2_c + beta_f * log2(n) + (gamma_f * n if gn else 0.0)
+            except OverflowError:  # gamma n past the double range
+                return gamma_f * inf
         root, size = math.lcm(bd, gd), math.log2(num) + math.log2(den)  # bits of rule's a and b below, increasing in n
-        self.root_bits = None if root == 1 else (
-            lambda n: root * (size + abs(beta_f) * math.log2(n) + (abs(gamma_f) * n if gn else 0.0)))
+
+        def root_bits(n: int) -> float:
+            try:
+                return root * (size + abs(beta_f) * log2(n) + (abs(gamma_f) * n if gn else 0.0))
+            except OverflowError:
+                return inf
+        self.log2_C, self.log2_bound, self.root_bits = log2_c, log2_bound, None if root == 1 else root_bits
 
         def rule(n: int) -> int:
-            """ceil(C * n**beta * 2**(gamma*n)) as an exact integer, at least 1 as C > 0."""
+            """ceil(C * n**beta * 2**(gamma*n)) as an exact integer, at least 1 as C > 0.
+
+            A rule with a negative beta or gamma returns 1 where B(n) < -1, and
+            forms no integer: for C and n that fit in memory log2 C and beta
+            log2 n are below 2**50, so B's rounding is below 1 unless gamma n
+            dwarfs them, and C n**beta 2**(gamma n) < 1.
+            """
+            if shrinks and log2_bound(n) < -1:
+                return 1
             rest = gn * n % gd
             if bd == 1 and not rest:
                 return -(-(num * n ** pa << ga * n // gd) // (den * n ** pb << gb * n // gd))
@@ -230,8 +250,8 @@ class _Kappa:
             k = get(n)
             return rule(n) if k is None else k
         self.rule, self.lookup = rule, lookup if table else rule
-        if bd == gd == 1 and not table:  # rule's integer branch, for every n
-            self.values = lambda ns: (-(-(num * n ** pa << ga * n) // (den * n ** pb << gb * n)) for n in ns)
+        if bd == gd == 1 and not table and not shrinks:  # rule's integer branch, for every n
+            self.values = lambda ns: (-(-(num * n ** bn << gn * n) // den) for n in ns)
         else:
             self.values = functools.partial(map, self.lookup)
 

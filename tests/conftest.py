@@ -383,15 +383,17 @@ def run_lengths_reference(stream, count: int) -> list[tuple[int, int, bool]]:
     entry is the (n, value, infinite) fields of a ``RunLength``, as plain
     tuples keep a comparison over a hundred thousand cases quick.
     """
-    horizon = len(stream.preamble)
+    horizon, period = len(stream.preamble), len(stream.cycle)
+    # digit[j] is the j-th digit, from 1, up to the last one any scan below reads
+    digit = (None,) + stream.preamble + stream.cycle * (max(count - horizon, 0) // period + 2)
     out = []
     for n in range(1, count + 1):
-        d = stream.digit(n)
+        d = digit[n]
         # a run is infinite iff it survives one whole cycle past the preamble
         # (after that the digits repeat verbatim)
-        limit = max(n, horizon) + len(stream.cycle) + 1
+        limit = max(n, horizon) + period + 1
         j = n + 1
-        while j <= limit and stream.digit(j) == d:
+        while j <= limit and digit[j] == d:
             j += 1
         out.append((n, j - 1 - n, False) if j <= limit else (n, 0, True))
     return out

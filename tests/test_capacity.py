@@ -202,6 +202,24 @@ class TestKernel:
             assert 0.0 < ratio <= 1.0, (n, kappa)
         assert (report["ratio_min"], report["ratio_max"]) == (min(r["ratio"] for r in rows), max(r["ratio"] for r in rows))
 
+    def test_critical_row_with_no_branch_terms_has_ratio_one_half(self):
+        # at (1/2, 2) full = log2 G(inf, -1) = 1, so D(0, 2) has s = -1 and the ratio's
+        # three log-sum terms are 0, full - log2 2 = 0 and no branch term: 2**-log2(2)
+        (row,) = _kernel(E_HALF_2).rows([0], [2])["rows"]
+        assert (row["proxy_log2"], row["kappa_log2"], row["ratio"]) == (-1.0, 1.0, 0.5)
+        assert row["cap_log2"] == _kernel(E_HALF_2).log2_cap(0, 2)
+
+    @pytest.mark.parametrize("ns, kappas", [([1], [2 ** 1100]), ([0, 1, 2, 3], [2, 2 ** 1100, 3, 4])])
+    def test_rows_refuse_a_capacity_past_the_double_range_before_forming_the_statistic(self, ns, kappas):
+        # at (n, kappa) = (1, 2**1100) w = v (b kappa - ap n) is past the double range, so
+        # -w / v would raise a bare OverflowError; cap, about -(p-1) q w / v, is checked first
+        big = 1 + Fraction(2) ** 1000
+        kernel = _kernel(Exponents(Fraction(1023, 2048) / big, big))
+        with pytest.raises(DomainError, match="^component capacity exceeds the double-precision log2 range$"):
+            kernel.rows(ns, kappas)
+        with pytest.raises(DomainError, match="^component capacity exceeds the double-precision log2 range$"):
+            kernel.log2_cap(1, 2 ** 1100)
+
 
 class TestTruncatedTreeCapacity:
     def test_depth_examples(self):

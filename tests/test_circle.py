@@ -29,17 +29,17 @@ from conftest import run_lengths_reference
 class TestDigitStream:
     def test_one_third_alternates(self):
         s = DigitStream.from_rational("1/3")
-        assert [s.digit(n) for n in range(1, 7)] == [0, 1, 0, 1, 0, 1]
+        assert (s.preamble, s.cycle) == ((), (0, 1))  # 0, 1, 0, 1, ...
         assert not s.dyadic
 
     def test_dyadic_terminates(self):
         s = DigitStream.from_rational("7/16")
         assert s.dyadic
-        assert [s.digit(n) for n in range(1, 8)] == [0, 1, 1, 1, 0, 0, 0]
+        assert (s.preamble, s.cycle) == ((0, 1, 1, 1), (0,))  # 0, 1, 1, 1, 0, 0, ...
 
     def test_zero_and_one_wrap(self):
         assert DigitStream.from_rational(Fraction(0)).dyadic
-        assert DigitStream.from_rational(Fraction(1)).digit(1) == 0
+        assert DigitStream.from_rational(Fraction(1)) == DigitStream((), (0,))
 
     def test_fifth_period(self):
         s = DigitStream.from_rational("1/5")
@@ -69,11 +69,6 @@ class TestDigitStream:
         s = DigitStream.from_rational(Fraction(12345, 2**20 * 10069))
         assert len(s.preamble) == 20 and len(s.preamble) + len(s.cycle) <= circle._DIGIT_BUDGET
         assert len(DigitStream.from_rational(Fraction(1, 3 * 2**65000)).preamble) == 65000
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_digits_are_indexed_from_one(self, n):
-        with pytest.raises(DomainError, match="indexed from 1"):
-            DigitStream.from_rational("1/3").digit(n)
 
 
 class TestRunLengths:

@@ -180,7 +180,7 @@ class TestOutputContract:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme[readme.index("## Command line"):readme.index("## Package layout")]
         argvs = [shlex.split(line)[1:] for line in section.splitlines() if line.startswith("capatree ")]
-        assert len(argvs) == 15
+        assert len(argvs) == 17
 
         def refuse(name):
             raise ValueError(f"non-strict JSON constant {name}")

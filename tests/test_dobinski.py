@@ -125,6 +125,37 @@ class TestKappaValue:
         spec = Power(Fraction(1, 1000), Fraction(1))
         assert kappa_value(spec, 1) == 1
 
+    @pytest.mark.parametrize("spec, ns", [(Growth(3, 0, -1), range(1, 7)), (Power(5, -2), range(1, 6))])
+    def test_a_shrinking_rule_is_one_where_its_bound_is_below_minus_one(self, spec, ns):
+        # B(n) crosses -1 inside ns; below it the rule returns 1 and forms no integer
+        kappa = dobinski._Kappa(spec)
+        assert kappa.log2_bound(ns[-1]) < -1 <= kappa.log2_bound(ns[0])
+        for n in ns:
+            exact = spec.C * Fraction(n) ** int(spec.beta) * Fraction(2) ** int(spec.gamma * n)
+            assert kappa_value(spec, n) == kappa.rule(n) == math.ceil(exact) == kappa_reference(spec, n), n
+
+    def test_a_shrinking_rule_forms_no_integer_of_size_gamma_n_or_beta_log2_n(self):
+        # the rule's integer branch built 2**(65536 n) or n**65536: 22 s for n up to 2000,
+        # a MemoryError at n = 10**6
+        start = time.perf_counter()
+        assert kappa_value(Growth(1, 0, -65536), 10 ** 6) == 1
+        assert list(dobinski._Kappa(Growth(1, -65536, 0)).values(range(1, 10_001))) == [1] * 10_000
+        report = comparability_report(E_HALF_2, (1, 10_000), Growth(1, -65536, 0))
+        assert [row["kappa"] for row in report["rows"]] == [1] * 10_000
+        lower, upper = capacity_bounds(Growth(1, 0, -65536), E_HALF_2, 10_000)
+        assert lower.value == max(cap_component(n, 1, E_HALF_2).value for n in range(1, 10_001)) and upper is None
+        assert time.perf_counter() - start < 5.0
+
+    def test_bounds_read_infinite_past_the_double_range(self):
+        # gamma n past the double range: B and the root's bits read +-inf, so the
+        # rule is refused before it is formed or, for gamma < 0, is 1
+        assert dobinski._Kappa(Growth(1, 0, -1)).log2_bound(2 ** 2000) == -math.inf
+        assert dobinski._Kappa(Growth(1, 0, "1/2")).root_bits(2 ** 2000) == math.inf
+        assert kappa_value(Growth(1, 0, -1), 2 ** 2000) == 1
+        for spec in (Growth(1, 0, 1), Growth(1, 0, "1/2")):
+            with pytest.raises(DomainError, match=r"^kappa_n reaches 2\*\*inf for n in "):
+                kappa_value(spec, 2 ** 2000)
+
     def test_matches_reference_on_random_families(self):
         rng = random.Random(20211026)
 
